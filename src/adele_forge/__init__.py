@@ -3,5 +3,3 @@ pairings and the Weil pairing on curves and surfaces over finite fields,
 each cross-checked against a classical oracle."""
 
 __version__ = "0.1.0"
-
-from ._kernels import BACKEND as KERNEL_BACKEND  # noqa: F401

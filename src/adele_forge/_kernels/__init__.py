@@ -1,31 +1,24 @@
-"""Kernel backend selection.
+"""Dense GF(p) polynomial and matrix kernels (see ``pure``).
 
-The compiled Cython kernels are used when available; set ADELE_FORGE_PURE=1
-to force the pure-Python fallback (the two are interchangeable and the test
-suite passes with either).
+The package re-exports the functions of its ``pure`` submodule, where they
+are defined and where they call one another.  A tracer that rebinds the
+names here (``perfbench/tracing.py``) therefore sees ``poly_gcd`` as one
+call, not as one call per inner ``poly_mod``.
 """
 
-import os
+from .pure import (  # noqa: F401
+    mat_rref,
+    poly_add,
+    poly_divmod,
+    poly_eval,
+    poly_gcd,
+    poly_invmod,
+    poly_mod,
+    poly_mul,
+    poly_neg,
+    poly_powmod,
+    poly_scale,
+    poly_sub,
+)
 
-if os.environ.get("ADELE_FORGE_PURE"):
-    from . import pure as _impl
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import pure as _impl
-
-BACKEND = _impl.BACKEND
-
-poly_add = _impl.poly_add
-poly_sub = _impl.poly_sub
-poly_neg = _impl.poly_neg
-poly_scale = _impl.poly_scale
-poly_mul = _impl.poly_mul
-poly_divmod = _impl.poly_divmod
-poly_mod = _impl.poly_mod
-poly_gcd = _impl.poly_gcd
-poly_invmod = _impl.poly_invmod
-poly_powmod = _impl.poly_powmod
-poly_eval = _impl.poly_eval
-mat_rref = _impl.mat_rref
+BACKEND = "pure"

@@ -2,12 +2,10 @@
 
 Polynomials are plain lists of ints in [0, p), lowest degree first, with no
 trailing zeros ([] is the zero polynomial).  Matrices are lists of row lists.
-These routines are the hot inner loops of the whole package; a compiled
-drop-in replacement lives in ``_speedups.pyx`` and is selected at import
-time by ``adele_forge._kernels``.
+These routines are the hot inner loops of the whole package.  Python ints
+never overflow, so any prime p is exact (``tests/test_kernels.py`` checks
+up to p = 2^61 - 1).
 """
-
-BACKEND = "pure"
 
 
 def poly_trim(a):

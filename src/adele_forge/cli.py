@@ -224,7 +224,12 @@ def _enc_point_orbit(pt):
 def _task_rr_table(config, curve, ext_bound):
     payload = {k: config[k] for k in ("degrees", "divisors") if k in config}
     if "degrees" in payload:
-        lo, hi = _int_list(payload["degrees"], "degrees")
+        bounds = _int_list(payload["degrees"], "degrees")
+        if len(bounds) != 2:
+            raise SchemaError("degrees must be [lo, hi]")
+        lo, hi = bounds
+        if lo > hi:
+            raise SchemaError("degrees [lo, hi] needs lo <= hi, got lo = %d > hi = %d" % (lo, hi))
         base = Place.infinity(curve) if curve.kind == "p1" else Place.origin(curve)
         divisors = [Divisor(curve, {base: n}) if n else Divisor(curve) for n in range(lo, hi + 1)]
     elif "divisors" in payload:

@@ -265,6 +265,8 @@ def _shifted_support(curve, P, R):
 
 
 def _check_torsion(curve, P, Q, l):
+    if l < 1:
+        raise DomainError("l must be a positive integer, got %d" % l)
     if l % curve.spec.p == 0:
         raise DomainError("l must be prime to characteristic")
     for T in (P, Q):
@@ -404,6 +406,8 @@ def massey_triple_curve(curve, P, Q, l, r_index=0, s_index=0):
     """Massey triple product of the l-torsion classes of P and Q, with
     representatives chosen by translating by auxiliary points."""
     _check_torsion(curve, P, Q, l)
+    if P is None or Q is None:
+        raise DomainError("Massey product of the class of O is trivial: P and Q must differ from O")
     candidates = _offset_candidates(curve)
     attempts = 0
     for i, R in enumerate(candidates):

@@ -147,3 +147,40 @@ def test_main_exit_codes(tmp_path, capsys):
 
     missing = tmp_path / "missing.json"
     assert main(["run", str(missing)]) == 2
+
+
+RR_DOC = {
+    "field": {"p": 5},
+    "curve": {"model": "projective-line"},
+    "task": "rr-table",
+}
+
+
+def test_rr_table_degree_bounds(tmp_path, capsys):
+    with pytest.raises(SchemaError, match=r"lo = 3 > hi = -2"):
+        run_config(dict(RR_DOC, degrees=[3, -2]))
+    with pytest.raises(SchemaError, match=r"\[lo, hi\]"):
+        run_config(dict(RR_DOC, degrees=[1, 2, 3]))
+    assert len(run_config(dict(RR_DOC, degrees=[2, 2]))["result"]["table"]) == 1
+    cfg = tmp_path / "rr.json"
+    cfg.write_text(json.dumps(dict(RR_DOC, degrees=[3, -2])))
+    assert main(["run", str(cfg)]) == 2
+    assert "lo = 3 > hi = -2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["weil", "massey"])
+@pytest.mark.parametrize("l", [0, -3])
+def test_l_must_be_positive(task, l):
+    with pytest.raises(DomainError, match="l must be a positive integer"):
+        run_config(dict(WEIL_DOC, task=task, l=l))
+
+
+@pytest.mark.parametrize("P, Q", [("O", [0, 0]), ([0, 0], "O"), ("O", "O")])
+def test_massey_with_O_is_trivial(tmp_path, P, Q):
+    doc = dict(WEIL_DOC, task="massey", P=P, Q=Q)
+    with pytest.raises(DomainError, match="trivial"):
+        run_config(doc)
+    cfg = tmp_path / "massey.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg)]) == 1
+    assert run_config(dict(doc, task="weil"))["result"]["pairing"] == ["1"]
