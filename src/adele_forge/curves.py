@@ -496,22 +496,25 @@ def scalar_multiple(curve, n, P):
     return result
 
 
-def rational_points(curve):
-    """All points of the elliptic model over the base field, O first."""
-    points = [None]
+def affine_points(curve):
+    """The affine points of the elliptic model over the base field, by x."""
     spec = curve.spec
     rhs = curve.rhs_poly()
     for n in range(spec.p):
         x = spec.element(n)
         c = rhs.evaluate(x)
         if not c:
-            points.append((x, spec.zero()))
+            yield (x, spec.zero())
             continue
         r = field_sqrt(c)
         if r is not None:
-            points.append((x, r))
-            points.append((x, -r))
-    return points
+            yield (x, r)
+            yield (x, -r)
+
+
+def rational_points(curve):
+    """All points of the elliptic model over the base field, O first."""
+    return [None] + list(affine_points(curve))
 
 
 def torsion_points(curve, l):
@@ -689,6 +692,8 @@ def _ec_expansions(curve, place, prec):
                 z = nz
                 break
             z = nz
+        else:
+            raise AssertionError("origin expansion did not converge")
         y = z.inverse()
         x = t * y
         return x.truncate(prec), y.truncate(prec)

@@ -15,13 +15,33 @@ from .errors import DomainError
 FACTOR_SEED = 0  # default seed for the randomized splitting steps
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n):
     if n < 2:
         return False
-    if n < 4:
+    if n in _WITNESSES:
         return True
-    if n % 2 == 0:
+    if any(n % a == 0 for a in _WITNESSES):
         return False
+    if n < 3317044064679887385961981:
+        # Miller-Rabin with the first 13 prime bases (2..41) is exact below this
+        # bound (OEIS A014233)
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in _WITNESSES:
+            x = pow(a, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
     i = 3
     while i * i <= n:
         if n % i == 0:

@@ -5,6 +5,8 @@ product, direct images by norms, and the sign audit that pins the package's
 global sign constants.
 """
 
+from itertools import chain
+
 from . import signs
 from .adelic import cochain_product, divisor_cocycle, nu_curve, AdeleCochain
 from .curves import (
@@ -12,11 +14,11 @@ from .curves import (
     Divisor,
     FunctionFieldElement,
     Place,
+    affine_points,
     ec_add,
     ec_neg,
     leading_value_at,
     principal_divisor,
-    rational_points,
     scalar_multiple,
     torsion_points,
     valuation,
@@ -224,8 +226,26 @@ def _translated_divisor(curve, P, T):
 
 
 def _offset_candidates(curve):
-    pts = rational_points(curve)
-    return pts[1:] + [None]
+    """The translation offsets in trial order, affine points then O, as a
+    function that starts a new pass over them.  The points are enumerated
+    lazily, once: every pass draws on the same memoized prefix, so nested
+    loops that stop early never walk all of E(GF(p))."""
+    source = chain(affine_points(curve), [None])
+    seen = []
+    end = object()
+
+    def offsets():
+        i = 0
+        while True:
+            if i == len(seen):
+                T = next(source, end)
+                if T is end:
+                    return
+                seen.append(T)
+            yield seen[i]
+            i += 1
+
+    return offsets
 
 
 def weil_pairing_idelic(curve, P, Q, l):
@@ -235,8 +255,9 @@ def weil_pairing_idelic(curve, P, Q, l):
     _check_torsion(curve, P, Q, l)
     if P is None or Q is None:
         return PairingValue(curve.spec.one(), l)
-    for R in _offset_candidates(curve):
-        for S in _offset_candidates(curve):
+    offsets = _offset_candidates(curve)
+    for R in offsets():
+        for S in offsets():
             PR, QS = _shifted_support(curve, P, R), _shifted_support(curve, Q, S)
             if PR is None or QS is None or PR & QS:
                 continue
@@ -327,8 +348,9 @@ def weil_pairing_miller(curve, P, Q, l):
     _check_torsion(curve, P, Q, l)
     if P is None or Q is None or P == Q:
         return PairingValue(curve.spec.one(), l)
-    for T1 in _offset_candidates(curve):
-        for T2 in _offset_candidates(curve):
+    offsets = _offset_candidates(curve)
+    for T1 in offsets():
+        for T2 in offsets():
             sup1 = _shifted_support(curve, P, T1)
             sup2 = _shifted_support(curve, Q, T2)
             if sup1 is None or sup2 is None or sup1 & sup2:
@@ -408,18 +430,16 @@ def massey_triple_curve(curve, P, Q, l, r_index=0, s_index=0):
     _check_torsion(curve, P, Q, l)
     if P is None or Q is None:
         raise DomainError("Massey product of the class of O is trivial: P and Q must differ from O")
-    candidates = _offset_candidates(curve)
-    attempts = 0
-    for i, R in enumerate(candidates):
+    offsets = _offset_candidates(curve)
+    for i, R in enumerate(offsets()):
         if i < r_index:
             continue
-        for j, S in enumerate(candidates):
+        for j, S in enumerate(offsets()):
             if j < s_index:
                 continue
             supY = _shifted_support(curve, P, R)
             supZ = _shifted_support(curve, Q, S)
             if supY is None or supZ is None or supY & supZ:
-                attempts += 1
                 continue
             f = miller_function(curve, P, l, R)
             g = miller_function(curve, Q, l, S)

@@ -7,29 +7,145 @@ residues of 1-forms, and leading values of functions at places.
 A series holds coefficients for exponents start, start+1, ..., prec-1 and
 knows nothing beyond prec.  Arithmetic tracks the resulting precision
 honestly; callers overshoot and assert they got enough.
+
+Representation: a series over GF(p^k) stores its coefficients as one flat
+list of GF(p) ints, k per coefficient (the coefficient vector of the field
+element, low degree first); over a prime field that is just the list of
+coefficients.  Every operation works on these ints through one code path
+for all k:
+
+- the truncated product packs each operand into one Python int (Kronecker
+  substitution: coefficient i, component j in slot i*(2k-1)+j, each slot
+  wide enough for the largest sum of products), multiplies once, unpacks
+  only the slots below the truncation and reduces each (2k-1)-slot chunk
+  modulo the field's modulus (nothing to reduce when k = 1);
+- inverse and sqrt are Newton iterations on that product, doubling the
+  number of correct coefficients per step (von zur Gathen & Gerhard,
+  Modern Computer Algebra, ch. 9).  The one scalar field operation left is
+  the inverse of the leading coefficient (of 2*branch for sqrt).
+
+FieldElements appear only at the boundary: the constructors, ``scale`` and
+``sqrt`` take them and ``coefficient`` returns one.
 """
 
 from .errors import DomainError
+
+
+def _slots(vec, count, k, stride):
+    """The first ``count`` coefficients of a flat vector, component j of
+    coefficient i in slot i*stride+j and zeros between."""
+    out = [0] * (count * stride)
+    for j in range(k):
+        out[j::stride] = vec[j : count * k : k]
+    return out
+
+
+def _pack(slots, width):
+    """The slots as one int, ``width`` bytes each, slot 0 lowest."""
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in slots]), "little")
+
+
+def _unpack(n, total, count, width, p):
+    """The lowest ``count`` of the ``total`` slots of n, reduced mod p."""
+    raw = n.to_bytes(total * width, "little")
+    frombytes = int.from_bytes
+    return [frombytes(raw[i : i + width], "little") % p for i in range(0, count * width, width)]
+
+
+def _mul(spec, a, b, n):
+    """The first n coefficients (n*k ints, zero-padded) of the product of
+    the flat vectors a and b."""
+    p, k = spec.p, spec.k
+    la = min(len(a) // k, n)
+    lb = min(len(b) // k, n)
+    out = [0] * (max(n, 0) * k)
+    if not la or not lb:
+        return out
+    stride = 2 * k - 1
+    m = min(n, la + lb - 1)
+    # a slot sums at most min(la, lb) * k products of two ints below p
+    width = ((min(la, lb) * k * (p - 1) ** 2).bit_length() + 7) >> 3
+    prod = _pack(_slots(a, la, k, stride), width) * _pack(_slots(b, lb, k, stride), width)
+    slots = _unpack(prod, (la + lb - 1) * stride, m * stride, width, p)
+    # x^d -> x^d - x^(d-k) * modulus for d = 2k-2 .. k in every chunk
+    modulus = spec.modulus
+    for d in range(2 * k - 2, k - 1, -1):
+        top = slots[d::stride]
+        for j in range(k):
+            c = modulus[j]
+            if c:
+                col = d - k + j
+                slots[col::stride] = [(x - c * t) % p for x, t in zip(slots[col::stride], top)]
+    for j in range(k):
+        out[j : m * k : k] = slots[j::stride]
+    return out
+
+
+def _newton_steps(n):
+    """Precision pairs (m, m2) with m2 <= 2m, climbing from 1 to n."""
+    precs = [n]
+    while precs[-1] > 1:
+        precs.append((precs[-1] + 1) // 2)
+    precs.reverse()
+    return list(zip(precs, precs[1:]))
+
+
+def _inverse(spec, a, n):
+    """The first n coefficients of 1/a, for a flat vector with a unit
+    constant term."""
+    p, k = spec.p, spec.k
+    b = list(spec._elt(tuple(a[:k])).inverse().val)
+    for m, m2 in _newton_steps(n):
+        # a*b = 1 + t^m * e, so b - b*(a*b - 1) adds -b*e at t^m
+        e = _mul(spec, a, b, m2)[m * k :]
+        b += [(-c) % p for c in _mul(spec, b, e, m2 - m)]
+    return b
+
+
+def _sqrt(spec, a, n, root):
+    """The first n coefficients of the square root of a whose constant term
+    is the flat coefficient ``root``; odd characteristic."""
+    p, k = spec.p, spec.k
+    s = list(root)
+    # h = 1/(2s) to the precision of s
+    h = list(spec._elt(tuple((2 * c) % p for c in root)).inverse().val)
+    steps = _newton_steps(n)
+    for i, (m, m2) in enumerate(steps):
+        # a - s^2 = t^m * d, so s + h*(a - s^2) is right below t^m2
+        sq = _mul(spec, s, s, m2)
+        high = a[m * k : m2 * k]
+        high += [0] * ((m2 - m) * k - len(high))
+        d = [(x - y) % p for x, y in zip(high, sq[m * k :])]
+        s += _mul(spec, h, d, m2 - m)
+        if i + 1 < len(steps):
+            # 2*s*h = 1 + t^m * e: one Newton step for the inverse
+            e = [(2 * c) % p for c in _mul(spec, s, h, m2)[m * k :]]
+            h += [(-c) % p for c in _mul(spec, h, e, m2 - m)]
+    return s
 
 
 class LaurentSeries:
     __slots__ = ("spec", "start", "coeffs", "prec")
 
     def __init__(self, spec, start, coeffs, prec):
-        coeffs = list(coeffs)
-        # drop leading zeros, clamp to the precision window
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            start += 1
-        if start + len(coeffs) > prec:
-            coeffs = coeffs[: max(0, prec - start)]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        if not coeffs:
+        # coeffs: flat GF(p) ints, spec.k per coefficient.  Drop leading
+        # zero coefficients, clamp to the precision window, drop trailing.
+        k = spec.k
+        n = len(coeffs)
+        lo = 0
+        while lo < n and not coeffs[lo]:
+            lo += 1
+        lo -= lo % k
+        start += lo // k
+        hi = min(n, lo + max(0, prec - start) * k)
+        while hi > lo and not coeffs[hi - 1]:
+            hi -= 1
+        hi += (lo - hi) % k
+        if hi == lo:
             start = prec
         self.spec = spec
         self.start = start
-        self.coeffs = coeffs
+        self.coeffs = coeffs[lo:hi]
         self.prec = prec
 
     @classmethod
@@ -38,18 +154,18 @@ class LaurentSeries:
 
     @classmethod
     def constant(cls, c, prec):
-        return cls(c.spec, 0, [c], prec)
+        return cls(c.spec, 0, list(c.val), prec)
 
     @classmethod
     def var(cls, spec, prec, exponent=1):
         """The series t^exponent."""
-        return cls(spec, exponent, [spec.one()], prec)
+        return cls(spec, exponent, list(spec.one().val), prec)
 
     @classmethod
     def from_polynomial(cls, poly, prec, var=None):
         """poly(t) as a series, or poly(var) for a series argument."""
         if var is None:
-            return cls(poly.spec, 0, list(poly.coeffs), prec)
+            return cls(poly.spec, 0, [x for c in poly.coeffs for x in c.val], prec)
         result = cls.zero(poly.spec, prec)
         for c in reversed(poly.coeffs):
             result = result * var + cls.constant(c, prec)
@@ -66,38 +182,49 @@ class LaurentSeries:
     def coefficient(self, n):
         if n >= self.prec:
             raise DomainError("coefficient beyond series precision")
-        if n < self.start or n >= self.start + len(self.coeffs):
+        k = self.spec.k
+        i = (n - self.start) * k
+        if i < 0 or i >= len(self.coeffs):
             return self.spec.zero()
-        return self.coeffs[n - self.start]
+        return self.spec._elt(tuple(self.coeffs[i : i + k]))
 
     def __repr__(self):
-        terms = ["%r*t^%d" % (c, self.start + i) for i, c in enumerate(self.coeffs) if c]
+        k = self.spec.k
+        terms = [
+            "%r*t^%d" % (self.spec._elt(tuple(self.coeffs[i : i + k])), self.start + i // k)
+            for i in range(0, len(self.coeffs), k)
+            if any(self.coeffs[i : i + k])
+        ]
         body = " + ".join(terms) if terms else "0"
         return "<%s + O(t^%d)>" % (body, self.prec)
 
+    def _check_field(self, other):
+        if other.spec is not self.spec and other.spec != self.spec:
+            raise DomainError("field mismatch: %r vs %r" % (self.spec, other.spec))
+
     def __add__(self, other):
+        self._check_field(other)
+        p, k = self.spec.p, self.spec.k
         prec = min(self.prec, other.prec)
         start = min(self.start, other.start, prec)
-        n = prec - start
-        z = self.spec.zero()
-        out = [z] * n
-        for i, c in enumerate(self.coeffs):
-            j = self.start + i - start
-            if 0 <= j < n:
-                out[j] = out[j] + c
-        for i, c in enumerate(other.coeffs):
-            j = other.start + i - start
-            if 0 <= j < n:
-                out[j] = out[j] + c
+        n = (prec - start) * k
+        out = [0] * n
+        for s in (self, other):
+            lo = (s.start - start) * k
+            c = s.coeffs[: max(n - lo, 0)]
+            hi = lo + len(c)
+            out[lo:hi] = [(x + y) % p for x, y in zip(out[lo:hi], c)]
         return LaurentSeries(self.spec, start, out, prec)
 
     def __neg__(self):
-        return LaurentSeries(self.spec, self.start, [-c for c in self.coeffs], self.prec)
+        p = self.spec.p
+        return LaurentSeries(self.spec, self.start, [(-c) % p for c in self.coeffs], self.prec)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        self._check_field(other)
         if not self.coeffs or not other.coeffs:
             prec = min(
                 self.prec + (other.start if other.coeffs else other.prec),
@@ -106,22 +233,12 @@ class LaurentSeries:
             return LaurentSeries.zero(self.spec, prec)
         prec = min(self.prec + other.start, other.prec + self.start)
         start = self.start + other.start
-        n = prec - start
-        z = self.spec.zero()
-        out = [z] * max(n, 0)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k < n:
-                    out[k] = out[k] + a * b
-                else:
-                    break
-        return LaurentSeries(self.spec, start, out, prec)
+        return LaurentSeries(self.spec, start, _mul(self.spec, self.coeffs, other.coeffs, prec - start), prec)
 
     def scale(self, c):
-        return LaurentSeries(self.spec, self.start, [c * a for a in self.coeffs], self.prec)
+        c = self.spec.element(c)
+        n = len(self.coeffs) // self.spec.k
+        return LaurentSeries(self.spec, self.start, _mul(self.spec, self.coeffs, c.val, n), self.prec)
 
     def shift(self, n):
         """Multiply by t^n."""
@@ -135,15 +252,7 @@ class LaurentSeries:
             raise DomainError("cannot invert a series that is zero to precision")
         v = self.start
         rel = self.prec - v  # number of known unit-part coefficients
-        a = self.coeffs + [self.spec.zero()] * (rel - len(self.coeffs))
-        inv0 = a[0].inverse()
-        out = [inv0]
-        for n in range(1, rel):
-            s = self.spec.zero()
-            for i in range(1, n + 1):
-                s = s + a[i] * out[n - i]
-            out.append(-inv0 * s)
-        return LaurentSeries(self.spec, -v, out, self.prec - 2 * v)
+        return LaurentSeries(self.spec, -v, _inverse(self.spec, self.coeffs, rel), self.prec - 2 * v)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -156,22 +265,14 @@ class LaurentSeries:
         """
         if not self.coeffs:
             raise DomainError("cannot take sqrt of a series that is zero to precision")
-        if self.spec.p == 2:
+        spec = self.spec
+        if spec.p == 2:
             raise DomainError("series sqrt unavailable in characteristic 2")
         v = self.start
         if v % 2:
             raise DomainError("sqrt of a series with odd valuation")
-        lead = self.coeffs[0]
-        if branch * branch != lead:
+        root = spec.element(branch).val
+        if _mul(spec, root, root, 1) != self.coeffs[: spec.k]:
             raise DomainError("sqrt branch does not match leading coefficient")
         rel = self.prec - v
-        a = self.coeffs + [self.spec.zero()] * (rel - len(self.coeffs))
-        # a[n] = sum_{i+j=n} out[i]*out[j]  =>  out[n] = (a[n] - middle) / (2*branch)
-        inv2b = (branch + branch).inverse()
-        out = [branch]
-        for n in range(1, rel):
-            s = self.spec.zero()
-            for i in range(1, n):
-                s = s + out[i] * out[n - i]
-            out.append((a[n] - s) * inv2b)
-        return LaurentSeries(self.spec, v // 2, out, self.prec - v // 2)
+        return LaurentSeries(spec, v // 2, _sqrt(spec, self.coeffs, rel, root), self.prec - v // 2)

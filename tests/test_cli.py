@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -55,6 +56,21 @@ def test_massey_task():
     rep = run_config(doc)
     assert rep["result"]["direct_image"] == ["4"]
     assert rep["oracle"]["pairing_oracle"] == "match"
+
+
+def test_weil_and_massey_at_large_p():
+    # the translation offsets are enumerated lazily: both tasks stop after
+    # the first few points instead of taking a square root for every x
+    for task, value, oracle in (
+        ("weil", ("result", "pairing"), "miller_oracle"),
+        ("massey", ("oracle", "pairing_value"), "pairing_oracle"),
+    ):
+        doc = dict(WEIL_DOC, field={"p": 1000003}, task=task)
+        t0 = time.perf_counter()
+        rep = run_config(doc)
+        assert time.perf_counter() - t0 < 5.0
+        assert rep[value[0]][value[1]] == ["1000002"]
+        assert rep["oracle"][oracle] == "match"
 
 
 def test_tame_and_reciprocity_tasks():

@@ -10,6 +10,7 @@ from adele_forge.fields import (
     canonical_field,
     factor_polynomial,
     field_sqrt,
+    is_prime,
     norm_to_prime_field,
     normalize_rational,
     poly_roots,
@@ -31,6 +32,21 @@ def test_field_spec_validation():
         FieldSpec(5, 1, [1, 1])
     spec = FieldSpec(3, 2, [1, 0, 1])
     assert spec.order == 9
+
+
+def test_is_prime():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 5000) if is_prime(n)] == [n for n in range(-3, 5000) if trial(n)]
+    # Carmichael numbers and strong pseudoprimes to the first few bases
+    # 318665857834031151167461 is a strong pseudoprime to all bases 2..37
+    for n in (561, 41041, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+              318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and is_prime(1000003)
+    assert not is_prime((2**31 - 1) * 1000003)
+    assert FieldSpec(2**61 - 1).order == 2**61 - 1
 
 
 def test_element_arithmetic():

@@ -1,0 +1,215 @@
+"""Laws of ``series.LaurentSeries`` over prime and extension fields.
+
+Series arithmetic runs on flat GF(p) int vectors (k ints per coefficient of
+GF(p^k)); every result here is checked against FieldElement references
+written in this file: the schoolbook product, the coefficient recurrence
+for the inverse, and the precision formulas of each operation.  The fields
+cover a small and a 61-bit prime, and extensions of degree 2 and 3, plus a
+quadratic extension of the 61-bit prime.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adele_forge.errors import DomainError
+from adele_forge.fields import FieldSpec, canonical_field, prime_field
+from adele_forge.series import LaurentSeries
+
+FIELDS = (
+    prime_field(7),
+    prime_field(2**61 - 1),
+    canonical_field(5, 2),
+    canonical_field(3, 3),
+    # -1 is a non-square mod 2^61 - 1 (it is 3 mod 4)
+    FieldSpec(2**61 - 1, 2, [1, 0, 1]),
+)
+
+SERIES = settings(deadline=None, max_examples=60)
+
+
+def elt(spec, n):
+    return spec.from_encoding(n % spec.order)
+
+
+@st.composite
+def raw_series(draw, spec, max_len=12):
+    """(start, FieldElements, prec) with zeros anywhere, leading and
+    trailing ones included."""
+    start = draw(st.integers(-4, 4))
+    codes = draw(st.lists(st.one_of(st.just(0), st.integers(0, spec.order - 1)), max_size=max_len))
+    prec = start + len(codes) + draw(st.integers(-2, 3))
+    return start, [elt(spec, n) for n in codes], prec
+
+
+def build(spec, start, elts, prec):
+    return LaurentSeries(spec, start, [x for e in elts for x in e.val], prec)
+
+
+def ref_normalize(spec, start, elts, prec):
+    """The constructor's rules on FieldElements: drop leading zeros, clamp
+    to the precision window, drop trailing zeros."""
+    elts = list(elts)
+    while elts and not elts[0]:
+        elts.pop(0)
+        start += 1
+    elts = elts[: max(0, prec - start)]
+    while elts and not elts[-1]:
+        elts.pop()
+    return (start if elts else prec), elts, prec
+
+
+def ref_mul(spec, f, g):
+    """Schoolbook product on FieldElements with the product's precision."""
+    fs, fe, fp = f
+    gs, ge, gp = g
+    if not fe or not ge:
+        prec = min(fp + (gs if ge else gp), gp + (fs if fe else fp))
+        return ref_normalize(spec, prec, [], prec)
+    prec = min(fp + gs, gp + fs)
+    start = fs + gs
+    out = [spec.zero()] * max(prec - start, 0)
+    for i, a in enumerate(fe):
+        for j, b in enumerate(ge):
+            if i + j < len(out):
+                out[i + j] = out[i + j] + a * b
+    return ref_normalize(spec, start, out, prec)
+
+
+def ref_inverse(spec, f):
+    """The coefficient recurrence for 1/f."""
+    v, a, prec = f
+    rel = prec - v
+    a = a + [spec.zero()] * (rel - len(a))
+    inv0 = a[0].inverse()
+    out = [inv0]
+    for n in range(1, rel):
+        s = spec.zero()
+        for i in range(1, n + 1):
+            s = s + a[i] * out[n - i]
+        out.append(-inv0 * s)
+    return ref_normalize(spec, -v, out, prec - 2 * v)
+
+
+def view(f):
+    """(start, FieldElements, prec) of a series, through its public API."""
+    k = f.spec.k
+    return f.start, [f.coefficient(f.start + i) for i in range(len(f.coeffs) // k)], f.prec
+
+
+@st.composite
+def one_field(draw, n=1, nonzero=False):
+    spec = draw(st.sampled_from(FIELDS))
+    out = []
+    for _ in range(n):
+        start, elts, prec = draw(raw_series(spec))
+        if nonzero:
+            prec = max(prec, start + 1)
+            elts = elts or [spec.one()]
+            if not elts[0]:
+                elts[0] = elt(spec, draw(st.integers(1, spec.order - 1)))
+        out.append((start, elts, prec))
+    return (spec, *out)
+
+
+@SERIES
+@given(one_field())
+def test_constructor_trims_and_windows(case):
+    spec, (start, elts, prec) = case
+    f = build(spec, start, elts, prec)
+    assert view(f) == ref_normalize(spec, start, elts, prec)
+    k = spec.k
+    if f.coeffs:
+        assert any(f.coeffs[:k]) and any(f.coeffs[-k:])
+        assert f.valuation() == f.start
+    else:
+        assert f.start == f.prec and f.is_zero_to_precision()
+    for n in range(f.start - 2, f.prec):
+        want = elts[n - start] if 0 <= n - start < len(elts) else spec.zero()
+        assert f.coefficient(n) == want
+    with pytest.raises(DomainError):
+        f.coefficient(f.prec)
+
+
+@SERIES
+@given(one_field(n=2))
+def test_product_matches_schoolbook(case):
+    spec, f, g = case
+    F, G = build(spec, *f), build(spec, *g)
+    want = ref_mul(spec, ref_normalize(spec, *f), ref_normalize(spec, *g))
+    assert view(F * G) == want
+    assert view(G * F) == want
+
+
+@SERIES
+@given(one_field(n=2))
+def test_sum_difference_and_scale(case):
+    spec, f, g = case
+    F, G = build(spec, *f), build(spec, *g)
+    fs, fe, fp = ref_normalize(spec, *f)
+    gs, ge, gp = ref_normalize(spec, *g)
+    prec = min(fp, gp)
+    start = min(fs, gs, prec)
+    out = [spec.zero()] * (prec - start)
+    for s, e in ((fs, fe), (gs, ge)):
+        for i, c in enumerate(e):
+            if s + i - start < len(out):
+                out[s + i - start] = out[s + i - start] + c
+    assert view(F + G) == ref_normalize(spec, start, out, prec)
+    D = F - F
+    assert D.is_zero_to_precision() and D.prec == F.prec
+    c = elt(spec, 3 * spec.p + 2)
+    assert view(F.scale(c)) == ref_normalize(spec, fs, [c * a for a in fe], fp)
+    assert view(F.shift(3)) == (fs + 3, fe, fp + 3)
+    assert view(F.truncate(fs + 1)) == ref_normalize(spec, fs, fe, min(fs + 1, fp))
+
+
+@SERIES
+@given(one_field(nonzero=True))
+def test_inverse_is_newton_of_the_recurrence(case):
+    spec, f = case
+    F = build(spec, *f)
+    ref = ref_normalize(spec, *f)
+    inv = F.inverse()
+    assert view(inv) == ref_inverse(spec, ref)
+    assert (inv.start, inv.prec) == (-F.start, F.prec - 2 * F.start)
+    one = F * inv
+    assert one.prec == F.prec - F.start
+    assert view(one) == ref_normalize(spec, 0, [spec.one()], one.prec)
+    assert view(F / F) == view(one)
+
+
+@SERIES
+@given(one_field(nonzero=True))
+def test_sqrt_squares_back(case):
+    spec, (start, elts, prec) = case  # every field in FIELDS has odd p
+    root = build(spec, start, elts, prec)
+    F = root * root  # even valuation, square leading coefficient
+    branch = root.coefficient(root.start)
+    s = F.sqrt(branch)
+    assert (s.start, s.prec) == (F.start // 2, F.prec - F.start // 2)
+    assert s.coefficient(s.start) == branch
+    sq = s * s
+    assert sq.prec == F.prec
+    assert view(sq) == view(F)
+    # the root with a given leading coefficient is unique
+    assert view(s) == view(root.truncate(s.prec))
+    assert view(F.sqrt(-branch)) == view((-root).truncate(s.prec))
+    one = spec.one()
+    bad = next(c for c in (branch + one, branch + one + one) if c not in (branch, -branch))
+    with pytest.raises(DomainError):
+        F.sqrt(bad)
+
+
+def test_sqrt_and_inverse_preconditions():
+    spec = canonical_field(3, 3)
+    zero = LaurentSeries.zero(spec, 5)
+    with pytest.raises(DomainError):
+        zero.inverse()
+    with pytest.raises(DomainError):
+        zero.sqrt(spec.one())
+    t = LaurentSeries.var(spec, 6)
+    with pytest.raises(DomainError):
+        t.sqrt(spec.one())  # odd valuation
+    with pytest.raises(DomainError):
+        LaurentSeries.var(prime_field(2), 4, 0).sqrt(prime_field(2).one())
