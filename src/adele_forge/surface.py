@@ -12,7 +12,7 @@ import math
 
 from . import signs
 from .errors import DomainError
-from .fields import Polynomial, canonical_field, factor_polynomial, poly_gcd, poly_roots, prime_field
+from .fields import Polynomial, canonical_field, factor_polynomial, poly_gcd, poly_roots, prime_field, roots_in_field
 
 log = logging.getLogger(__name__)
 
@@ -339,6 +339,8 @@ class HomForm:
         clean = {}
         deg = None
         for ijk, c in terms.items():
+            if min(ijk) < 0:
+                raise DomainError("monomial X0^%d*X1^%d*X2^%d has a negative exponent" % ijk)
             c = c % p
             if not c:
                 continue
@@ -421,18 +423,22 @@ class HomForm:
 
 
 class PlaneCurve:
-    """An irreducible plane curve, asserted by input and spot-checked."""
+    """An irreducible plane curve.
+
+    A form of degree >= 2 with a linear factor over GF(p) is rejected, which
+    settles irreducibility over GF(p) up to degree 3; a form of degree > 3
+    without one is trusted irreducible, with a logged warning.
+    """
 
     __slots__ = ("form",)
 
     def __init__(self, form):
         if form.degree < 1:
             raise DomainError("a plane curve needs positive degree")
-        if form.degree in (2, 3):
-            # a reducible form of degree <= 3 has a linear factor
-            if _has_linear_factor(form):
-                raise DomainError("form has a linear factor; not irreducible")
-        elif form.degree > 3:
+        if form.degree > 1 and _has_linear_factor(form):
+            raise DomainError("form has a linear factor; not irreducible")
+        if form.degree > 3:
+            # factors of degree >= 2 are not looked for
             log.warning("degree-%d form trusted irreducible without a check", form.degree)
         self.form = form
 
@@ -461,75 +467,51 @@ class PlaneCurve:
 
 
 def _has_linear_factor(form):
-    p = form.p
-    field = prime_field(p)
-    for enc in range(1, p**3):
-        c0, rest = enc % p, enc // p
-        c1, c2 = rest % p, rest // p
-        coeffs = (c0, c1, c2)
-        nz = next(i for i in range(3) if coeffs[i])
-        if coeffs[nz] != 1:
-            continue  # one representative per line
-        # parametrize the line by two points spanning it
-        pts = _line_basis(field, coeffs)
-        # restrict: form(s*A + t*B) must be the zero binary form
-        if _restriction_is_zero(form, field, pts):
+    """True when a line over GF(p) divides the form F.
+
+    A line other than X0 = 0, X1 = 0, X2 = 0 is X0 = b*X1 + c*X2 or
+    X1 = c*X2.  If the first lies in the curve then F(b, 1, 0) = 0 and
+    F(c, 0, 1) = 0; if the second does, F(0, c, 1) = 0.  Once the coordinate
+    lines are ruled out these restrictions are nonzero polynomials, so at
+    most d^2 + d candidate lines remain, each checked exactly.
+    """
+    for var in range(3):
+        if all(ijk[var] for ijk in form.terms):
             return True
-    return False
+    roots_b = _restriction_roots(form, (0, 1))
+    roots_c = _restriction_roots(form, (0, 2))
+    for b in roots_b:
+        for c in roots_c:
+            if _vanishes_on_line(form, 0, b, c):
+                return True
+    return any(_vanishes_on_line(form, 1, 0, c) for c in _restriction_roots(form, (1, 2)))
 
 
-def _line_basis(field, coeffs):
-    sols = []
-    a, b, c = (field.element(x) for x in coeffs)
-    candidates = [
-        (field.one(), field.zero(), field.zero()),
-        (field.zero(), field.one(), field.zero()),
-        (field.zero(), field.zero(), field.one()),
-        (field.one(), field.one(), field.zero()),
-        (field.one(), field.zero(), field.one()),
-        (field.zero(), field.one(), field.one()),
-        (field.one(), field.one(), field.one()),
-    ]
-    for x, y, z in candidates:
-        if a * x + b * y + c * z == field.zero():
-            sols.append((x, y, z))
-        if len(sols) == 2:
-            return sols
-    # fall back to a scan
-    for n in range(field.p**3):
-        x = field.element(n % field.p)
-        y = field.element((n // field.p) % field.p)
-        z = field.element(n // field.p**2)
-        if (x or y or z) and a * x + b * y + c * z == field.zero():
-            trip = (x, y, z)
-            if not sols:
-                sols.append(trip)
-            elif not _proportional(sols[0], trip):
-                sols.append(trip)
-                return sols
-    raise AssertionError("line has fewer than two points")
+def _restriction_roots(form, pair):
+    """GF(p) roots, as ints, of F restricted to X_pair[0] = x, X_pair[1] = 1
+    and the third coordinate 0."""
+    a, b = pair
+    coeffs = [0] * (form.degree + 1)
+    for ijk, c in form.terms.items():
+        if ijk[a] + ijk[b] == form.degree:
+            coeffs[ijk[a]] = c
+    return [r.val[0] for r in poly_roots(Polynomial.from_ints(prime_field(form.p), coeffs))]
 
 
-def _proportional(P, Q):
-    for i in range(3):
-        for j in range(3):
-            if P[i] * Q[j] != P[j] * Q[i]:
-                return False
-    return True
-
-
-def _restriction_is_zero(form, field, pts):
-    A, B = pts
-    # binary form in (s, t) of degree deg: evaluate at deg+1 projective values
-    for enc in range(form.degree + 2):
-        if enc == 0:
-            s, t = field.one(), field.zero()
-        else:
-            s, t = field.element(enc - 1), field.one()
-        coords = tuple(s * A[i] + t * B[i] for i in range(3))
-        if form.evaluate(coords):
-            return False
-    return True
+def _vanishes_on_line(form, var, a, b):
+    """True when the form is zero on the line X_var = a*X_u + b*X_w, (u, w) the
+    other coordinates in index order: substitute and test every coefficient
+    of the resulting binary form in (X_u, X_w) mod p."""
+    p = form.p
+    u, _ = _CHART_VARS[var]
+    pow_a = [pow(a, m, p) for m in range(form.degree + 1)]
+    pow_b = [pow(b, m, p) for m in range(form.degree + 1)]
+    out = [0] * (form.degree + 1)  # out[e]: coefficient of X_u^e X_w^(d - e)
+    for ijk, c in form.terms.items():
+        n, e = ijk[var], ijk[u]
+        for m in range(n + 1):
+            out[e + m] += c * math.comb(n, m) * pow_a[m] * pow_b[n - m]
+    return not any(x % p for x in out)
 
 
 class SurfaceDivisor:
@@ -896,8 +878,6 @@ def _binary_roots(R, p, ext_bound):
                 "intersection direction of degree %d exceeds the bound %d" % (d, ext_bound)
             )
         field = canonical_field(p, d)
-        from .fields import roots_in_field
-
         w0 = roots_in_field(irr, field)[0]
         yield (field, w0, field.one())
 
@@ -946,8 +926,6 @@ def curve_intersection_points(C1, C2, ext_bound=6):
                     x1m = fieldm.element(x1.val[0])
                 else:
                     # re-find the direction inside the bigger field
-                    from .fields import roots_in_field
-
                     minpoly = _minimal_poly(x0, field1)
                     x0m = roots_in_field(minpoly, fieldm)[0]
                     x1m = fieldm.one()

@@ -44,6 +44,60 @@ def test_intersect_task():
     assert rep["oracle"]["bezout"] == "4"
 
 
+def test_intersect_cubic_over_gf2():
+    # on the line X2 = 0 the cubic restricts to X0*X1*(X0 + X1), which is
+    # zero at all three points of P^1(GF(2)); the cubic is still irreducible
+    # and nonsingular
+    doc = {
+        "field": {"p": 2},
+        "task": "intersect",
+        "divisor1": [{"form": [[2, 1, 0, 1], [1, 2, 0, 1], [0, 0, 3, 1]], "multiplicity": 1}],
+        "divisor2": [{"form": [[1, 0, 0, 1]], "multiplicity": 1}],
+    }
+    rep = run_config(doc)
+    assert rep["result"]["intersection_number"] == "3"
+    assert rep["oracle"]["oracles"] == "match"
+
+
+@pytest.mark.parametrize("p", [1000003, 2**61 - 1])
+def test_intersect_at_large_p(p):
+    # the linear-factor check finds candidate lines as roots instead of
+    # walking the p^3 lines of the plane
+    doc = {
+        "field": {"p": p},
+        "task": "intersect",
+        "divisor1": [{"form": [[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, -1]], "multiplicity": 1}],
+        "divisor2": [{"form": [[0, 1, 0, 1]], "multiplicity": 1}],
+    }
+    t0 = time.perf_counter()
+    rep = run_config(doc)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep["result"]["intersection_number"] == "2"
+    assert rep["oracle"]["oracles"] == "match"
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        ([[-1, 2, 0, 1]], "negative exponent"),
+        ([[5, 0, 0, 1], [0, 5, 0, 1], [0, 0, 5, 1]], "linear factor"),  # (X0 + X1 + X2)^5
+    ],
+)
+def test_intersect_form_rejections(tmp_path, capsys, form, message):
+    doc = {
+        "field": {"p": 5},
+        "task": "intersect",
+        "divisor1": [{"form": form, "multiplicity": 1}],
+        "divisor2": [{"form": [[1, 0, 0, 1]], "multiplicity": 1}],
+    }
+    with pytest.raises(SchemaError, match=message):
+        run_config(doc)
+    cfg = tmp_path / "form.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_weil_task():
     rep = run_config(WEIL_DOC)
     assert rep["result"]["pairing"] == ["4"]

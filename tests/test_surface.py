@@ -1,9 +1,11 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adele_forge.errors import DomainError
-from adele_forge.fields import prime_field
+from adele_forge.fields import canonical_field, prime_field
 from adele_forge.surface import (
     BiPoly,
     FactoredFunction,
@@ -28,6 +30,7 @@ from adele_forge.surface import (
     surface_product_cycle,
     valuation_on_curve,
 )
+from adele_forge.surface import _has_linear_factor
 
 P = 7
 F7 = prime_field(P)
@@ -87,6 +90,83 @@ def test_plane_curve_validation():
     with pytest.raises(DomainError):
         HomForm(P, {(1, 0, 0): 1, (0, 2, 0): 1})  # inhomogeneous
     PlaneCurve(HomForm(P, {(0, 1, 1): 1, (2, 0, 0): -1}))  # smooth conic ok
+    with pytest.raises(DomainError, match=r"X0\^-1\*X1\^2\*X2\^0 has a negative exponent"):
+        HomForm(5, {(-1, 2, 0): 1})
+    # (X0 + X1 + X2)^5 over GF(5): degree > 3 forms are checked for lines too
+    with pytest.raises(DomainError, match="linear factor"):
+        PlaneCurve(HomForm(5, {(5, 0, 0): 1, (0, 5, 0): 1, (0, 0, 5): 1}))
+    # irreducible cubic over GF(2) that vanishes at all three points of
+    # P^1(GF(2)) on the line X2 = 0 without containing it
+    PlaneCurve(HomForm(2, {(2, 1, 0): 1, (1, 2, 0): 1, (0, 0, 3): 1}))
+
+
+def _monomials(d):
+    return [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+
+
+def _lines(p):
+    """One coefficient triple per line of P^2(GF(p)), first nonzero entry 1."""
+    for a in range(p):
+        for b in range(p):
+            for c in range(p):
+                if (a, b, c) != (0, 0, 0) and next(x for x in (a, b, c) if x) == 1:
+                    yield (a, b, c)
+
+
+def _has_linear_factor_reference(form):
+    """Every line of P^2(GF(p)) in turn: restrict the form to the line,
+    parametrized over GF(p^k) with p^k >= degree, and evaluate it at
+    degree + 1 points of P^1(GF(p^k)); a binary form with more zeros than its
+    degree is zero."""
+    p, d = form.p, form.degree
+    k = 1
+    while p**k < d:
+        k += 1
+    K = canonical_field(p, k)
+    params = [(K.one(), K.zero())] + [(K.from_encoding(n), K.one()) for n in range(d)]
+    for line in _lines(p):
+        nz = line.index(1)
+        u, w = (i for i in range(3) if i != nz)
+        A = [K.zero()] * 3
+        B = [K.zero()] * 3
+        A[u], A[nz] = K.one(), K.element(-line[u])
+        B[w], B[nz] = K.one(), K.element(-line[w])
+        if all(not form.evaluate(tuple(s * A[i] + t * B[i] for i in range(3))) for s, t in params):
+            return True
+    return False
+
+
+@st.composite
+def _forms(draw, degrees=(2, 5)):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(*degrees))
+    monos = _monomials(d)
+    coeffs = draw(st.lists(st.one_of(st.just(0), st.integers(1, p - 1)), min_size=len(monos), max_size=len(monos)))
+    if not any(coeffs):
+        coeffs[draw(st.integers(0, len(monos) - 1))] = 1
+    return p, dict(zip(monos, coeffs))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_forms())
+def test_linear_factor_matches_all_lines(pf):
+    form = HomForm(*pf)
+    assert _has_linear_factor(form) == _has_linear_factor_reference(form)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_forms(degrees=(1, 4)), st.lists(st.integers(0, 6), min_size=3, max_size=3))
+def test_linear_factor_of_products(pf, line):
+    p, terms = pf
+    line = [c % p for c in line]
+    if not any(line):
+        line[0] = 1
+    product = {}
+    for ijk, c in terms.items():
+        for var in range(3):
+            key = tuple(e + (i == var) for i, e in enumerate(ijk))
+            product[key] = product.get(key, 0) + c * line[var]
+    assert _has_linear_factor(HomForm(p, product))
 
 
 def test_intersection_points():
