@@ -859,8 +859,11 @@ def _rr_space_p1(D):
             num_fixed = num_fixed * place.data ** (-m)
     top = den.degree + d_inf - num_fixed.degree
     basis = []
+    x = Polynomial.x(spec)
+    num = num_fixed
     for j in range(top + 1):
-        num = num_fixed * Polynomial.x(spec) ** j
+        if j:
+            num = num * x
         basis.append(FunctionFieldElement(curve, RationalFunction(num, den)))
     return basis
 
@@ -881,14 +884,12 @@ def _rr_space_elliptic(D, ext_bound):
     if bound < 0:
         return []
     # ansatz basis of L(bound * O): x^i y^j with 2i + 3j <= bound, j in {0,1}
-    monomials = []
     x = FunctionFieldElement.x_function(curve)
     y = FunctionFieldElement.y_function(curve)
-    for j in (0, 1):
-        i = 0
-        while 2 * i + 3 * j <= bound:
-            monomials.append(x**i * y**j if j else x**i)
-            i += 1
+    x_powers = [one]
+    while 2 * len(x_powers) <= bound:
+        x_powers.append(x_powers[-1] * x)
+    monomials = x_powers + [xi * y for i, xi in enumerate(x_powers) if 2 * i + 3 <= bound]
     conditions = []  # rows over GF(p), one per vanishing constraint
     for place, m in D2.items():
         if place.kind == "ec-origin" or m >= 0:

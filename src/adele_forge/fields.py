@@ -3,7 +3,13 @@ fields, polynomial factorization, and rational functions in canonical form.
 
 Extension fields are realized as GF(p)[x]/(modulus); elements carry their
 FieldSpec and coefficient vector.  Polynomials over a prime field delegate
-their inner loops to the kernel backend (see ``_kernels``).
+their inner loops to the kernel backend (see ``_kernels``).  Polynomials over
+GF(p^k), k > 1, multiply, divide and take powers modulo a polynomial on flat
+GF(p) int vectors, k ints per coefficient: one Kronecker-packed integer
+product per polynomial product (``_mul``, shared with ``series``), and
+division by a Newton inverse of the reversed divisor, so the only scalar
+field operation of a division or of a whole ``powmod`` is the inverse of
+one leading coefficient.  Polynomials still store FieldElement tuples.
 """
 
 from functools import lru_cache
@@ -352,6 +358,128 @@ def field_sqrt(a):
     return min(roots, key=lambda r: r.encoding())
 
 
+# ---------------------------------------------------------------------------
+# flat GF(p) vectors: a sequence of GF(p^k) coefficients stored as k ints
+# each (the coefficient vectors of the field elements, low degree first).
+# Polynomials over GF(p^k), k > 1, and every Laurent series compute on these.
+
+
+def _slots(vec, count, k, stride):
+    """The first ``count`` coefficients of a flat vector, component j of
+    coefficient i in slot i*stride+j and zeros between."""
+    out = [0] * (count * stride)
+    for j in range(k):
+        out[j::stride] = vec[j : count * k : k]
+    return out
+
+
+def _pack(slots, width):
+    """The slots as one int, ``width`` bytes each, slot 0 lowest."""
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in slots]), "little")
+
+
+def _unpack(n, total, count, width, p):
+    """The lowest ``count`` of the ``total`` slots of n, reduced mod p."""
+    raw = n.to_bytes(total * width, "little")
+    frombytes = int.from_bytes
+    return [frombytes(raw[i : i + width], "little") % p for i in range(0, count * width, width)]
+
+
+def _mul(spec, a, b, n):
+    """The first n coefficients (n*k ints, zero-padded) of the product of
+    the flat vectors a and b."""
+    p, k = spec.p, spec.k
+    la = min(len(a) // k, n)
+    lb = min(len(b) // k, n)
+    out = [0] * (max(n, 0) * k)
+    if not la or not lb:
+        return out
+    stride = 2 * k - 1
+    m = min(n, la + lb - 1)
+    # a slot sums at most min(la, lb) * k products of two ints below p
+    width = ((min(la, lb) * k * (p - 1) ** 2).bit_length() + 7) >> 3
+    prod = _pack(_slots(a, la, k, stride), width) * _pack(_slots(b, lb, k, stride), width)
+    slots = _unpack(prod, (la + lb - 1) * stride, m * stride, width, p)
+    # x^d -> x^d - x^(d-k) * modulus for d = 2k-2 .. k in every chunk
+    modulus = spec.modulus
+    for d in range(2 * k - 2, k - 1, -1):
+        top = slots[d::stride]
+        for j in range(k):
+            c = modulus[j]
+            if c:
+                col = d - k + j
+                slots[col::stride] = [(x - c * t) % p for x, t in zip(slots[col::stride], top)]
+    for j in range(k):
+        out[j : m * k : k] = slots[j::stride]
+    return out
+
+
+def _newton_steps(n):
+    """Precision pairs (m, m2) with m2 <= 2m, climbing from 1 to n."""
+    precs = [n]
+    while precs[-1] > 1:
+        precs.append((precs[-1] + 1) // 2)
+    precs.reverse()
+    return list(zip(precs, precs[1:]))
+
+
+def _inverse(spec, a, n):
+    """The first n coefficients of 1/a, for a flat vector with a unit
+    constant term."""
+    p, k = spec.p, spec.k
+    b = list(spec._elt(tuple(a[:k])).inverse().val)
+    for m, m2 in _newton_steps(n):
+        # a*b = 1 + t^m * e, so b - b*(a*b - 1) adds -b*e at t^m
+        e = _mul(spec, a, b, m2)[m * k :]
+        b += [(-c) % p for c in _mul(spec, b, e, m2 - m)]
+    return b
+
+
+def _flat(coeffs):
+    return [x for c in coeffs for x in c.val]
+
+
+def _elts(spec, vec):
+    """The FieldElements of a flat vector."""
+    k = spec.k
+    return tuple(spec._elt(tuple(vec[i : i + k])) for i in range(0, len(vec), k))
+
+
+def _reverse(vec, k):
+    """The coefficients of a flat vector in reverse order."""
+    return [vec[i + j] for i in range(len(vec) - k, -1, -k) for j in range(k)]
+
+
+def _poly_mul(spec, a, b):
+    """The full product of two flat polynomials without trailing zeros."""
+    if not a or not b:
+        return []
+    k = spec.k
+    return _mul(spec, a, b, len(a) // k + len(b) // k - 1)
+
+
+def _poly_divmod(spec, a, b, rinv):
+    """Quotient and remainder, without trailing zeros, of the flat
+    polynomials a by b (both without trailing zeros, b nonzero), given at least the first len(a) - len(b) + 1
+    coefficients of 1/rev(b), rev(b) being b with its coefficients reversed.
+
+    rev(q) = rev(a) / rev(b) modulo t^(deg a - deg b + 1), and the remainder
+    a - q*b is zero from degree deg b on, so one truncated product gives it
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 9.1).
+    """
+    p, k = spec.p, spec.k
+    na, nb = len(a) // k, len(b) // k
+    if na < nb:
+        return [], a
+    nq = na - nb + 1
+    q = _reverse(_mul(spec, _reverse(a[(nb - 1) * k :], k), rinv, nq), k)
+    low = (nb - 1) * k
+    r = [(x - y) % p for x, y in zip(a[:low], _mul(spec, q, b, nb - 1))]
+    while r and not any(r[-k:]):
+        del r[-k:]
+    return q, r
+
+
 class Polynomial:
     """Univariate polynomial over a FieldSpec; coefficients low degree first,
     no trailing zeros."""
@@ -484,15 +612,10 @@ class Polynomial:
         self._check(other)
         if self.spec.k == 1:
             return self._from_ints(K.poly_mul(self._ints(), other._ints(), self.spec.p))
+        spec = self.spec
         if not self.coeffs or not other.coeffs:
-            return Polynomial.zero(self.spec)
-        z = self.spec.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return Polynomial.from_elements(self.spec, out)
+            return Polynomial.zero(spec)
+        return Polynomial._raw(spec, _elts(spec, _poly_mul(spec, _flat(self.coeffs), _flat(other.coeffs))))
 
     def scale(self, c):
         c = self.spec.element(c)
@@ -505,18 +628,13 @@ class Polynomial:
         if self.spec.k == 1:
             q, r = K.poly_divmod(self._ints(), other._ints(), self.spec.p)
             return self._from_ints(q), self._from_ints(r)
-        q = Polynomial.zero(self.spec)
-        r = self
-        inv = other.lc().inverse()
-        while r and r.degree >= other.degree:
-            d = r.degree - other.degree
-            c = r.lc() * inv
-            term = Polynomial.from_elements(
-                self.spec, [self.spec.zero()] * d + [c]
-            )
-            q = q + term
-            r = r - term * other
-        return q, r
+        spec = self.spec
+        if self.degree < other.degree:
+            return Polynomial.zero(spec), self
+        b = _flat(other.coeffs)
+        rinv = _inverse(spec, _reverse(b, spec.k), self.degree - other.degree + 1)
+        q, r = _poly_divmod(spec, _flat(self.coeffs), b, rinv)
+        return Polynomial._raw(spec, _elts(spec, q)), Polynomial._raw(spec, _elts(spec, r))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -543,17 +661,31 @@ class Polynomial:
         return result
 
     def powmod(self, e, modulus):
+        """self^e mod modulus for e >= 0 (the constant 1 when e = 0)."""
+        self._check(modulus)
+        if e < 0:
+            raise DomainError("negative polynomial power")
+        if not modulus:
+            raise DomainError("polynomial division by zero")
         if self.spec.k == 1:
             out = K.poly_powmod(self._ints(), e, modulus._ints(), self.spec.p)
             return self._from_ints(out)
-        result = Polynomial.one(self.spec)
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
+        spec = self.spec
+        if not e:
+            return Polynomial.one(spec)
+        # reduce through one inverse of the reversed modulus: every square
+        # or product has degree <= 2 deg(m) - 2 and so needs deg(m) - 1
+        # quotient coefficients; the first reduction of self may need more
+        m = _flat(modulus.coeffs)
+        n = modulus.degree
+        rinv = _inverse(spec, _reverse(m, spec.k), max(n - 1, self.degree - n + 1, 1))
+        base = _poly_divmod(spec, _flat(self.coeffs), m, rinv)[1]
+        result = base
+        for bit in bin(e)[3:]:
+            result = _poly_divmod(spec, _poly_mul(spec, result, result), m, rinv)[1]
+            if bit == "1":
+                result = _poly_divmod(spec, _poly_mul(spec, result, base), m, rinv)[1]
+        return Polynomial._raw(spec, _elts(spec, result))
 
     def monic(self):
         if not self:

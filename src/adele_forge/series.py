@@ -24,82 +24,15 @@ for all k:
   Modern Computer Algebra, ch. 9).  The one scalar field operation left is
   the inverse of the leading coefficient (of 2*branch for sqrt).
 
+The product and the Newton inverse live in ``fields`` (``_mul``,
+``_inverse``), which uses them for polynomials over GF(p^k) as well.
+
 FieldElements appear only at the boundary: the constructors, ``scale`` and
 ``sqrt`` take them and ``coefficient`` returns one.
 """
 
 from .errors import DomainError
-
-
-def _slots(vec, count, k, stride):
-    """The first ``count`` coefficients of a flat vector, component j of
-    coefficient i in slot i*stride+j and zeros between."""
-    out = [0] * (count * stride)
-    for j in range(k):
-        out[j::stride] = vec[j : count * k : k]
-    return out
-
-
-def _pack(slots, width):
-    """The slots as one int, ``width`` bytes each, slot 0 lowest."""
-    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in slots]), "little")
-
-
-def _unpack(n, total, count, width, p):
-    """The lowest ``count`` of the ``total`` slots of n, reduced mod p."""
-    raw = n.to_bytes(total * width, "little")
-    frombytes = int.from_bytes
-    return [frombytes(raw[i : i + width], "little") % p for i in range(0, count * width, width)]
-
-
-def _mul(spec, a, b, n):
-    """The first n coefficients (n*k ints, zero-padded) of the product of
-    the flat vectors a and b."""
-    p, k = spec.p, spec.k
-    la = min(len(a) // k, n)
-    lb = min(len(b) // k, n)
-    out = [0] * (max(n, 0) * k)
-    if not la or not lb:
-        return out
-    stride = 2 * k - 1
-    m = min(n, la + lb - 1)
-    # a slot sums at most min(la, lb) * k products of two ints below p
-    width = ((min(la, lb) * k * (p - 1) ** 2).bit_length() + 7) >> 3
-    prod = _pack(_slots(a, la, k, stride), width) * _pack(_slots(b, lb, k, stride), width)
-    slots = _unpack(prod, (la + lb - 1) * stride, m * stride, width, p)
-    # x^d -> x^d - x^(d-k) * modulus for d = 2k-2 .. k in every chunk
-    modulus = spec.modulus
-    for d in range(2 * k - 2, k - 1, -1):
-        top = slots[d::stride]
-        for j in range(k):
-            c = modulus[j]
-            if c:
-                col = d - k + j
-                slots[col::stride] = [(x - c * t) % p for x, t in zip(slots[col::stride], top)]
-    for j in range(k):
-        out[j : m * k : k] = slots[j::stride]
-    return out
-
-
-def _newton_steps(n):
-    """Precision pairs (m, m2) with m2 <= 2m, climbing from 1 to n."""
-    precs = [n]
-    while precs[-1] > 1:
-        precs.append((precs[-1] + 1) // 2)
-    precs.reverse()
-    return list(zip(precs, precs[1:]))
-
-
-def _inverse(spec, a, n):
-    """The first n coefficients of 1/a, for a flat vector with a unit
-    constant term."""
-    p, k = spec.p, spec.k
-    b = list(spec._elt(tuple(a[:k])).inverse().val)
-    for m, m2 in _newton_steps(n):
-        # a*b = 1 + t^m * e, so b - b*(a*b - 1) adds -b*e at t^m
-        e = _mul(spec, a, b, m2)[m * k :]
-        b += [(-c) % p for c in _mul(spec, b, e, m2 - m)]
-    return b
+from .fields import _flat, _inverse, _mul, _newton_steps
 
 
 def _sqrt(spec, a, n, root):
@@ -165,7 +98,7 @@ class LaurentSeries:
     def from_polynomial(cls, poly, prec, var=None):
         """poly(t) as a series, or poly(var) for a series argument."""
         if var is None:
-            return cls(poly.spec, 0, [x for c in poly.coeffs for x in c.val], prec)
+            return cls(poly.spec, 0, _flat(poly.coeffs), prec)
         result = cls.zero(poly.spec, prec)
         for c in reversed(poly.coeffs):
             result = result * var + cls.constant(c, prec)

@@ -976,23 +976,36 @@ def _minimal_poly(a, base):
 # the adelic intersection number
 
 
-def _aux_line_candidates(p):
+def _aux_line_candidates(p, avoid_points):
+    """The lines a*X0 + b*X1 + c*X2 with at least two of a, b, c nonzero and
+    the last nonzero one equal to 1, after X2, X1 and X0, in increasing
+    a + b*p + c*p^2, leaving out families whose every line meets a point.
+
+    After the coordinate lines come a*X0 + X1 (a = 1..p-1), which all pass
+    through (0:0:1), and then the rows a*X0 + b*X1 + X2 (a = 0..p-1) for
+    b = 0..p-1, which all pass through a point with x0 = 0 and b*x1 + x2 = 0.
+    Any other point, and any excluded form, rules out at most one line of a
+    family, so once a family has more lines than there are points and
+    excluded forms, the first family not left out holds the chosen line:
+    O(points) candidates, not O(p^2).
+    """
     yield HomForm.line(p, 0, 0, 1)
     yield HomForm.line(p, 0, 1, 0)
     yield HomForm.line(p, 1, 0, 0)
-    for enc in range(1, p**3):
-        a, rest = enc % p, enc // p
-        b, c = rest % p, rest // p
-        coeffs = (a, b, c)
-        nz = [x for x in coeffs if x]
-        if len(nz) < 2 or coeffs[max(i for i in range(3) if coeffs[i])] != 1:
+    on_x0 = [pt.coords for pt in avoid_points if not pt.coords[0]]
+    if not any(not x1 for _, x1, _ in on_x0):
+        for a in range(1, p):
+            yield HomForm.line(p, a, 1, 0)
+    for b in range(p):
+        if any(not (x1 * b + x2) for _, x1, x2 in on_x0):
             continue
-        yield HomForm.line(p, a, b, c)
+        for a in range(0 if b else 1, p):
+            yield HomForm.line(p, a, b, 1)
 
 
 def choose_aux_line(p, avoid_points, exclude_forms=()):
     """Deterministically pick a line avoiding the given points."""
-    for form in _aux_line_candidates(p):
+    for form in _aux_line_candidates(p, avoid_points):
         if form in exclude_forms:
             continue
         ok = True

@@ -76,6 +76,23 @@ def test_intersect_at_large_p(p):
     assert rep["oracle"]["oracles"] == "match"
 
 
+@pytest.mark.parametrize("p", [1000003, 2**61 - 1])
+def test_intersect_conics_through_vertices_at_large_p(p):
+    # every coordinate line meets a contributing point, so the auxiliary
+    # line has three nonzero coefficients: found without walking ~p^2 lines
+    doc = {
+        "field": {"p": p},
+        "task": "intersect",
+        "divisor1": [{"form": [[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]], "multiplicity": 1}],
+        "divisor2": [{"form": [[1, 1, 0, 1], [0, 1, 1, 2], [1, 0, 1, 3]], "multiplicity": 1}],
+    }
+    t0 = time.perf_counter()
+    rep = run_config(doc)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep["result"]["intersection_number"] == "4"
+    assert rep["oracle"]["oracles"] == "match"
+
+
 @pytest.mark.parametrize(
     "form, message",
     [

@@ -1,6 +1,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adele_forge.errors import DomainError
 from adele_forge.fields import (
@@ -13,6 +15,7 @@ from adele_forge.fields import (
     is_prime,
     norm_to_prime_field,
     normalize_rational,
+    poly_gcd,
     poly_roots,
     prime_field,
     roots_in_field,
@@ -179,3 +182,167 @@ def test_canonical_field_deterministic():
     b = canonical_field(5, 4)
     assert a is b
     assert a.modulus == canonical_field(5, 4).modulus
+
+
+# ---------------------------------------------------------------------------
+# GF(p^k)[x] laws against FieldElement schoolbook references.  Polynomials
+# over extension fields compute on flat int vectors (packed products, Newton
+# division); the references below use only FieldElement operators.
+
+M61 = 2**61 - 1
+EXT_FIELDS = [canonical_field(p, k) for p in (2, 3, 5, 7) for k in (2, 3, 4, 5)] + [
+    # canonical_field(M61, 4) would walk past p encodings: every x^4 + c is
+    # reducible when p = 3 mod 4.  FieldSpec checks these are irreducible.
+    FieldSpec(M61, 2, [1, 0, 1]),
+    FieldSpec(M61, 3, [5, 1, 0, 1]),
+    FieldSpec(M61, 4, [1, 1, 0, 0, 1]),
+    FieldSpec(M61, 5, [4, 1, 0, 0, 0, 1]),
+]
+POLY_LAWS = settings(deadline=None, max_examples=150)
+
+
+def _ref_trim(elts):
+    elts = list(elts)
+    while elts and not elts[-1]:
+        elts.pop()
+    return elts
+
+
+def _ref_mul(spec, a, b):
+    if not a or not b:
+        return []
+    out = [spec.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(spec, a, b):
+    r = list(a)
+    q = [spec.zero()] * max(len(a) - len(b) + 1, 0)
+    inv = b[-1].inverse()
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + len(b) - 1] * inv
+        q[i] = c
+        for j, y in enumerate(b):
+            r[i + j] = r[i + j] - c * y
+    return _ref_trim(q), _ref_trim(r[: len(b) - 1])
+
+
+def _ref_powmod(spec, a, e, m):
+    result = [spec.one()]
+    base = _ref_divmod(spec, a, m)[1]
+    for _ in range(e):
+        result = _ref_divmod(spec, _ref_mul(spec, result, base), m)[1]
+    return result
+
+
+def _ref_gcd(spec, a, b):
+    while b:
+        a, b = b, _ref_divmod(spec, a, b)[1]
+    if not a:
+        return a
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+@st.composite
+def _ext_polys(draw, count, min_len=0, max_len=8):
+    """A field and ``count`` coefficient lists: zeros anywhere, random
+    (often non-monic) leading coefficients."""
+    spec = draw(st.sampled_from(EXT_FIELDS))
+    code = st.one_of(st.just(0), st.just(1), st.integers(0, spec.order - 1))
+    out = []
+    for _ in range(count):
+        codes = draw(st.lists(code, min_size=min_len, max_size=max_len))
+        out.append(_ref_trim(spec.from_encoding(c) for c in codes))
+    return spec, out
+
+
+@POLY_LAWS
+@given(_ext_polys(2))
+def test_ext_mul_matches_schoolbook(case):
+    spec, (a, b) = case
+    prod = Polynomial.from_elements(spec, a) * Polynomial.from_elements(spec, b)
+    assert list(prod.coeffs) == _ref_mul(spec, a, b)
+
+
+@POLY_LAWS
+@given(_ext_polys(2, max_len=10).filter(lambda case: case[1][1]))
+def test_ext_divmod_matches_schoolbook(case):
+    spec, (a, b) = case
+    q, r = divmod(Polynomial.from_elements(spec, a), Polynomial.from_elements(spec, b))
+    rq, rr = _ref_divmod(spec, a, b)
+    assert list(q.coeffs) == rq and list(r.coeffs) == rr
+
+
+@POLY_LAWS
+@given(_ext_polys(2, max_len=6).filter(lambda case: case[1][1]), st.integers(0, 40))
+def test_ext_powmod_matches_schoolbook(case, e):
+    spec, (a, m) = case
+    got = Polynomial.from_elements(spec, a).powmod(e, Polynomial.from_elements(spec, m))
+    # e = 0 gives the constant 1, unreduced, as the prime-field kernel does
+    assert list(got.coeffs) == _ref_powmod(spec, a, e, m)
+
+
+@POLY_LAWS
+@given(_ext_polys(3, max_len=5))
+def test_ext_gcd_and_exact_div(case):
+    spec, (a, b, c) = case
+    A, B, C = (Polynomial.from_elements(spec, x) for x in (a, b, c))
+    assert list(poly_gcd(A * C, B * C).coeffs) == _ref_gcd(spec, _ref_mul(spec, a, c), _ref_mul(spec, b, c))
+    if C:
+        assert (A * C).exact_div(C) == A
+        if C.degree > 0:
+            with pytest.raises(DomainError):
+                (A * C + Polynomial.one(spec)).exact_div(C)
+
+
+def test_ext_division_edge_cases():
+    for spec in EXT_FIELDS:
+        g = spec.gen()
+        f = Polynomial.from_elements(spec, [g, spec.one(), g + 1, g * g])
+        for m in (
+            Polynomial.constant(g + 2),  # degree 0: every remainder is 0
+            Polynomial.from_elements(spec, [g, g + 1]),  # degree 1, not monic
+            Polynomial.from_elements(spec, [spec.one()] * 6),  # longer than f
+        ):
+            q, r = divmod(f, m)
+            rq, rr = _ref_divmod(spec, list(f.coeffs), list(m.coeffs))
+            assert list(q.coeffs) == rq and list(r.coeffs) == rr
+            for e in (0, 1, 2, 5, 17):
+                assert list(f.powmod(e, m).coeffs) == _ref_powmod(spec, list(f.coeffs), e, list(m.coeffs))
+        zero = Polynomial.zero(spec)
+        assert divmod(zero, f) == (zero, zero)
+        assert f * zero == zero and zero * f == zero
+        assert zero.powmod(3, f) == zero
+
+
+def test_powmod_rejects_negative_exponent():
+    for spec in (FieldSpec(3, 2, [1, 0, 1]), F7):
+        x = Polynomial.x(spec)
+        m = Polynomial.from_elements(spec, [spec.one(), spec.zero(), spec.one()])
+        with pytest.raises(DomainError, match="negative"):
+            x.powmod(-1, m)
+        with pytest.raises(DomainError, match="negative"):
+            (x * x + x).powmod(-1, x)  # not coprime to the modulus
+        with pytest.raises(DomainError):
+            x.powmod(2, Polynomial.zero(spec))
+
+
+@settings(deadline=None, max_examples=30)
+@given(_ext_polys(1, min_len=2, max_len=7).filter(lambda case: case[1][0]))
+def test_ext_factor_roundtrip(case):
+    spec, (a,) = case
+    f = Polynomial.from_elements(spec, a)
+    lc, factors = factor_polynomial(f)
+    prod = Polynomial.constant(lc)
+    for g, m in factors:
+        assert g.lc() == spec.one() and g.is_irreducible()
+        prod = prod * g**m
+    assert prod == f
+    assert len({g for g, _ in factors}) == len(factors)
+    # the linear factors are exactly the roots
+    roots = [-g.constant_term() for g, _ in factors if g.degree == 1]
+    assert sorted(r.encoding() for r in roots) == [r.encoding() for r in poly_roots(f)]

@@ -18,6 +18,7 @@ from adele_forge.surface import (
     SurfaceSymbol,
     bezout_number,
     bipoly_gcd,
+    choose_aux_line,
     curve_intersection_points,
     curve_tame_symbol,
     cycle_degree,
@@ -167,6 +168,55 @@ def test_linear_factor_of_products(pf, line):
             key = tuple(e + (i == var) for i, e in enumerate(ijk))
             product[key] = product.get(key, 0) + c * line[var]
     assert _has_linear_factor(HomForm(p, product))
+
+
+def _aux_line_reference(p, points, exclude):
+    """The first line, in the order of a + b*p + c*p^2 over every encoding
+    after X2, X1, X0, that is not excluded and misses every point."""
+    triples = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    for enc in range(1, p**3):
+        abc = (enc % p, enc // p % p, enc // p**2)
+        nz = [x for x in abc if x]
+        if len(nz) >= 2 and nz[-1] == 1:
+            triples.append(abc)
+    for abc in triples:
+        form = HomForm.line(p, *abc)
+        if form not in exclude and all(form.evaluate(pt.coords) for pt in points):
+            return form
+    return None
+
+
+@st.composite
+def _aux_cases(draw):
+    """Points over GF(p) and GF(p^2), coordinates often 0, and excluded lines."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    points = []
+    for _ in range(draw(st.integers(0, 2 * p + 2))):
+        K = canonical_field(p, draw(st.sampled_from([1, 1, 1, 2])))
+        code = st.one_of(st.just(0), st.integers(0, K.order - 1))
+        coords = tuple(K.from_encoding(draw(code)) for _ in range(3))
+        try:
+            points.append(ProjPoint(coords))
+        except (DomainError, ValueError):
+            continue  # all zero, or not generating GF(p^2)
+    exclude = set()
+    for _ in range(draw(st.integers(0, 3))):
+        abc = [draw(st.integers(0, p - 1)) for _ in range(3)]
+        if any(abc):
+            exclude.add(HomForm.line(p, *abc))
+    return p, points, exclude
+
+
+@settings(deadline=None, max_examples=200)
+@given(_aux_cases())
+def test_aux_line_matches_enumeration(case):
+    p, points, exclude = case
+    expected = _aux_line_reference(p, points, exclude)
+    if expected is None:
+        with pytest.raises(DomainError):
+            choose_aux_line(p, points, exclude)
+    else:
+        assert choose_aux_line(p, points, exclude).form == expected
 
 
 def test_intersection_points():
