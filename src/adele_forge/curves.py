@@ -779,7 +779,13 @@ def expand_at(f, place, prec):
 
 
 def leading_value_at(f, place):
-    """Leading Laurent coefficient of f at the place (a residue-field unit)."""
+    """Leading Laurent coefficient of f at the place (a residue-field unit).
+
+    At an affine place of the elliptic model where f = (a + b*y)/c is a unit
+    and c(x0) is nonzero, this is the value (a(x0) + b(x0)*y0)/c(x0) at the
+    place's representative point; every other case reads the coefficient
+    off the Laurent expansion.
+    """
     if not f:
         raise DomainError("leading value of zero undefined")
     curve = f.curve
@@ -800,6 +806,12 @@ def leading_value_at(f, place):
     if curve.kind == "p1":
         return f.fx.num.lc() / f.fx.den.lc()
     v = valuation(f, place)
+    if v == 0 and place.kind == "ec-affine":
+        x0, y0 = place.representative()
+        a, b, c = (g.lift_to(x0.spec) for g in f.as_abc())
+        cv = c.evaluate(x0)
+        if cv:
+            return (a.evaluate(x0) + b.evaluate(x0) * y0) / cv
     ser = expand_at(f, place, v + 1)
     return ser.coefficient(v)
 

@@ -175,12 +175,33 @@ def prime_field(p):
     return FieldSpec(p)
 
 
+def _binomial_can_be_irreducible(p, k):
+    """Whether some x^k + c is irreducible over GF(p): iff every prime
+    factor of k divides p - 1, and p = 1 mod 4 when 4 | k (Lidl and
+    Niederreiter, Finite Fields, Thm 3.75)."""
+    if k % 4 == 0 and p % 4 != 1:
+        return False
+    m, r = k, 2
+    while m > 1:
+        if m % r == 0:
+            if (p - 1) % r:
+                return False
+            while m % r == 0:
+                m //= r
+        r += 1
+    return True
+
+
 @lru_cache(maxsize=None)
 def canonical_field(p, k):
-    """GF(p^k) with the lexicographically first monic irreducible modulus."""
+    """GF(p^k) with the lexicographically first monic irreducible modulus.
+
+    Moduli are tried by encoding n = sum c_i p^i of their low coefficients;
+    the encodings n < p are the binomials x^k + n, skipped as a family when
+    none of them can be irreducible."""
     if k == 1:
         return prime_field(p)
-    for n in range(p**k):
+    for n in range(0 if _binomial_can_be_irreducible(p, k) else p, p**k):
         coeffs = []
         m = n
         for _ in range(k):
@@ -344,18 +365,48 @@ def trace_to_prime_field(a):
 
 
 def field_sqrt(a):
-    """A square root of a in its own field, or None if a is not a square."""
+    """A square root of a in its own field, or None if a is not a square.
+
+    In odd characteristic the root comes from Tonelli-Shanks, with the
+    non-residue taken as the element of least encoding; of the two roots
+    +-r the one of smaller encoding is returned.  In characteristic 2 the
+    root a^(q/2) is unique.
+    """
     spec = a.spec
     q = spec.order
     if not a:
         return spec.zero()
     if spec.p == 2:
         return a ** (q // 2)
-    if a ** ((q - 1) // 2) != spec.one():
+    one = spec.one()
+    if a ** ((q - 1) // 2) != one:
         return None
-    z = Polynomial.from_elements(spec, [-a, spec.zero(), spec.one()])
-    roots = poly_roots(z)
-    return min(roots, key=lambda r: r.encoding())
+    # q - 1 = 2^s * t with t odd
+    s, t = 0, q - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    r = a ** ((t + 1) // 2)
+    if s > 1:
+        n = 2
+        while spec.from_encoding(n) ** ((q - 1) // 2) == one:
+            n += 1
+        c = spec.from_encoding(n) ** t  # a generator of the 2-Sylow subgroup
+        b = a ** t
+        m = s
+        while b != one:
+            # least i with b^(2^i) = 1; then i < m
+            i, b2 = 0, b
+            while b2 != one:
+                b2 = b2 * b2
+                i += 1
+            for _ in range(m - i - 1):
+                c = c * c
+            r = r * c
+            c = c * c
+            b = b * c
+            m = i
+    neg = -r
+    return neg if neg.encoding() < r.encoding() else r
 
 
 # ---------------------------------------------------------------------------

@@ -60,18 +60,29 @@ def _line_through(curve, A, B):
 class MillerFunction:
     """A function on the elliptic model kept as a factored product of lines
     and verticals, together with its declared divisor (checked on
-    construction)."""
+    construction).
+
+    ``divisors`` maps a factor to its ``principal_divisor``.  Pass one dict
+    to every chain built from the same curve and points and each distinct
+    factor's divisor is computed once; the sum over the factors is still
+    compared with the declared divisor on every construction.
+    """
 
     __slots__ = ("curve", "factors", "divisor")
 
-    def __init__(self, curve, factors, divisor, check=True):
+    def __init__(self, curve, factors, divisor, check=True, divisors=None):
         self.curve = curve
         self.factors = {f: e for f, e in factors.items() if e}
         self.divisor = divisor
         if check:
+            if divisors is None:
+                divisors = {}
             total = Divisor(curve)
             for f, e in self.factors.items():
-                total = total + principal_divisor(f) * e
+                div = divisors.get(f)
+                if div is None:
+                    div = divisors[f] = principal_divisor(f)
+                total = total + div * e
             if total != divisor:
                 raise DomainError("declared divisor does not match the product")
 
@@ -130,7 +141,9 @@ def _miller_chain_factors(curve, P, l):
         for f in list(factors):
             factors[f] *= 2
         twoV = ec_add(curve, V, V)
-        if twoV is None:
+        if V is None:
+            pass  # m*P = O: f_2m = f_m^2
+        elif twoV is None:
             mul_in(_vertical(curve, V), 1)
         else:
             mul_in(_line_through(curve, V, V), 1)
@@ -152,15 +165,15 @@ def _miller_chain_factors(curve, P, l):
     return factors
 
 
-def miller_function(curve, P, l, R=None):
+def miller_function(curve, P, l, R=None, divisors=None):
     """A factored function with divisor l(P+R) - l(R) for l-torsion P.
 
-    With R absent (or O) the divisor is l(P) - l(O).
+    With R absent (or O) the divisor is l(P) - l(O).  A P that is not
+    l-torsion is rejected at the end of the Miller chain.  ``divisors`` is
+    the factor-to-divisor memo of ``MillerFunction``.
     """
     if l < 1:
         raise DomainError("l must be positive")
-    if scalar_multiple(curve, l, P) is not None:
-        raise DomainError("point is not l-torsion")
     if P is None:
         shift = Divisor(curve)
         return MillerFunction(curve, {}, shift)
@@ -169,7 +182,7 @@ def miller_function(curve, P, l, R=None):
     pl_O = Place.origin(curve)
     divisor = Divisor(curve, {pl_P: l, pl_O: -l})
     if R is None:
-        return MillerFunction(curve, factors, divisor)
+        return MillerFunction(curve, factors, divisor, divisors=divisors)
     PR = ec_add(curve, P, R)
     # h with div(h) = (P) + (R) - (P+R) - (O); then f * h^(-l)
     if PR is None:
@@ -186,7 +199,7 @@ def miller_function(curve, P, l, R=None):
         curve,
         {Place.rational_point(curve, PR): l, Place.rational_point(curve, R): -l},
     )
-    return MillerFunction(curve, factors, divisor)
+    return MillerFunction(curve, factors, divisor, divisors=divisors)
 
 
 class PairingValue:
@@ -248,21 +261,24 @@ def _offset_candidates(curve):
     return offsets
 
 
-def weil_pairing_idelic(curve, P, Q, l):
+def weil_pairing_idelic(curve, P, Q, l, divisors=None):
     """Weil pairing via divisor chains: f(D_Q)/g(D_P) with div f = l*D_P,
     div g = l*D_Q, computed on disjoint-support representatives built by
-    translation offsets."""
+    translation offsets.  ``divisors`` is the Miller-factor divisor memo
+    (see ``MillerFunction``); None starts a fresh one for this call."""
     _check_torsion(curve, P, Q, l)
     if P is None or Q is None:
         return PairingValue(curve.spec.one(), l)
+    if divisors is None:
+        divisors = {}
     offsets = _offset_candidates(curve)
     for R in offsets():
         for S in offsets():
             PR, QS = _shifted_support(curve, P, R), _shifted_support(curve, Q, S)
             if PR is None or QS is None or PR & QS:
                 continue
-            f = miller_function(curve, P, l, R)
-            g = miller_function(curve, Q, l, S)
+            f = miller_function(curve, P, l, R, divisors)
+            g = miller_function(curve, Q, l, S, divisors)
             num = f.evaluate_at_divisor(_scale_div(g.divisor, l))
             den = g.evaluate_at_divisor(_scale_div(f.divisor, l))
             return PairingValue(num / den, l)
@@ -318,7 +334,9 @@ def _miller_point_eval(curve, P, l, S):
     for bit in bin(l)[3:]:
         num, den = num * num, den * den
         twoV = ec_add(curve, V, V)
-        if twoV is None:
+        if V is None:
+            pass  # m*P = O: f_2m = f_m^2
+        elif twoV is None:
             num = num * vert_at(V)
         else:
             num = num * line_at(V, V)
@@ -424,12 +442,16 @@ def massey_triple(curve, Y, f, Z, g):
     return MasseyOutput(cocycle, image)
 
 
-def massey_triple_curve(curve, P, Q, l, r_index=0, s_index=0):
+def massey_triple_curve(curve, P, Q, l, r_index=0, s_index=0, divisors=None):
     """Massey triple product of the l-torsion classes of P and Q, with
-    representatives chosen by translating by auxiliary points."""
+    representatives chosen by translating by auxiliary points.
+    ``divisors`` is the Miller-factor divisor memo (see ``MillerFunction``);
+    None starts a fresh one for this call."""
     _check_torsion(curve, P, Q, l)
     if P is None or Q is None:
         raise DomainError("Massey product of the class of O is trivial: P and Q must differ from O")
+    if divisors is None:
+        divisors = {}
     offsets = _offset_candidates(curve)
     for i, R in enumerate(offsets()):
         if i < r_index:
@@ -441,8 +463,8 @@ def massey_triple_curve(curve, P, Q, l, r_index=0, s_index=0):
             supZ = _shifted_support(curve, Q, S)
             if supY is None or supZ is None or supY & supZ:
                 continue
-            f = miller_function(curve, P, l, R)
-            g = miller_function(curve, Q, l, S)
+            f = miller_function(curve, P, l, R, divisors)
+            g = miller_function(curve, Q, l, S, divisors)
             Y = _scale_div(f.divisor, l)
             Z = _scale_div(g.divisor, l)
             return massey_triple(curve, Y, f, Z, g)

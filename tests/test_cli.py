@@ -121,6 +121,17 @@ def test_weil_task():
     assert rep["oracle"]["miller_oracle"] == "match"
 
 
+def test_weil_and_massey_with_l_4_on_2_torsion():
+    # the Miller chain of a 2-torsion P reaches O at 2P and then doubles it
+    doc = dict(WEIL_DOC, l=4, P=[1, 0], Q=[2, 1])
+    rep = run_config(doc)
+    assert rep["result"]["pairing"] == ["4"]
+    assert rep["oracle"]["miller_oracle"] == "match"
+    rep = run_config(dict(doc, task="massey"))
+    assert rep["result"]["direct_image"] == ["4"]
+    assert rep["oracle"]["pairing_oracle"] == "match"
+
+
 def test_massey_task():
     doc = dict(WEIL_DOC)
     doc["task"] = "massey"

@@ -9,6 +9,7 @@ from adele_forge.curves import (
     Place,
     ec_add,
     ec_neg,
+    expand_at,
     leading_value_at,
     principal_divisor,
     rational_points,
@@ -18,7 +19,13 @@ from adele_forge.curves import (
     valuation,
 )
 from adele_forge.errors import DomainError
-from adele_forge.fields import Polynomial, RationalFunction, prime_field
+from adele_forge.fields import (
+    Polynomial,
+    RationalFunction,
+    canonical_field,
+    field_sqrt,
+    prime_field,
+)
 
 F5 = prime_field(5)
 F7 = prime_field(7)
@@ -198,6 +205,57 @@ def test_leading_values():
     quad = Place.finite(P17, Polynomial.from_ints(F7, [1, 0, 1]))
     val = leading_value_at(t7 * t7 + t7 + 1, quad)
     assert val.spec.k == 2 and val == val.spec.gen()
+
+
+def _affine_places(curve, k, count):
+    """Up to ``count`` affine places of degree k, read off GF(p^k) points."""
+    field = canonical_field(curve.spec.p, k)
+    rhs = curve.rhs_poly(field)
+    places = []
+    for x0 in field.elements():
+        y0 = field_sqrt(rhs.evaluate(x0))
+        if y0 is None:
+            continue
+        for y in (y0, -y0):
+            if max(x0.minimal_degree(), y.minimal_degree()) == k:
+                place = Place.affine_orbit(curve, x0, y)
+                if place not in places:
+                    places.append(place)
+        if len(places) >= count:
+            break
+    return places
+
+
+def test_leading_value_matches_series():
+    rng = Random(11)
+    for curve in (CurveModel.elliptic(F5, -1, 0), CurveModel.elliptic(F7, 0, 2)):
+        places = _affine_places(curve, 1, 8) + _affine_places(curve, 2, 6)
+        assert any(p.residue_degree == 2 for p in places)
+        if curve.spec.p == 5:
+            assert any(not p.representative()[1] for p in places)  # y the parameter
+        for _ in range(12):
+            f = rand_elliptic(curve, rng)
+            for place in places:
+                if valuation(f, place) != 0:
+                    continue
+                want = expand_at(f, place, 1).coefficient(0)
+                assert leading_value_at(f, place) == want, (f, place)
+
+
+def test_leading_value_of_unit_with_vanishing_denominator():
+    # (y - y0)/(x - x0) at (x0, y0), y0 != 0: a unit whose c(x0) = 0, so the
+    # value is the slope (3*x0^2 + a)/(2*y0) of the tangent, from the series
+    E = CurveModel.elliptic(F5, -1, 0)
+    x0, y0 = F5.element(2), F5.element(1)
+    x = FunctionFieldElement.x_function(E)
+    y = FunctionFieldElement.y_function(E)
+    f = (y - y0) / (x - x0)
+    place = Place.rational_point(E, (x0, y0))
+    assert valuation(f, place) == 0
+    want = (F5.element(3) * x0 * x0 + E.a) / (y0 + y0)
+    assert want == F5.element(3)
+    assert expand_at(f, place, 1).coefficient(0) == want
+    assert leading_value_at(f, place) == want
 
 
 def test_nonprime_base_rejected():

@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -24,6 +25,7 @@ from adele_forge.fields import (
 F3 = prime_field(3)
 F5 = prime_field(5)
 F7 = prime_field(7)
+M61 = 2**61 - 1
 
 
 def test_field_spec_validation():
@@ -184,15 +186,98 @@ def test_canonical_field_deterministic():
     assert a.modulus == canonical_field(5, 4).modulus
 
 
+def _rabin_irreducible(mod, p):
+    """Rabin's test: x^(p^k) = x mod f, and gcd(x^(p^(k/r)) - x, f) = 1 for
+    every prime r | k."""
+    spec = prime_field(p)
+    f = Polynomial.from_ints(spec, mod)
+    k = f.degree
+    x = Polynomial.x(spec)
+
+    def frob(e):
+        return x.powmod(p**e, f)
+
+    if frob(k) != x % f:
+        return False
+    for r in range(2, k + 1):
+        if k % r == 0 and all(r % d for d in range(2, r)):
+            if poly_gcd(frob(k // r) - x, f).degree > 0:
+                return False
+    return True
+
+
+def test_canonical_field_matches_exhaustive_walk():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for k in range(2, 7):
+            if p**k > 10**6:
+                continue
+            for n in range(p**k):
+                mod = [(n // p**i) % p for i in range(k)] + [1]
+                if _rabin_irreducible(mod, p):
+                    break
+            assert canonical_field(p, k).modulus == tuple(mod), (p, k)
+
+
+def test_canonical_field_large_p():
+    # p = 3 mod 4: no x^4 + c is irreducible, so the binomials are skipped
+    start = time.perf_counter()
+    spec = canonical_field(M61, 4)
+    assert time.perf_counter() - start < 2
+    assert spec.modulus == (1, 1, 0, 0, 1)
+
+
+SQRT_FIELDS = [prime_field(p) for p in (2, 3, 5, 7, 13, 17, 41, 97)] + [
+    canonical_field(3, 2),
+    canonical_field(5, 2),
+    canonical_field(17, 2),
+    canonical_field(2, 3),
+]
+
+
+def test_field_sqrt_matches_brute_force():
+    # q - 1 has 2-adic valuation 4, 3 and 5 for p = 17, 41, 97 and 5 for
+    # GF(17^2): several rounds of the Tonelli-Shanks loop
+    for spec in SQRT_FIELDS:
+        roots = {}
+        for r in spec.elements():
+            roots.setdefault(r * r, []).append(r)
+        for a in spec.elements():
+            got = field_sqrt(a)
+            if a in roots:
+                assert got == min(roots[a], key=lambda r: r.encoding()), (spec, a)
+            else:
+                assert got is None, (spec, a)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.sampled_from([M61, 3 * 2**30 + 1, 2**64 - 2**32 + 1]),
+    st.integers(1, 2**64),
+)
+def test_field_sqrt_large_p(p, n):
+    # 2^61 - 1 = 3 mod 4; the other two have q - 1 divisible by 2^30, 2^32
+    spec = prime_field(p)
+    a = spec.element(n)
+    if not a:
+        return
+    square = a * a
+    r = field_sqrt(square)
+    assert r * r == square
+    assert r.encoding() <= (-r).encoding()
+    nonresidue = next(
+        spec.element(c) for c in range(2, p) if spec.element(c) ** ((p - 1) // 2) != 1
+    )
+    assert field_sqrt(square * nonresidue) is None
+
+
 # ---------------------------------------------------------------------------
 # GF(p^k)[x] laws against FieldElement schoolbook references.  Polynomials
 # over extension fields compute on flat int vectors (packed products, Newton
 # division); the references below use only FieldElement operators.
 
-M61 = 2**61 - 1
 EXT_FIELDS = [canonical_field(p, k) for p in (2, 3, 5, 7) for k in (2, 3, 4, 5)] + [
-    # canonical_field(M61, 4) would walk past p encodings: every x^4 + c is
-    # reducible when p = 3 mod 4.  FieldSpec checks these are irreducible.
+    # explicit moduli, not only the canonical ones ([1, 1, 0, 0, 1] is
+    # canonical_field(M61, 4)); FieldSpec checks these are irreducible.
     FieldSpec(M61, 2, [1, 0, 1]),
     FieldSpec(M61, 3, [5, 1, 0, 1]),
     FieldSpec(M61, 4, [1, 1, 0, 0, 1]),

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adele_forge import signs
+from adele_forge import pairing, selfcheck, signs
 from adele_forge.curves import (
     CurveModel,
     Divisor,
@@ -57,6 +59,82 @@ def test_miller_function_divisor_check():
     x = FunctionFieldElement.x_function(E2)
     with pytest.raises(DomainError):
         MillerFunction(E2, {x: 1}, Divisor(E2))  # wrong declared divisor
+
+
+def test_miller_function_rejects_non_torsion():
+    T = (F5.element(2), F5.element(1))  # of order 4
+    for P, l in ((T, 2), (P00, 9)):  # 9 * P00: the chain doubles O at 4 * P00
+        for R in (None, P10):
+            with pytest.raises(DomainError, match="not l-torsion"):
+                miller_function(E2, P, l, R)
+
+
+def test_miller_chain_through_O():
+    # l = 4 on 2-torsion: 2P = O, and the last doubling step squares f_2
+    x = FunctionFieldElement.x_function(E2)
+    assert miller_function(E2, P00, 4).factors == {x: 2}
+    pts = rational_points(E2)  # E(GF(5)) = Z/2 x Z/4 lies in E[4]
+    for P in pts:
+        for Q in pts:
+            a = weil_pairing_idelic(E2, P, Q, 4)
+            assert a.value == weil_pairing_miller(E2, P, Q, 4).value
+            if P in torsion_points(E2, 2) and Q in torsion_points(E2, 2):
+                assert a.value == F5.one()  # e_4(P, Q) = e_2(P, 2Q)
+
+
+def test_shared_divisor_memo_keeps_the_check():
+    R = (F5.element(2), F5.element(1))
+    memo = {}
+    mf = miller_function(E2, P00, 2, R, memo)
+    assert set(mf.factors) <= set(memo)
+    for f in mf.factors:
+        assert memo[f] == principal_divisor(f)
+    # every factor is memoized: the sum is still compared with the declaration
+    MillerFunction(E2, mf.factors, mf.divisor, divisors=memo)
+    with pytest.raises(DomainError):
+        MillerFunction(E2, mf.factors, Divisor(E2), divisors=memo)
+    with pytest.raises(DomainError):
+        MillerFunction(E2, mf.factors, mf.divisor * 2, divisors=memo)
+
+
+def test_weil_check_computes_each_miller_divisor_once(monkeypatch):
+    calls = []
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return principal_divisor(f, *args, **kwargs)
+
+    monkeypatch.setattr(pairing, "principal_divisor", counting)
+    assert selfcheck.check_weil_pairing()[0]
+    assert len(calls) == 29  # 403 without the memo
+    assert len(set(calls)) == len(calls)
+    calls.clear()
+    assert selfcheck.check_massey()[0]
+    assert len(set(calls)) == len(calls)
+
+
+PAIRING_FIXTURES = [(E2, 2, torsion_points(E2, 2)), (E3, 3, torsion_points(E3, 3))]
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_weil_pairing_laws(data):
+    curve, l, tor = data.draw(st.sampled_from(PAIRING_FIXTURES))
+    P1, P2, Q1, Q2 = (data.draw(st.sampled_from(tor)) for _ in range(4))
+    memo = {}
+    values = {}
+
+    def e(P, Q):
+        if (P, Q) not in values:
+            shared = weil_pairing_idelic(curve, P, Q, l, memo).value
+            assert shared == weil_pairing_idelic(curve, P, Q, l).value
+            assert shared == weil_pairing_miller(curve, P, Q, l).value
+            values[P, Q] = shared
+        return values[P, Q]
+
+    assert e(ec_add(curve, P1, P2), Q1) == e(P1, Q1) * e(P2, Q1)
+    assert e(P1, ec_add(curve, Q1, Q2)) == e(P1, Q1) * e(P1, Q2)
+    assert e(P1, Q1) * e(Q1, P1) == curve.spec.one()
 
 
 def test_miller_function_with_offset():
