@@ -807,11 +807,10 @@ def leading_value_at(f, place):
         return f.fx.num.lc() / f.fx.den.lc()
     v = valuation(f, place)
     if v == 0 and place.kind == "ec-affine":
-        x0, y0 = place.representative()
-        a, b, c = (g.lift_to(x0.spec) for g in f.as_abc())
-        cv = c.evaluate(x0)
-        if cv:
-            return (a.evaluate(x0) + b.evaluate(x0) * y0) / cv
+        try:
+            return f.evaluate_affine(*place.representative())
+        except DomainError:  # c(x0) = 0: fall back to the series
+            pass
     ser = expand_at(f, place, v + 1)
     return ser.coefficient(v)
 

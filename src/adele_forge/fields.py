@@ -367,10 +367,12 @@ def trace_to_prime_field(a):
 def field_sqrt(a):
     """A square root of a in its own field, or None if a is not a square.
 
-    In odd characteristic the root comes from Tonelli-Shanks, with the
-    non-residue taken as the element of least encoding; of the two roots
-    +-r the one of smaller encoding is returned.  In characteristic 2 the
-    root a^(q/2) is unique.
+    In odd characteristic the root comes from Tonelli-Shanks; of the two
+    roots +-r the one of smaller encoding is returned, so the choice of
+    non-residue does not matter.  The non-residue is searched from encoding
+    2, or from encoding p (the elements x + c) when k is even, since then
+    every prime-field element is a square.  In characteristic 2 the root
+    a^(q/2) is unique.
     """
     spec = a.spec
     q = spec.order
@@ -387,7 +389,7 @@ def field_sqrt(a):
         s, t = s + 1, t // 2
     r = a ** ((t + 1) // 2)
     if s > 1:
-        n = 2
+        n = spec.p if spec.k % 2 == 0 else 2
         while spec.from_encoding(n) ** ((q - 1) // 2) == one:
             n += 1
         c = spec.from_encoding(n) ** t  # a generator of the 2-Sylow subgroup

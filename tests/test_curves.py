@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -101,6 +102,27 @@ def test_principal_divisor_examples():
         pl = Place.affine_orbit(E, F5.element(xc), F5.zero())
         assert D.multiplicity(pl) == 1
     assert D.multiplicity(Place.origin(E)) == -3
+
+
+@pytest.mark.parametrize("p", [1000003, 2**61 - 1])
+def test_principal_divisor_nonsquare_rhs_at_large_p(p):
+    # x - c with c^3 - c not a square in GF(p): the zero of x - c is one
+    # place of degree 2, whose y-coordinate is a square root in GF(p^2)
+    F = prime_field(p)
+    E = CurveModel.elliptic(F, -1, 0)  # y^2 = x^3 - x
+    c = next(n for n in range(2, p) if field_sqrt(F.element(n**3 - n)) is None)
+    f = FunctionFieldElement.x_function(E) - c
+    t0 = time.perf_counter()
+    D = principal_divisor(f)
+    assert time.perf_counter() - t0 < 5.0
+    F2 = canonical_field(p, 2)
+    x1 = F2.element(c)
+    y1 = field_sqrt(x1**3 - x1)
+    assert y1 is not None
+    place = Place.affine_orbit(E, x1, y1)
+    assert place.residue_degree == 2
+    origin = Place.origin(E)
+    assert D == Divisor.of_place(place) - Divisor.of_place(origin, 2)
 
 
 def test_principal_divisor_properties():

@@ -270,6 +270,29 @@ def test_field_sqrt_large_p(p, n):
     assert field_sqrt(square * nonresidue) is None
 
 
+def test_field_sqrt_large_quadratic_extension():
+    # every element of GF(p) is a square in GF(p^2), so the non-residue
+    # must be found among the elements outside the prime field
+    spec = FieldSpec(M61, 2, [1, 0, 1])
+    rng = Random(11)
+    nonresidue = next(
+        a
+        for a in (spec.element([rng.randrange(M61), 1]) for _ in range(100))
+        if a ** ((spec.order - 1) // 2) != spec.one()
+    )
+    t0 = time.perf_counter()
+    for _ in range(10):
+        a = spec.element([rng.randrange(M61), rng.randrange(M61)])
+        if not a:
+            continue
+        square = a * a
+        r = field_sqrt(square)
+        assert r in (a, -a)
+        assert r.encoding() <= (-r).encoding()
+        assert field_sqrt(square * nonresidue) is None
+    assert time.perf_counter() - t0 < 5.0
+
+
 # ---------------------------------------------------------------------------
 # GF(p^k)[x] laws against FieldElement schoolbook references.  Polynomials
 # over extension fields compute on flat int vectors (packed products, Newton
