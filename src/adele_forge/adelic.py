@@ -9,8 +9,8 @@ from .curves import (
     Divisor,
     FunctionFieldElement,
     Place,
-    expand_at,
     principal_divisor,
+    riemann_roch_expansions,
     riemann_roch_space,
     valuation,
 )
@@ -21,6 +21,10 @@ from .milnor import GerstenCochain, MilnorSymbol, symbol_support, tame_symbol
 # A level-1 Gersten cochain doubles as the image type of the residue
 # morphism; the payload is exactly a finite map place -> K-data.
 GerstenImage = GerstenCochain
+
+# The largest auxiliary multiplicity m that cohomology_dims tries: on P^1 a
+# degree below -(STABILIZATION_CAP / 2 + 1) needs a larger one to stabilize.
+STABILIZATION_CAP = 4096
 
 
 def _one(curve):
@@ -305,8 +309,12 @@ def cohomology_dims(curve, D, ext_bound=6):
     """h^0 and h^1 of the adelic complex with O(D) coefficients.
 
     h0 is dim L(D).  h1 is the corank of the principal-parts map
-    L(E) -> O(E)/O(D) for an auxiliary divisor E = D + m*v1, recomputed with
-    m doubled until two consecutive values agree.
+    L(E) -> O(E)/O(D) at the base place v1 (infinity on P^1, O on the
+    elliptic model) for an auxiliary divisor E = D + m*v1, recomputed with
+    m doubled until two consecutive values agree; a DomainError reports a
+    divisor that needs m > STABILIZATION_CAP.  The rows of the map come from one shared expansion
+    of the basis of L(E) at v1 (``riemann_roch_expansions``), not from one
+    expansion per basis element.
     """
     if curve.kind == "p1":
         v1 = Place.infinity(curve)
@@ -322,8 +330,11 @@ def cohomology_dims(curve, D, ext_bound=6):
             break
         previous = h1
         m *= 2
-        if m > 4096:
-            raise AssertionError("cohomology stabilization runaway")
+        if m > STABILIZATION_CAP:
+            raise DomainError(
+                "cohomology of a divisor of degree %d does not stabilize below "
+                "the auxiliary multiplicity cap m = %d" % (D.degree, STABILIZATION_CAP)
+            )
     report = CohomologyReport(h0, h1, m, basis_D)
     if h0 - h1 != D.degree + 1 - curve.genus:
         raise AssertionError(
@@ -334,19 +345,25 @@ def cohomology_dims(curve, D, ext_bound=6):
 
 
 def _h1_estimate(curve, D, v1, m, h0, ext_bound):
+    """m - rank of the principal-parts map L(E) -> O(E)/O(D), E = D + m*v1.
+
+    Row f holds the coefficients of f's expansion at v1 for the exponents
+    -E(v1) .. -D(v1)-1; the expansions of the whole basis of L(E) come from
+    ``riemann_roch_expansions``.  The base field is prime, so each
+    coefficient is one int of the series' flat vector.
+    """
     E = D + Divisor(curve, {v1: m})
-    basis_E = riemann_roch_space(E, ext_bound)
     dv1 = D.multiplicity(v1)
+    lo = -dv1 - m
     rows = []
-    prec = -dv1  # coefficients for exponents -E(v1) .. -D(v1)-1
-    for f in basis_E:
-        ser = expand_at(f, v1, prec)
-        rows.append([ser.coefficient(n).val[0] for n in range(-dv1 - m, -dv1)])
+    for ser in riemann_roch_expansions(E, v1, -dv1, ext_bound):
+        row = [0] * (ser.start - lo) + ser.coeffs
+        rows.append(row + [0] * (m - len(row)))
     if rows:
         _, pivots = rref(rows, curve.spec.p)
         rk = len(pivots)
     else:
         rk = 0
-    if rk != len(basis_E) - h0:
+    if rk != len(rows) - h0:
         raise AssertionError("principal-parts kernel is not L(D)")
     return m - rk

@@ -824,6 +824,14 @@ def residue_value(f, place):
 
 # ---------------------------------------------------------------------------
 # Riemann-Roch spaces
+#
+# Each model builds L(D) in two steps: a "parts" step sets up one ansatz for
+# the whole space (P^1: num_fixed, den and top with basis x^j * num_fixed/den;
+# elliptic: bound, the monomial exponents of x^i y^j, the kernel coefficient
+# vectors and the polynomial mult), and a builder turns the parts into
+# functions.  riemann_roch_space builds the functions; riemann_roch_expansions
+# reads the expansions of the same basis at the base place from series shared
+# by all its elements, which is what the cohomology computation needs.
 
 
 def x_minimal_poly(place):
@@ -849,15 +857,63 @@ def riemann_roch_space(D, ext_bound=DEFAULT_EXT_BOUND):
     """A basis of L(D) = {f : div(f) + D >= 0} over the base field."""
     curve = D.curve
     if curve.kind == "p1":
-        return _rr_space_p1(D)
-    return _rr_space_elliptic(D, ext_bound)
+        parts = _rr_parts_p1(D)
+        return _rr_basis_p1(curve, parts) if parts else []
+    parts = _rr_parts_elliptic(D, ext_bound)
+    return _rr_basis_elliptic(curve, parts) if parts else []
 
 
-def _rr_space_p1(D):
+def riemann_roch_expansions(D, place, prec, ext_bound=DEFAULT_EXT_BOUND):
+    """The Laurent expansions below ``prec`` at the base place (infinity on
+    P^1, O on the elliptic model) of the basis ``riemann_roch_space(D)``
+    returns, in the same order.
+
+    The basis shares one ansatz, so its expansions share their series: on
+    P^1 every element is x^j * num_fixed/den with x = t^-1, so one expansion
+    of num_fixed/den shifted by j gives them all; on the elliptic model one
+    pair (x(t), y(t)) gives the monomials x^i and x^i*y, the kernel vectors
+    combine them and one expansion of 1/mult divides by mult.
+    """
     curve = D.curve
-    spec = curve.spec
-    if D.degree < 0:
+    if place.curve != curve:
+        raise DomainError("divisor and place on different curves")
+    if place.kind not in ("p1-infinity", "ec-origin"):
+        raise DomainError(
+            "Riemann-Roch expansions are taken at the base place, not at %r" % (place,)
+        )
+    if curve.kind == "p1":
+        parts = _rr_parts_p1(D)
+        if not parts:
+            return []
+        num_fixed, den, top = parts
+        g = FunctionFieldElement(curve, RationalFunction._raw(num_fixed, den))
+        ser = expand_at(g, place, prec + top)
+        return [ser.shift(-j).truncate(prec) for j in range(top + 1)]
+    parts = _rr_parts_elliptic(D, ext_bound)
+    if not parts:
         return []
+    bound, exponents, vectors, mult = parts
+    # the polynomial mult in x has a pole of order 2*deg(mult) at O, so the
+    # combinations are needed to that much less precision before dividing
+    shift = 2 * mult.degree
+    monomials = _monomial_series(curve, place, exponents, prec - shift)
+    combos = _combine(curve.spec, monomials, vectors, prec - shift)
+    if not shift:
+        return combos
+    # a combination has valuation >= -bound at O, or is zero below prec - shift
+    inv = FunctionFieldElement(curve, RationalFunction._raw(Polynomial.one(curve.spec), mult))
+    inv_ser = expand_at(inv, place, max(prec + bound, shift))
+    out = [(g * inv_ser).truncate(prec) for g in combos]
+    assert all(ser.prec == prec for ser in out)
+    return out
+
+
+def _rr_parts_p1(D):
+    """(num_fixed, den, top) with L(D) spanned by x^j * num_fixed/den for
+    j = 0..top (num_fixed/den in canonical form), or None when L(D) = 0."""
+    spec = D.curve.spec
+    if D.degree < 0:
+        return None
     den = Polynomial.one(spec)
     num_fixed = Polynomial.one(spec)
     d_inf = 0
@@ -868,67 +924,122 @@ def _rr_space_p1(D):
             den = den * place.data**m
         else:
             num_fixed = num_fixed * place.data ** (-m)
-    top = den.degree + d_inf - num_fixed.degree
+    base = RationalFunction(num_fixed, den)
+    return base.num, base.den, den.degree + d_inf - num_fixed.degree
+
+
+def _rr_basis_p1(curve, parts):
+    num_fixed, den, top = parts
+    spec = curve.spec
+    zero = spec.zero()
+    # x^j * num_fixed and den share only the power of x dividing den: cancel
+    # it by exponent
+    e = 0
+    while not den.coeffs[e]:
+        e += 1
     basis = []
-    x = Polynomial.x(spec)
-    num = num_fixed
     for j in range(top + 1):
-        if j:
-            num = num * x
-        basis.append(FunctionFieldElement(curve, RationalFunction(num, den)))
+        c = min(j, e)
+        num = Polynomial._raw(spec, (zero,) * (j - c) + num_fixed.coeffs)
+        rf = RationalFunction._raw(num, Polynomial._raw(spec, den.coeffs[c:]))
+        basis.append(FunctionFieldElement(curve, rf))
     return basis
 
 
-def _rr_space_elliptic(D, ext_bound):
+def _rr_parts_elliptic(D, ext_bound):
+    """(bound, exponents, vectors, mult) with L(D) spanned by
+    (sum of c * x^i * y^j over (i, j) in exponents) / mult for each
+    coefficient vector c in vectors, or None when L(D) = 0.
+
+    mult (a polynomial in x) clears the affine poles of D; what is left,
+    D2 = D - div(mult), has bound = D2(O), and the ansatz is the basis
+    x^i y^j (2i + 3j <= bound, j in {0, 1}) of L(bound * O) cut down by the
+    vanishing conditions of D2 at affine places.
+    """
     curve = D.curve
     spec = curve.spec
     if D.degree < 0:
-        return []
-    one = FunctionFieldElement.one(curve)
-    mult = one
+        return None
+    mult = Polynomial.one(spec)
     for place, m in D.items():
         if place.kind == "ec-affine" and m > 0:
-            g = x_minimal_poly(place)
-            mult = mult * FunctionFieldElement(curve, RationalFunction(g)) ** m
-    D2 = D - principal_divisor(mult, ext_bound) if mult != one else D
+            mult = mult * x_minimal_poly(place) ** m
+    if mult.degree > 0:
+        D2 = D - principal_divisor(FunctionFieldElement(curve, RationalFunction(mult)), ext_bound)
+    else:
+        D2 = D
     bound = D2.multiplicity(Place.origin(curve))
     if bound < 0:
-        return []
-    # ansatz basis of L(bound * O): x^i y^j with 2i + 3j <= bound, j in {0,1}
-    x = FunctionFieldElement.x_function(curve)
-    y = FunctionFieldElement.y_function(curve)
-    x_powers = [one]
-    while 2 * len(x_powers) <= bound:
-        x_powers.append(x_powers[-1] * x)
-    monomials = x_powers + [xi * y for i, xi in enumerate(x_powers) if 2 * i + 3 <= bound]
+        return None
+    exponents = [(i, 0) for i in range(bound // 2 + 1)]
+    exponents += [(i, 1) for i in range((bound - 3) // 2 + 1)]
     conditions = []  # rows over GF(p), one per vanishing constraint
     for place, m in D2.items():
         if place.kind == "ec-origin" or m >= 0:
             continue
         order = -m
-        fieldv = place.residue_field()
-        expansions = [expand_at(g, place, order) for g in monomials]
+        k = place.residue_field().k
+        series = _monomial_series(curve, place, exponents, order)
         for r in range(order):
-            for coord in range(fieldv.k):
-                row = []
-                for ser in expansions:
-                    row.append(ser.coefficient(r).val[coord])
-                conditions.append(row)
+            for coord in range(k):
+                conditions.append([ser.coefficient(r).val[coord] for ser in series])
     from .linalg import kernel_basis
 
     if conditions:
-        coeff_vectors = kernel_basis(conditions, spec.p)
+        vectors = kernel_basis(conditions, spec.p)
     else:
-        coeff_vectors = [
-            [1 if i == j else 0 for i in range(len(monomials))]
-            for j in range(len(monomials))
-        ]
+        n = len(exponents)
+        vectors = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    return bound, exponents, vectors, mult
+
+
+def _rr_basis_elliptic(curve, parts):
+    bound, exponents, vectors, mult = parts
+    spec = curve.spec
     basis = []
-    inv_mult = mult.inverse() if mult != one else one
-    for vec in coeff_vectors:
-        g = FunctionFieldElement.zero(curve)
-        for c, mono in zip(vec, monomials):
-            if c:
-                g = g + mono * FunctionFieldElement.constant(curve, c)
-        basis.append(g * inv_mult if mult != one else g)
+    for vec in vectors:
+        a = [0] * (bound // 2 + 1)
+        b = [0] * (bound // 2 + 1)
+        for c, (i, j) in zip(vec, exponents):
+            (b if j else a)[i] = c
+        fa = RationalFunction(Polynomial.from_ints(spec, a), mult)
+        fb = RationalFunction(Polynomial.from_ints(spec, b), mult)
+        basis.append(FunctionFieldElement(curve, fa, fb))
     return basis
+
+
+def _monomial_series(curve, place, exponents, prec):
+    """Expansions below prec at an elliptic place of x^i * y^j for (i, j) in
+    exponents (j in {0, 1}, every i from 0 up present): one product each
+    from one pair (x(t), y(t))."""
+    # at O, x and y have valuations -2 and -3, and x^i * y^j needs x and y
+    # to 2i + 3j places more; elsewhere both are integral
+    pole = max(2 * i + 3 * j for i, j in exponents) if place.kind == "ec-origin" else 0
+    work = max(prec + pole, 1)
+    x, y = _ec_expansions(curve, place, work)
+    powers = [LaurentSeries.constant(place.residue_field().one(), work)]
+    for _ in range(max(i for i, _ in exponents)):
+        powers.append(powers[-1] * x)
+    out = [powers[i] * y if j else powers[i] for i, j in exponents]
+    assert all(ser.prec >= prec for ser in out)
+    return [ser.truncate(prec) for ser in out]
+
+
+def _combine(spec, series, vectors, prec):
+    """The series sum(c * s) below prec for each coefficient vector c, over
+    a prime field (one int per coefficient)."""
+    p = spec.p
+    lo = min(ser.start for ser in series)
+    n = prec - lo
+    cols = []
+    for ser in series:
+        col = [0] * (ser.start - lo) + ser.coeffs
+        cols.append(col + [0] * (n - len(col)))
+    out = []
+    for vec in vectors:
+        acc = [0] * n
+        for c, col in zip(vec, cols):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, col)]
+        out.append(LaurentSeries(spec, lo, [a % p for a in acc], prec))
+    return out

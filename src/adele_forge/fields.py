@@ -979,9 +979,21 @@ class RationalFunction:
         if g.degree > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        c = den.lc().inverse()
-        self.num = num.scale(c)
-        self.den = den.scale(c)
+        lc = den.lc()
+        if lc != den.spec.one():
+            c = lc.inverse()
+            num = num.scale(c)
+            den = den.scale(c)
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def _raw(cls, num, den):
+        """num/den already in canonical form (coprime, den monic)."""
+        rf = cls.__new__(cls)
+        rf.num = num
+        rf.den = den
+        return rf
 
     @classmethod
     def from_poly(cls, num):

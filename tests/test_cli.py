@@ -282,3 +282,27 @@ def test_massey_with_O_is_trivial(tmp_path, P, Q):
     cfg.write_text(json.dumps(doc))
     assert main(["run", str(cfg)]) == 1
     assert run_config(dict(doc, task="weil"))["result"]["pairing"] == ["1"]
+
+
+def test_rr_table_stabilization_cap_is_a_domain_error(tmp_path, capsys):
+    # degree -5000 needs m > 4096 before two consecutive h1 agree
+    cfg = tmp_path / "rr.json"
+    cfg.write_text(json.dumps(dict(RR_DOC, degrees=[-5000, -5000])))
+    assert main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error [domain]: ")
+    assert "degree -5000" in captured.err and "4096" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "curve, hi",
+    [({"model": "projective-line"}, 200), ({"model": "elliptic", "a": 1, "b": 1}, 60)],
+)
+def test_rr_table_whole_window_in_bounded_time(curve, hi):
+    start = time.perf_counter()
+    rep = run_config(dict(RR_DOC, curve=curve, degrees=[0, hi]))
+    elapsed = time.perf_counter() - start
+    assert rep["oracle"]["riemann_roch_closed_form"] == "match"
+    assert len(rep["result"]["table"]) == hi + 1
+    assert elapsed < 6.0, elapsed

@@ -2,6 +2,8 @@ import time
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adele_forge.curves import (
     CurveModel,
@@ -14,6 +16,7 @@ from adele_forge.curves import (
     leading_value_at,
     principal_divisor,
     rational_points,
+    riemann_roch_expansions,
     riemann_roch_space,
     scalar_multiple,
     torsion_points,
@@ -340,3 +343,99 @@ def test_rr_with_two_torsion_conditions():
         for f in basis:
             S = principal_divisor(f) + D
             assert all(m >= 0 for _, m in S.items())
+
+
+def _p1_places():
+    x = Polynomial.x(F5)
+    return [
+        Place.finite(P15, x),  # x | den when its multiplicity is positive
+        Place.finite(P15, Polynomial.from_ints(F5, [1, 1])),
+        Place.finite(P15, Polynomial.from_ints(F5, [2, 0, 1])),  # x^2 + 2, degree 2
+    ]
+
+
+def _elliptic_places():
+    # affine places of degree 1 (one of them 2-torsion, where y is the local
+    # parameter) and of degree 2 on y^2 = x^3 - x over GF(5)
+    E = CurveModel.elliptic(F5, -1, 0)
+    g = FunctionFieldElement(E, RationalFunction(Polynomial.from_ints(F5, [2, 1, 1])))
+    deg2 = [v for v, _ in principal_divisor(g).items() if v.residue_degree == 2]
+    two_torsion = Place.affine_orbit(E, F5.element(0), F5.element(0))
+    points = [Place.rational_point(E, P) for P in rational_points(E)[1:] if P[1]]
+    return E, [two_torsion, points[0], deg2[0]]
+
+
+def _series_key(ser):
+    return ser.start, ser.coeffs, ser.prec
+
+
+def _check_expansions(D, base, m, which):
+    E = D + Divisor(D.curve, {base: m})
+    prec = {
+        "below": -E.multiplicity(base) - 2,  # every expansion is zero there
+        "E": -E.multiplicity(base),
+        "D": -D.multiplicity(base),
+        "pos": 3,
+    }[which]
+    shared = riemann_roch_expansions(E, base, prec)
+    single = [expand_at(f, base, prec) for f in riemann_roch_space(E)]
+    assert len(shared) == len(single)
+    assert [_series_key(s) for s in shared] == [_series_key(s) for s in single]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mults=st.lists(st.integers(-2, 3), min_size=4, max_size=4),
+    m=st.sampled_from([0, 2, 4, 8]),
+    which=st.sampled_from(["below", "E", "D", "pos"]),
+)
+def test_rr_expansions_match_expand_at_p1(mults, m, which):
+    base = Place.infinity(P15)
+    places = _p1_places() + [base]
+    D = Divisor(P15, dict(zip(places, mults)))
+    _check_expansions(D, base, m, which)
+    for f in riemann_roch_space(D):  # each element in canonical form
+        assert f.fx == RationalFunction(f.fx.num, f.fx.den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mults=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    m=st.sampled_from([0, 2, 4, 8]),
+    which=st.sampled_from(["below", "E", "D", "pos"]),
+)
+def test_rr_expansions_match_expand_at_elliptic(mults, m, which):
+    E, affine = _elliptic_places()
+    base = Place.origin(E)
+    D = Divisor(E, dict(zip(affine + [base], mults)))
+    _check_expansions(D, base, m, which)
+
+
+def test_rr_expansions_fixtures():
+    # conditions at affine places and a mult != 1 together, on two curves
+    E, (tt, pt, deg2) = _elliptic_places()
+    E2 = CurveModel.elliptic(F7, 1, 1)
+    q = Place.rational_point(E2, rational_points(E2)[1])
+    cases = [
+        (Divisor(P15, {_p1_places()[0]: 2, _p1_places()[2]: -1}), Place.infinity(P15)),
+        (Divisor(E, {pt: 2, tt: -1, deg2: 1}), Place.origin(E)),
+        (Divisor(E, {deg2: -1, tt: 3}), Place.origin(E)),
+        (Divisor(E2, {q: 2, Place.origin(E2): -1}), Place.origin(E2)),
+    ]
+    for D, base in cases:
+        for m in (0, 2, 4, 8):
+            for which in ("below", "E", "D", "pos"):
+                _check_expansions(D, base, m, which)
+
+
+def test_rr_expansions_only_at_the_base_place():
+    D = Divisor(P15, {Place.infinity(P15): 2})
+    with pytest.raises(DomainError, match="base place"):
+        riemann_roch_expansions(D, _p1_places()[0], 0)
+    E, affine = _elliptic_places()
+    DE = Divisor(E, {Place.origin(E): 3})
+    for place in affine:
+        with pytest.raises(DomainError, match="base place"):
+            riemann_roch_expansions(DE, place, 0)
+    with pytest.raises(DomainError, match="different curves"):
+        riemann_roch_expansions(DE, Place.infinity(P15), 0)
