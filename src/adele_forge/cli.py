@@ -286,9 +286,10 @@ def _task_intersect(config, spec, ext_bound):
             raise SchemaError("intersect needs divisor1 and divisor2")
     D1 = _parse_surface_divisor(config["divisor1"], spec.p)
     D2 = _parse_surface_divisor(config["divisor2"], spec.p)
-    n = intersection_number(D1, D2, ext_bound)
-    cycle = surface_product_cycle(D1, D2, ext_bound)
-    fulton = fulton_intersection_cycle(D1, D2, ext_bound)
+    points = {}  # intersection points of each curve pair, found once
+    n = intersection_number(D1, D2, ext_bound, points)
+    cycle = surface_product_cycle(D1, D2, ext_bound, points)
+    fulton = fulton_intersection_cycle(D1, D2, ext_bound, points)
     bez = bezout_number(D1, D2)
     cycle_rows = [
         {"point": _enc_point_orbit(pt), "multiplicity": _enc_int(m)}

@@ -21,6 +21,15 @@ INFINITE = math.inf
 _CHART_VARS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
+def _powers(x, n):
+    """[1, x, ..., x^n]: one multiplication per step, so that evaluating a
+    form reads each monomial's powers instead of raising x once per term."""
+    out = [x.spec.one()]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
 class BiPoly:
     """Bivariate polynomial over a FieldSpec: {(i, j): coefficient}."""
 
@@ -94,9 +103,11 @@ class BiPoly:
         return BiPoly(self.spec, {(i + di, j + dj): c for (i, j), c in self.terms.items()})
 
     def evaluate(self, u0, v0):
+        pu = _powers(u0, self.deg_u())
+        pv = _powers(v0, self.deg_v())
         total = self.spec.zero()
         for (i, j), c in self.terms.items():
-            total = total + c * u0**i * v0**j
+            total = total + c * pu[i] * pv[j]
         return total
 
     def deg_u(self):
@@ -179,11 +190,6 @@ class BiPoly:
                 if s:
                     out[(i, j - 1)] = s
         return BiPoly(self.spec, out)
-
-    def lift_to(self, field):
-        if self.spec == field:
-            return self
-        return BiPoly(field, {ij: field.element(c.val[0]) for ij, c in self.terms.items()})
 
 
 def _prem_u(A, B):
@@ -291,6 +297,9 @@ def fulton_multiplicity(F, G, point):
     INFINITE when the curves share a component through the point.
     """
     u0, v0 = point
+    if F.evaluate(u0, v0) or G.evaluate(u0, v0):
+        # a common factor through the point would make both values zero
+        return 0
     F = F.translate(u0, v0)
     G = G.translate(u0, v0)
     H = bipoly_gcd(F, G)
@@ -383,9 +392,10 @@ class HomForm:
 
     def evaluate(self, coords):
         field = coords[0].spec
+        p0, p1, p2 = (_powers(x, self.degree) for x in coords)
         total = field.zero()
         for (i, j, k), c in self.terms.items():
-            total = total + field.element(c) * coords[0] ** i * coords[1] ** j * coords[2] ** k
+            total = total + field.element(c) * p0[i] * p1[j] * p2[k]
         return total
 
     def dehomogenize(self, chart, field):
@@ -950,9 +960,10 @@ def curve_intersection_points(C1, C2, ext_bound=6):
 def _fiber_poly(F, x0, x1, field):
     """F(x0, x1, Z) as a univariate polynomial in Z over ``field``."""
     n = max(k for (_, _, k) in F.terms)
+    p0, p1 = _powers(x0, F.degree), _powers(x1, F.degree)
     coeffs = [field.zero()] * (n + 1)
     for (i, j, k), c in F.terms.items():
-        coeffs[k] = coeffs[k] + field.element(c) * x0**i * x1**j
+        coeffs[k] = coeffs[k] + field.element(c) * p0[i] * p1[j]
     return Polynomial.from_elements(field, coeffs)
 
 
@@ -1030,9 +1041,16 @@ def _local_equation(divisor, aux):
     return FactoredFunction(p, 1, powers)
 
 
-def _contributing_flags(D1, D2, ext_bound):
+def _contributing_flags(D1, D2, ext_bound, points):
     """Flags (C in supp D1, x in C meet supp D2), with the points deduped per
-    curve, plus the set of all contributing points."""
+    curve, plus the set of all contributing points.
+
+    ``points`` maps (C, F, ext_bound) to ``curve_intersection_points(C, F,
+    ext_bound)``; a missing pair is computed and stored, and None starts an
+    empty memo.
+    """
+    if points is None:
+        points = {}
     flags = []
     all_points = {}
     for C, _m in D1.items():
@@ -1040,28 +1058,37 @@ def _contributing_flags(D1, D2, ext_bound):
         for F, _n in D2.items():
             if C == F:
                 raise DomainError("improper intersection: shared component")
-            for pt in curve_intersection_points(C, F, ext_bound):
+            key = (C, F, ext_bound)
+            found = points.get(key)
+            if found is None:
+                found = points[key] = curve_intersection_points(C, F, ext_bound)
+            for pt in found:
                 pts[pt] = None
                 all_points[pt] = None
         flags.append((C, list(pts)))
     return flags, list(all_points)
 
 
-def intersection_number(D1, D2, ext_bound=6):
+def intersection_number(D1, D2, ext_bound=6, points=None):
     """The adelic intersection number -sum [k(x):k] nu_{XCx}{s1^-1, s2^-1}.
 
     s1 and s2 are single degree-zero ratios per divisor with poles on an
     auxiliary line chosen to avoid every contributing point; the flag sum
     runs over the curves of D1 and their intersection points with D2, the
     flags where the symbol has nontrivial residue.
+
+    ``points`` is the memo of intersection points keyed by (C, F,
+    ext_bound), C in supp D1 and F in supp D2; pass one dict to every
+    intersection of the same divisors and each ordered curve pair's points
+    are found once.  None computes them afresh.
     """
     p = _surface_char(D1, D2)
-    flags, points = _contributing_flags(D1, D2, ext_bound)
+    flags, contributing = _contributing_flags(D1, D2, ext_bound, points)
     for C, pts in flags:
         for pt in pts:
             if not C.smooth_at(pt):
                 raise DomainError("flag-curve singular at %r" % (pt,))
-    aux = choose_aux_line(p, points, exclude_forms={C.form for C, _ in D1.items()}
+    aux = choose_aux_line(p, contributing, exclude_forms={C.form for C, _ in D1.items()}
                           | {C.form for C, _ in D2.items()})
     s1 = _local_equation(D1, aux)
     s2 = _local_equation(D2, aux)
@@ -1085,11 +1112,16 @@ def bezout_number(D1, D2):
     return D1.degree * D2.degree
 
 
-def fulton_intersection_cycle(D1, D2, ext_bound=6):
-    """Point-by-point Fulton multiplicities I_x(D1, D2) as an oracle cycle."""
-    _, points = _contributing_flags(D1, D2, ext_bound)
+def fulton_intersection_cycle(D1, D2, ext_bound=6, points=None):
+    """Point-by-point Fulton multiplicities I_x(D1, D2) as an oracle cycle.
+
+    ``points`` is the intersection-point memo of ``intersection_number``.
+    Only the points are shared: the multiplicities are computed here, apart
+    from the flag residues they check.
+    """
+    _, contributing = _contributing_flags(D1, D2, ext_bound, points)
     cycle = {}
-    for pt in points:
+    for pt in contributing:
         chart = pt.chart()
         field = pt.field
         a = pt.affine(chart)
@@ -1109,21 +1141,22 @@ def fulton_intersection_cycle(D1, D2, ext_bound=6):
     return cycle
 
 
-def surface_product_cycle(D1, D2, ext_bound=6):
+def surface_product_cycle(D1, D2, ext_bound=6, points=None):
     """The zero-cycle nu_X([D1].[D2]) of the flag-wise product of the two
     divisor 1-cocycles with per-flag local equations (tail 1 outside the
     supports), as a finite map point -> integer.
 
     Its multiplicity at x matches the Fulton local multiplicity up to the
     audited global sign, and its degree equals intersection_number(D1, D2).
+    ``points`` is the intersection-point memo of ``intersection_number``.
     """
     p = _surface_char(D1, D2)
-    flags, points = _contributing_flags(D1, D2, ext_bound)
+    flags, contributing = _contributing_flags(D1, D2, ext_bound, points)
     for C, pts in flags:
         for pt in pts:
             if not C.smooth_at(pt):
                 raise DomainError("flag-curve singular at %r" % (pt,))
-    aux = choose_aux_line(p, points, exclude_forms={C.form for C, _ in D1.items()}
+    aux = choose_aux_line(p, contributing, exclude_forms={C.form for C, _ in D1.items()}
                           | {C.form for C, _ in D2.items()})
     cycle = {}
     for C, pts in flags:

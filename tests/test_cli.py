@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -31,17 +32,57 @@ def test_rr_table_task():
         assert int(row["h0"]) - int(row["h1"]) == int(row["degree"]) + 1
 
 
+# X0^2 + X1^2 - X2^2 and X0^2 + 2X1^2 - 3X2^2 over GF(7) meet where
+# X1 = +-3X2 and X0^2 = -X2^2: two points of degree 2
+CONICS_DOC = {
+    "field": {"p": 7},
+    "task": "intersect",
+    "divisor1": [{"form": [[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, -1]], "multiplicity": 1}],
+    "divisor2": [{"form": [[2, 0, 0, 1], [0, 2, 0, 2], [0, 0, 2, -3]], "multiplicity": 1}],
+}
+
+LINE_CONIC_DOC = {
+    "field": {"p": 7},
+    "task": "intersect",
+    "divisor1": [{"form": [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 1]], "multiplicity": 2}],
+    "divisor2": [{"form": [[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, -1]], "multiplicity": 1}],
+}
+
+# two nonsingular cubics over GF(7) meeting in a rational point and a point
+# of degree 8, so they need ext_bound 8
+CUBICS_DOC = {
+    "field": {"p": 7},
+    "task": "intersect",
+    "divisor1": [{"form": [[0, 0, 3, 6], [0, 1, 2, 3], [0, 2, 1, 6], [0, 3, 0, 1], [1, 2, 0, 3],
+                           [2, 0, 1, 6], [2, 1, 0, 5], [3, 0, 0, 6]], "multiplicity": 1}],
+    "divisor2": [{"form": [[0, 0, 3, 1], [0, 1, 2, 3], [0, 2, 1, 1], [0, 3, 0, 3], [1, 0, 2, 5],
+                           [1, 2, 0, 2], [2, 0, 1, 6], [2, 1, 0, 4], [3, 0, 0, 1]], "multiplicity": 1}],
+}
+
+
 def test_intersect_task():
-    doc = {
-        "field": {"p": 7},
-        "task": "intersect",
-        "divisor1": [{"form": [[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, -1]], "multiplicity": 1}],
-        "divisor2": [{"form": [[2, 0, 0, 1], [0, 2, 0, 2], [0, 0, 2, -3]], "multiplicity": 1}],
-    }
-    rep = run_config(doc)
+    rep = run_config(CONICS_DOC)
     assert rep["result"]["intersection_number"] == "4"
     assert rep["oracle"]["oracles"] == "match"
     assert rep["oracle"]["bezout"] == "4"
+    assert [row["point"]["degree"] for row in rep["result"]["cycle"]] == ["2", "2"]
+
+
+@pytest.mark.parametrize(
+    "doc, ext_bound, digest",
+    [
+        (LINE_CONIC_DOC, 6, "1c24931dea9e46986645f9d89ac862db42c2ba90f5adcd54123eca9e970c980c"),
+        (CONICS_DOC, 6, "2c473495eee485e386d214085ee20ff1df89057561eac96f3e941ba09eafe89f"),
+        (CUBICS_DOC, 8, "2b408b61efda2f2bc410afca7e2ae558e5d5d90698a539c9f2ad038b72930605"),
+    ],
+    ids=["line-conic", "conic-conic", "cubic-cubic"],
+)
+def test_intersect_report_bytes(doc, ext_bound, digest):
+    # SHA-256 of the report without "version", as perfbench digests it
+    rep = run_config(doc, ext_bound=ext_bound)
+    assert rep["oracle"]["oracles"] == "match"
+    body = {k: v for k, v in rep.items() if k != "version"}
+    assert hashlib.sha256(json.dumps(body, sort_keys=True, indent=2).encode()).hexdigest() == digest
 
 
 def test_intersect_cubic_over_gf2():

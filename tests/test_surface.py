@@ -1,11 +1,14 @@
+from collections import Counter
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from adele_forge import surface
+from adele_forge.cli import run_config
 from adele_forge.errors import DomainError
-from adele_forge.fields import canonical_field, prime_field
+from adele_forge.fields import Polynomial, canonical_field, prime_field
 from adele_forge.surface import (
     BiPoly,
     FactoredFunction,
@@ -31,7 +34,7 @@ from adele_forge.surface import (
     surface_product_cycle,
     valuation_on_curve,
 )
-from adele_forge.surface import _has_linear_factor
+from adele_forge.surface import _fiber_poly, _has_linear_factor
 
 P = 7
 F7 = prime_field(P)
@@ -414,3 +417,138 @@ def test_ext_bound_enforced():
     c2 = PlaneCurve(HomForm(P, {(2, 0, 0): 1, (0, 1, 1): 1, (0, 0, 2): -2}))
     with _pytest.raises(DomainError):
         curve_intersection_points(c1, c2, ext_bound=3)
+
+
+# ---------------------------------------------------------------------------
+# the intersection-point memo
+
+
+def test_intersect_finds_each_pair_once(monkeypatch):
+    # two components on each side: intersection_number, the product cycle
+    # and the Fulton oracle together ask for each of the four ordered pairs
+    calls = Counter()
+    real = surface.curve_intersection_points
+
+    def counting(C, F, ext_bound=6):
+        calls[(C, F)] += 1
+        return real(C, F, ext_bound)
+
+    monkeypatch.setattr(surface, "curve_intersection_points", counting)
+    doc = {
+        "field": {"p": P},
+        "task": "intersect",
+        "divisor1": [
+            {"form": [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 1]], "multiplicity": 2},
+            {"form": [[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, -1]], "multiplicity": 1},
+        ],
+        "divisor2": [
+            {"form": [[0, 1, 0, 1]], "multiplicity": 1},
+            {"form": [[2, 0, 0, 1], [0, 2, 0, 2], [0, 0, 2, -3]], "multiplicity": 1},
+        ],
+    }
+    rep = run_config(doc)
+    assert rep["oracle"]["oracles"] == "match"
+    assert len(calls) == 4 and set(calls.values()) == {1}
+
+
+@st.composite
+def _plane_curves(draw):
+    """A line, conic or cubic over GF(7) with no linear factor."""
+    d = draw(st.integers(1, 3))
+    monos = _monomials(d)
+    coeffs = draw(st.lists(st.integers(0, P - 1), min_size=len(monos), max_size=len(monos)))
+    assume(any(coeffs))
+    try:
+        return PlaneCurve(HomForm(P, dict(zip(monos, coeffs))))
+    except DomainError:
+        assume(False)
+
+
+@st.composite
+def _divisor(draw):
+    """One or two components, total degree at most 4."""
+    curves = draw(st.lists(_plane_curves(), min_size=1, max_size=2, unique=True))
+    assume(sum(c.degree for c in curves) <= 4)
+    return SurfaceDivisor({c: draw(st.integers(1, 2)) for c in curves})
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+_C1 = PlaneCurve(HomForm(P, {(2, 0, 0): 1, (0, 2, 0): 3, (0, 0, 2): -1}))
+_C2 = PlaneCurve(HomForm(P, {(2, 0, 0): 1, (0, 1, 1): 1, (0, 0, 2): -2}))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_divisor(), _divisor(), st.sampled_from([6, 8]))
+@example(SurfaceDivisor({_C1: 1}), SurfaceDivisor({_C2: 1}), 8)  # one point of degree 4
+def test_shared_points_memo_matches_fresh(D1, D2, ext_bound):
+    assume(not any(D2.multiplicity(C) for C in D1.support()))
+    funcs = (intersection_number, surface_product_cycle, fulton_intersection_cycle)
+    fresh = [_outcome(f, D1, D2, ext_bound) for f in funcs]
+    points = {}
+    shared = [_outcome(f, D1, D2, ext_bound, points) for f in funcs]
+    assert shared == fresh
+    for (C, F, bound), found in points.items():
+        assert bound == ext_bound and D1.multiplicity(C) and D2.multiplicity(F)
+        assert found == curve_intersection_points(C, F, ext_bound)
+
+
+# ---------------------------------------------------------------------------
+# evaluation from power tables
+
+
+@st.composite
+def _field_and_point(draw, n):
+    """GF(p^k) with k <= 3 and n coordinates in it, often zero."""
+    K = canonical_field(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 3)))
+    code = st.one_of(st.just(0), st.integers(0, K.order - 1))
+    return K, [K.from_encoding(draw(code)) for _ in range(n)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(_field_and_point(2), st.data())
+def test_bipoly_evaluate_matches_powers(fp, data):
+    K, (u0, v0) = fp
+    # an empty dict is the zero BiPoly
+    terms = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(0, K.order - 1), max_size=8))
+    f = BiPoly(K, {ij: K.from_encoding(c) for ij, c in terms.items()})
+    expected = K.zero()
+    for (i, j), c in f.terms.items():
+        expected = expected + c * u0**i * v0**j
+    assert f.evaluate(u0, v0) == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(_forms(degrees=(1, 4)), st.integers(1, 3), st.data())
+def test_homform_evaluate_and_fiber_match_powers(pf, k, data):
+    form = HomForm(*pf)
+    K = canonical_field(form.p, k)
+    code = st.one_of(st.just(0), st.integers(0, K.order - 1))
+    x0, x1, x2 = (K.from_encoding(data.draw(code)) for _ in range(3))
+    expected = K.zero()
+    for (i, j, l), c in form.terms.items():
+        expected = expected + K.element(c) * x0**i * x1**j * x2**l
+    assert form.evaluate((x0, x1, x2)) == expected
+    n = max(l for (_, _, l) in form.terms)
+    fiber = [K.zero()] * (n + 1)
+    for (i, j, l), c in form.terms.items():
+        fiber[l] = fiber[l] + K.element(c) * x0**i * x1**j
+    assert _fiber_poly(form, x0, x1, K) == Polynomial.from_elements(K, fiber)
+
+
+def test_fulton_multiplicity_off_the_curves():
+    u, v = u_var(), v_var()
+    one = BiPoly.constant(F7.one())
+    a = u + one  # a common factor of F and G
+    F, G = u * a, v * a
+    assert fulton_multiplicity(F, G, (F7.zero(), F7.zero())) == 1
+    assert fulton_multiplicity(F, G, (F7.element(-1), F7.zero())) is INFINITE
+    assert fulton_multiplicity(F, G, (F7.one(), F7.one())) == 0  # off both
+    assert fulton_multiplicity(F, G, (F7.zero(), F7.one())) == 0  # on F only
+    assert fulton_multiplicity(F, BiPoly.zero(F7), (F7.one(), F7.zero())) == 0
