@@ -233,6 +233,8 @@ def _task_rr_table(config, curve, ext_bound):
         base = Place.infinity(curve) if curve.kind == "p1" else Place.origin(curve)
         divisors = [Divisor(curve, {base: n}) if n else Divisor(curve) for n in range(lo, hi + 1)]
     elif "divisors" in payload:
+        if not isinstance(payload["divisors"], list) or not payload["divisors"]:
+            raise SchemaError("divisors must be a nonempty list of divisors")
         divisors = [_parse_divisor(d, curve) for d in payload["divisors"]]
     else:
         raise SchemaError("rr-table needs degrees or divisors")
@@ -257,6 +259,8 @@ def _task_rr_table(config, curve, ext_bound):
 def _task_reciprocity(config, curve, ext_bound):
     if "symbols" not in config:
         raise SchemaError("reciprocity needs symbols")
+    if not isinstance(config["symbols"], list) or not config["symbols"]:
+        raise SchemaError("symbols must be a nonempty list of symbols")
     results = []
     ok = True
     for entries in config["symbols"]:

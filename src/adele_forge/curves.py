@@ -88,7 +88,22 @@ class CurveModel:
         )
 
     def contains_affine(self, x, y):
-        return y * y == self.rhs_poly(x.spec).evaluate(x)
+        """Whether y^2 = x^3 + a*x + b, for x and y in one field over the
+        base field; an x and a y of different fields are never a point.
+
+        Compares y^2 with (x^2 + a)*x + b directly, on ints at k = 1,
+        without building ``rhs_poly``.
+        """
+        if self.kind != "elliptic":
+            raise DomainError("rhs only defined for the elliptic model")
+        a, b = self.a.val[0], self.b.val[0]
+        spec = x.spec
+        if spec.k == 1:
+            if y.spec != spec:
+                return False
+            xv, yv = x.val[0], y.val[0]
+            return (yv * yv - (xv * xv + a) * xv - b) % spec.p == 0
+        return y * y == (x * x + a) * x + b
 
 
 class Place:

@@ -90,6 +90,8 @@ class FieldSpec:
         return self.p**self.k
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FieldSpec)
             and self.p == other.p
@@ -130,7 +132,7 @@ class FieldSpec:
         return self._elt((0,) * self.k)
 
     def one(self):
-        return self.element(1)
+        return self._elt((1,) + (0,) * (self.k - 1))
 
     def gen(self):
         """The class of x (for k > 1), or 1 for a prime field."""
@@ -213,7 +215,36 @@ def canonical_field(p, k):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _mulmod(a, b, modulus, p):
+    """The product of two GF(p^k) coefficient tuples (length k, low degree
+    first) reduced by the monic degree-k ``modulus``, as a reduced tuple."""
+    k = len(a)
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    # x^d = -x^(d-k) * (modulus - x^k), from the top degree down
+    for d in range(2 * k - 2, k - 1, -1):
+        t = prod[d] % p
+        if t:
+            for j in range(k):
+                prod[d - k + j] -= t * modulus[j]
+    return tuple([c % p for c in prod[:k]])
+
+
 class FieldElement:
+    """An element of a FieldSpec: ``val`` is its reduced coefficient tuple
+    of length k over GF(p), low degree first.
+
+    Operands of the same FieldSpec object take a fast path; an int operand
+    is coerced into the field, and an element of an equal but distinct spec
+    (compared by value) is accepted too.  Elements of different fields raise
+    DomainError.  At k = 1 the operators compute on ``val[0]`` with one
+    reduction mod p; at k > 1 a product is a schoolbook product of the two
+    tuples reduced by the monic modulus in the same routine (``_mulmod``).
+    """
+
     __slots__ = ("spec", "val")
 
     def __init__(self, spec, value):
@@ -225,6 +256,8 @@ class FieldElement:
         return any(self.val)
 
     def __eq__(self, other):
+        if other.__class__ is FieldElement and other.spec is self.spec:
+            return self.val == other.val
         if isinstance(other, int):
             return self == self.spec.element(other)
         return (
@@ -253,6 +286,8 @@ class FieldElement:
         return self.val[0]
 
     def _coerce(self, other):
+        if other.__class__ is FieldElement and other.spec is self.spec:
+            return other
         if isinstance(other, int):
             return self.spec.element(other)
         if not isinstance(other, FieldElement):
@@ -265,8 +300,11 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.spec.p
-        return self.spec._elt(tuple((a + b) % p for a, b in zip(self.val, other.val)))
+        spec = self.spec
+        p = spec.p
+        if spec.k == 1:
+            return spec._elt(((self.val[0] + other.val[0]) % p,))
+        return spec._elt(tuple([(a + b) % p for a, b in zip(self.val, other.val)]))
 
     __radd__ = __add__
 
@@ -274,28 +312,30 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.spec.p
-        return self.spec._elt(tuple((a - b) % p for a, b in zip(self.val, other.val)))
+        spec = self.spec
+        p = spec.p
+        if spec.k == 1:
+            return spec._elt(((self.val[0] - other.val[0]) % p,))
+        return spec._elt(tuple([(a - b) % p for a, b in zip(self.val, other.val)]))
 
     def __rsub__(self, other):
         return self.spec.element(other) - self
 
     def __neg__(self):
-        p = self.spec.p
-        return self.spec._elt(tuple((-a) % p for a in self.val))
+        spec = self.spec
+        p = spec.p
+        if spec.k == 1:
+            return spec._elt(((-self.val[0]) % p,))
+        return spec._elt(tuple([(-a) % p for a in self.val]))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         spec = self.spec
-        p = spec.p
         if spec.k == 1:
-            return spec._elt(((self.val[0] * other.val[0]) % p,))
-        prod = K.poly_mul(list(self.val), list(other.val), p)
-        prod = K.poly_mod(prod, list(spec.modulus), p)
-        prod += [0] * (spec.k - len(prod))
-        return spec._elt(tuple(prod))
+            return spec._elt(((self.val[0] * other.val[0]) % spec.p,))
+        return spec._elt(_mulmod(self.val, other.val, spec.modulus, spec.p))
 
     __rmul__ = __mul__
 
@@ -748,10 +788,18 @@ class Polynomial:
         return self.scale(self.lc().inverse())
 
     def evaluate(self, x):
+        """The value at x (an int or an element of this field), by Horner;
+        on ints over GF(p)."""
+        spec = self.spec
         if isinstance(x, int):
-            x = self.spec.element(x)
-        if x.spec != self.spec:
+            x = spec.element(x)
+        if x.spec != spec:
             raise DomainError("evaluation point in a different field")
+        if spec.k == 1:
+            p, t, y = spec.p, x.val[0], 0
+            for c in reversed(self.coeffs):
+                y = (y * t + c.val[0]) % p
+            return x.spec._elt((y,))
         y = x.spec.zero()
         for c in reversed(self.coeffs):
             y = y * x + c

@@ -85,6 +85,53 @@ def test_intersect_report_bytes(doc, ext_bound, digest):
     assert hashlib.sha256(json.dumps(body, sort_keys=True, indent=2).encode()).hexdigest() == digest
 
 
+# y^2 = x^3 + 2 over GF(7) has full 3-torsion; (0, 3) and (3, 1) generate it
+TORSION3_DOC = {
+    "field": {"p": 7},
+    "curve": {"model": "elliptic", "a": 0, "b": 2},
+    "task": "massey",
+    "l": 3,
+    "P": [0, 3],
+    "Q": [3, 1],
+}
+
+# Curve models need a prime base field, so no weil or massey config reaches
+# GF(p^k) scalars.  These two run the k > 1 product instead: a tame symbol
+# at a degree-2 place of P^1 over GF(7), whose value lies in GF(49), and
+# Weil reciprocity on an elliptic curve through places of degree up to 16.
+TAME_GF49_DOC = {
+    "field": {"p": 7},
+    "curve": {"model": "projective-line"},
+    "task": "tame",
+    "symbol": [[{"num": [1, 0, 1]}, {"num": [2, 1, 3]}, 1]],
+    "place": {"type": "finite", "poly": [1, 0, 1]},
+}
+RECIPROCITY_EXT_DOC = {
+    "field": {"p": 5},
+    "curve": {"model": "elliptic", "a": 3, "b": 3},
+    "task": "reciprocity",
+    "symbols": [[[{"num": [3, 2], "ynum": [1, 1]}, {"num": [1, 2]}, -1]]],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, ext_bound, digest",
+    [
+        (WEIL_DOC, 6, "a4a7b4c5e8ebb65eca68ffa1b36e3937d05ad79deb54b8a123df8f8c0bc019e6"),
+        (TORSION3_DOC, 6, "cd31d65a51225bff7b5b3431cc0d40b8b723d21d74f7f39c1c8ff4c220fd3e78"),
+        (TAME_GF49_DOC, 6, "893dbdc32726b80c15c427540d640526374eafa17b29eabca33103aceb021700"),
+        (RECIPROCITY_EXT_DOC, 16, "70bef0c0b1669afb22d56439c34a5690feae0e7f0c8a8488261449e58afe2f23"),
+    ],
+    ids=["weil-gf5", "massey-3-torsion", "tame-gf49", "reciprocity-ext16"],
+)
+def test_pairing_report_bytes(doc, ext_bound, digest):
+    # SHA-256 of the report without "version", as perfbench digests it
+    rep = run_config(doc, ext_bound=ext_bound)
+    assert "MISMATCH" not in rep["oracle"].values()
+    body = {k: v for k, v in rep.items() if k != "version"}
+    assert hashlib.sha256(json.dumps(body, sort_keys=True, indent=2).encode()).hexdigest() == digest
+
+
 def test_intersect_cubic_over_gf2():
     # on the line X2 = 0 the cubic restricts to X0*X1*(X0 + X1), which is
     # zero at all three points of P^1(GF(2)); the cubic is still irreducible
@@ -347,3 +394,24 @@ def test_rr_table_whole_window_in_bounded_time(curve, hi):
     assert rep["oracle"]["riemann_roch_closed_form"] == "match"
     assert len(rep["result"]["table"]) == hi + 1
     assert elapsed < 6.0, elapsed
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(RR_DOC, divisors=3), "divisors must be a nonempty list"),
+        (dict(RR_DOC, divisors=[]), "divisors must be a nonempty list"),
+        (dict(RECIPROCITY_EXT_DOC, symbols=7), "symbols must be a nonempty list"),
+        (dict(RECIPROCITY_EXT_DOC, symbols=[]), "symbols must be a nonempty list"),
+    ],
+    ids=["divisors-int", "divisors-empty", "symbols-int", "symbols-empty"],
+)
+def test_non_list_payloads_are_schema_errors(tmp_path, capsys, doc, message):
+    with pytest.raises(SchemaError, match=message):
+        run_config(doc)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("schema error ") and message in captured.err
+    assert "Traceback" not in captured.out + captured.err

@@ -439,3 +439,54 @@ def test_rr_expansions_only_at_the_base_place():
             riemann_roch_expansions(DE, place, 0)
     with pytest.raises(DomainError, match="different curves"):
         riemann_roch_expansions(DE, Place.infinity(P15), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([5, 7, 11, 2**61 - 1]),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_contains_affine_matches_rhs_poly(p, k, a, b, data):
+    try:
+        curve = CurveModel.elliptic(prime_field(p), a, b)
+    except DomainError:
+        return  # singular
+    field = canonical_field(p, k)
+    rhs = curve.rhs_poly(field)
+    code = st.one_of(st.just(0), st.just(1), st.integers(0, field.order - 1))
+    x = field.from_encoding(data.draw(code))
+    root = field_sqrt(rhs.evaluate(x))
+    ys = [field.from_encoding(data.draw(code))]
+    if root is not None:
+        ys += [root, -root, root + 1]
+    for y in ys:
+        assert curve.contains_affine(x, y) == (y * y == rhs.evaluate(x))
+    if root is not None:
+        assert curve.contains_affine(x, root)
+        if k > 1:  # a y from a different field is never a point
+            assert not curve.contains_affine(x, prime_field(p).element(root.val[0]))
+        else:
+            assert not curve.contains_affine(x, canonical_field(p, 2).element(root.val[0]))
+
+
+def test_contains_affine_needs_the_elliptic_model():
+    with pytest.raises(DomainError):
+        P15.contains_affine(F5.one(), F5.one())
+
+
+@pytest.mark.parametrize("field", [F7, canonical_field(7, 2)])
+def test_ec_add_rejects_off_curve_operands(field):
+    E = CurveModel.elliptic(F7, 2, 3)
+    rhs = E.rhs_poly(field)
+    on = next(
+        (x, r) for x in field.elements() for r in [field_sqrt(rhs.evaluate(x))] if r is not None
+    )
+    off = (on[0], on[1] + 1)
+    assert E.contains_affine(*on) and not E.contains_affine(*off)
+    ec_add(E, on, on)
+    for P, Q in ((off, on), (on, off), (off, None), (None, off), (off, off)):
+        with pytest.raises(DomainError, match="not on the curve"):
+            ec_add(E, P, Q)

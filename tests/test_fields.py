@@ -454,3 +454,157 @@ def test_ext_factor_roundtrip(case):
     # the linear factors are exactly the roots
     roots = [-g.constant_term() for g, _ in factors if g.degree == 1]
     assert sorted(r.encoding() for r in roots) == [r.encoding() for r in poly_roots(f)]
+
+
+# ---------------------------------------------------------------------------
+# scalar GF(p^k) arithmetic against int-list polynomials mod the modulus
+
+SCALAR_FIELDS = [canonical_field(p, k) for p in (2, 3, 5, 7, M61) for k in (1, 2, 3, 4)]
+SCALAR_LAWS = settings(deadline=None, max_examples=200)
+
+
+def _ref_reduce(spec, coeffs):
+    """The coefficient tuple of an int polynomial modulo the field's modulus."""
+    p, k = spec.p, spec.k
+    c = [x % p for x in coeffs]
+    if k > 1:
+        for d in range(len(c) - 1, k - 1, -1):
+            t = c[d]
+            for j, m in enumerate(spec.modulus):
+                c[d - k + j] = (c[d - k + j] - t * m) % p
+    return tuple(c[:k] + [0] * (k - len(c)))
+
+
+def _ref_int(spec, n):
+    return _ref_reduce(spec, [n])
+
+
+def _ref_add(spec, a, b):
+    return _ref_reduce(spec, [x + y for x, y in zip(a, b)])
+
+
+def _ref_neg(spec, a):
+    return _ref_reduce(spec, [-x for x in a])
+
+
+def _ref_scalar_mul(spec, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_reduce(spec, out)
+
+
+def _ref_scalar_inv(spec, a):
+    # a^(q - 2) by square and multiply
+    result, base, e = _ref_int(spec, 1), a, spec.order - 2
+    while e:
+        if e & 1:
+            result = _ref_scalar_mul(spec, result, base)
+        base = _ref_scalar_mul(spec, base, base)
+        e >>= 1
+    return result
+
+
+@st.composite
+def _scalars(draw):
+    """A field, two of its elements (zero and one often) and an int."""
+    spec = draw(st.sampled_from(SCALAR_FIELDS))
+    code = st.one_of(st.just(0), st.just(1), st.integers(0, spec.order - 1))
+    a, b = spec.from_encoding(draw(code)), spec.from_encoding(draw(code))
+    n = draw(st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)))
+    return spec, a, b, n
+
+
+@SCALAR_LAWS
+@given(_scalars())
+def test_scalar_ops_match_int_reference(case):
+    spec, a, b, n = case
+    va, vb, vn = a.val, b.val, _ref_int(spec, n)
+    for got, want in (
+        (a + b, _ref_add(spec, va, vb)),
+        (a - b, _ref_add(spec, va, _ref_neg(spec, vb))),
+        (a * b, _ref_scalar_mul(spec, va, vb)),
+        (-a, _ref_neg(spec, va)),
+        (a + n, _ref_add(spec, va, vn)),
+        (n + a, _ref_add(spec, va, vn)),
+        (a - n, _ref_add(spec, va, _ref_neg(spec, vn))),
+        (n - a, _ref_add(spec, vn, _ref_neg(spec, va))),
+        (a * n, _ref_scalar_mul(spec, va, vn)),
+        (n * a, _ref_scalar_mul(spec, va, vn)),
+    ):
+        assert got.spec is spec and got.val == want
+    if b:
+        assert (a / b).val == _ref_scalar_mul(spec, va, _ref_scalar_inv(spec, vb))
+    else:
+        with pytest.raises(DomainError):
+            a / b
+    if n % spec.p:
+        assert (a / n).val == _ref_scalar_mul(spec, va, _ref_scalar_inv(spec, vn))
+    if a:
+        assert (n / a).val == _ref_scalar_mul(spec, vn, _ref_scalar_inv(spec, va))
+    assert (a == b) == (va == vb) and (a != b) == (va != vb)
+    assert (a == n) == (va == vn) and (n == a) == (va == vn)
+
+
+@SCALAR_LAWS
+@given(_scalars(), st.sampled_from(SCALAR_FIELDS))
+def test_scalar_ops_reject_mixed_fields(case, other_spec):
+    spec, a, _, _ = case
+    if other_spec == spec:
+        return
+    b = other_spec.one()
+    for op in (
+        lambda: a + b,
+        lambda: a - b,
+        lambda: a * b,
+        lambda: a / b,
+        lambda: b + a,
+        lambda: b * a,
+        lambda: other_spec.element(a),
+        lambda: Polynomial.constant(b).evaluate(a),
+    ):
+        with pytest.raises(DomainError):
+            op()
+    assert a != b and not (a == b)
+
+
+@pytest.mark.parametrize("p", [2, 5, M61])
+def test_equal_distinct_specs_work_together(p):
+    fresh, cached = FieldSpec(p), prime_field(p)
+    assert fresh is not cached and fresh == cached and hash(fresh) == hash(cached)
+    a, b = fresh.element(3), cached.element(p - 1)
+    assert a == cached.element(3) and cached.element(3) == a
+    assert (a + b).val == (2 % p,) and (b + a).val == (2 % p,)
+    assert (a - b).val == (4 % p,) and (a * b).val == ((-3) % p,)
+    if p > 3:
+        assert (a / b).val == ((-3) % p,) and (b / a * a) == b
+    ext = canonical_field(p, 2)
+    twin = FieldSpec(p, 2, ext.modulus)
+    g = twin.gen()
+    assert twin is not ext and twin == ext
+    assert g * ext.gen() == ext.gen() * ext.gen() and g == ext.gen()
+    assert Polynomial.x(ext).evaluate(g) == g
+
+
+# ---------------------------------------------------------------------------
+# Polynomial.evaluate
+
+
+@SCALAR_LAWS
+@given(st.data())
+def test_polynomial_evaluate_matches_naive_sum(data):
+    spec = data.draw(st.sampled_from(SCALAR_FIELDS))
+    code = st.one_of(st.just(0), st.just(1), st.integers(0, spec.order - 1))
+    coeffs = [spec.from_encoding(c) for c in data.draw(st.lists(code, max_size=8))]
+    f = Polynomial.from_elements(spec, coeffs)
+    x = spec.from_encoding(data.draw(code))
+    naive = spec.zero()
+    for i, c in enumerate(coeffs):
+        naive = naive + c * x**i
+    assert f.evaluate(x) == naive and f.evaluate(x).spec == spec
+    n = data.draw(st.integers(-(2**70), 2**70))
+    assert f.evaluate(n) == f.evaluate(spec.element(n))
+    for other in (canonical_field(spec.p, spec.k % 4 + 1), prime_field(3 if spec.p != 3 else 5)):
+        with pytest.raises(DomainError, match="different field"):
+            f.evaluate(other.one())
