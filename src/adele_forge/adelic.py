@@ -18,10 +18,6 @@ from .errors import DomainError
 from .linalg import rref
 from .milnor import GerstenCochain, MilnorSymbol, symbol_support, tame_symbol
 
-# A level-1 Gersten cochain doubles as the image type of the residue
-# morphism; the payload is exactly a finite map place -> K-data.
-GerstenImage = GerstenCochain
-
 # The largest auxiliary multiplicity m that cohomology_dims tries: on P^1 a
 # degree below -(STABILIZATION_CAP / 2 + 1) needs a larger one to stabilize.
 STABILIZATION_CAP = 4096
@@ -131,13 +127,12 @@ def _unit_value(curve, weight):
 
 
 class CohomologyReport:
-    __slots__ = ("h0", "h1", "bound", "basis")
+    __slots__ = ("h0", "h1", "bound")
 
-    def __init__(self, h0, h1, bound, basis):
+    def __init__(self, h0, h1, bound):
         self.h0 = h0
         self.h1 = h1
         self.bound = bound
-        self.basis = basis
 
     def __repr__(self):
         return "CohomologyReport(h0=%d, h1=%d, bound=%d)" % (self.h0, self.h1, self.bound)
@@ -216,7 +211,7 @@ def nu_curve(cochain, ext_bound=6):
     support = {}
     tail = cochain.tail
     if n == 1:
-        if tail and not _is_constant_function(tail):
+        if tail and not tail.is_constant():
             for v, _m in principal_divisor(tail, ext_bound).items():
                 support[v] = None
     else:
@@ -237,13 +232,7 @@ def nu_curve(cochain, ext_bound=6):
             value = tame_symbol(comp, v) ** signs.NU_WEIGHT2_EXPONENT
             if value != value.spec.one():
                 out[v] = value
-    return GerstenImage(curve, 1, n, out)
-
-
-def _is_constant_function(f):
-    if f.curve.kind == "p1":
-        return f.fx.num.degree < 1 and f.fx.den.degree < 1
-    return not f.fy and f.fx.num.degree < 1 and f.fx.den.degree < 1
+    return GerstenCochain(curve, 1, n, out)
 
 
 def _value_product(curve, wm, a, wn, b):
@@ -320,8 +309,7 @@ def cohomology_dims(curve, D, ext_bound=6):
         v1 = Place.infinity(curve)
     else:
         v1 = Place.origin(curve)
-    basis_D = riemann_roch_space(D, ext_bound)
-    h0 = len(basis_D)
+    h0 = len(riemann_roch_space(D, ext_bound))
     m = 2 * (curve.genus + 1)
     previous = None
     while True:
@@ -335,7 +323,7 @@ def cohomology_dims(curve, D, ext_bound=6):
                 "cohomology of a divisor of degree %d does not stabilize below "
                 "the auxiliary multiplicity cap m = %d" % (D.degree, STABILIZATION_CAP)
             )
-    report = CohomologyReport(h0, h1, m, basis_D)
+    report = CohomologyReport(h0, h1, m)
     if h0 - h1 != D.degree + 1 - curve.genus:
         raise AssertionError(
             "Riemann-Roch violated: h0=%d h1=%d deg=%d genus=%d"

@@ -231,7 +231,8 @@ def _task_rr_table(config, curve, ext_bound):
         if lo > hi:
             raise SchemaError("degrees [lo, hi] needs lo <= hi, got lo = %d > hi = %d" % (lo, hi))
         base = Place.infinity(curve) if curve.kind == "p1" else Place.origin(curve)
-        divisors = [Divisor(curve, {base: n}) if n else Divisor(curve) for n in range(lo, hi + 1)]
+        # a generator: a wide window builds no divisor ahead of the first failure
+        divisors = (Divisor(curve, {base: n}) for n in range(lo, hi + 1))
     elif "divisors" in payload:
         if not isinstance(payload["divisors"], list) or not payload["divisors"]:
             raise SchemaError("divisors must be a nonempty list of divisors")
@@ -352,10 +353,10 @@ def _task_massey(config, curve, ext_bound):
     )
 
 
-def _selfcheck_report(audit_overrides=None):
-    results, passed, failed = run_selfcheck(audit_overrides)
+def _selfcheck_report():
+    results, passed, failed = run_selfcheck()
     try:
-        audit = sign_audit(overrides=audit_overrides).as_dict()
+        audit = sign_audit().as_dict()
         audit_ok = True
     except AdeleForgeError as exc:
         audit = {"error": str(exc)}

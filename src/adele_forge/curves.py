@@ -4,8 +4,8 @@ smooth Weierstrass curve y^2 = x^3 + a*x + b over a prime field.
 
 Places of the projective line are monic irreducible polynomials or the
 point at infinity.  Places of an elliptic curve are the origin O or Galois
-orbits of affine points with coordinates in a canonical GF(p^d); functions
-are pairs a(x) + b(x)*y.
+orbits of affine points with coordinates in a canonical GF(p^d).  A function
+on either model is (A + B*y)/C for polynomials A, B, C in x (B = 0 on P^1).
 """
 
 from functools import lru_cache
@@ -18,6 +18,7 @@ from .fields import (
     canonical_field,
     factor_polynomial,
     field_sqrt,
+    poly_gcd,
     roots_in_field,
 )
 from .series import LaurentSeries
@@ -307,32 +308,69 @@ class Divisor:
 
 
 class FunctionFieldElement:
-    """Element of k(P^1) (a rational function in t) or of k(E) (a(x)+b(x)y)."""
+    """An element f = (A + B*y)/C of k(P^1) or k(E), stored as one reduced
+    triple abc = (A, B, C) of polynomials in x: gcd(A, B, C) = 1, C monic,
+    and B = 0 on the projective line, whose coordinate t is x.  The reduced
+    triple of f is unique, so == and hash compare values.
 
-    __slots__ = ("curve", "fx", "fy")
+    The constructor takes f = a(x) + b(x)*y as two rational functions, and
+    ``fx`` reads a(x) back.
+    """
+
+    __slots__ = ("curve", "abc")
 
     def __init__(self, curve, fx, fy=None):
-        self.curve = curve
-        self.fx = fx
-        if curve.kind == "p1":
-            if fy is not None:
-                raise DomainError("no y component on the projective line")
-            self.fy = None
+        if fy is not None and curve.kind == "p1":
+            raise DomainError("no y component on the projective line")
+        a, c = fx.num, fx.den
+        if not fy:
+            b = Polynomial.zero(curve.spec)
+        elif fy.den == c:
+            b = fy.num
         else:
-            self.fy = fy if fy is not None else RationalFunction.zero(curve.spec)
+            # over C = lcm(den a, den b) the triple is already reduced
+            g = poly_gcd(c, fy.den)
+            ca = fy.den.exact_div(g)
+            a, b, c = a * ca, fy.num * c.exact_div(g), c * ca
+        self.curve = curve
+        self.abc = (a, b, c)
 
     @classmethod
-    def from_rational(cls, curve, rf):
-        return cls(curve, rf)
+    def _raw(cls, curve, a, b, c):
+        """(a + b*y)/c from a triple that is already reduced."""
+        f = cls.__new__(cls)
+        f.curve = curve
+        f.abc = (a, b, c)
+        return f
+
+    @classmethod
+    def _reduced(cls, curve, a, b, c):
+        """(a + b*y)/c for any c != 0: divides out gcd(a, b, c) and makes c
+        monic."""
+        if not a and not b:
+            return cls.zero(curve)
+        if c.degree > 0:
+            g = poly_gcd(c, a)
+            if b and g.degree > 0:
+                g = poly_gcd(g, b)
+            if g.degree > 0:
+                a, b, c = a.exact_div(g), b.exact_div(g), c.exact_div(g)
+        lc = c.lc()
+        if lc != curve.spec.one():
+            inv = lc.inverse()
+            a, b, c = a.scale(inv), b.scale(inv), c.scale(inv)
+        return cls._raw(curve, a, b, c)
 
     @classmethod
     def constant(cls, curve, c):
-        c = curve.spec.element(c)
-        return cls(curve, RationalFunction(Polynomial.constant(c)))
+        spec = curve.spec
+        return cls._raw(
+            curve, Polynomial.constant(spec.element(c)), Polynomial.zero(spec), Polynomial.one(spec)
+        )
 
     @classmethod
     def zero(cls, curve):
-        return cls(curve, RationalFunction.zero(curve.spec))
+        return cls.constant(curve, 0)
 
     @classmethod
     def one(cls, curve):
@@ -340,38 +378,48 @@ class FunctionFieldElement:
 
     @classmethod
     def x_function(cls, curve):
-        return cls(curve, RationalFunction(Polynomial.x(curve.spec)))
+        spec = curve.spec
+        return cls._raw(curve, Polynomial.x(spec), Polynomial.zero(spec), Polynomial.one(spec))
 
     @classmethod
     def y_function(cls, curve):
         if curve.kind != "elliptic":
             raise DomainError("y lives on the elliptic model")
-        return cls(
-            curve,
-            RationalFunction.zero(curve.spec),
-            RationalFunction.one(curve.spec),
-        )
+        spec = curve.spec
+        return cls._raw(curve, Polynomial.zero(spec), Polynomial.one(spec), Polynomial.one(spec))
+
+    @property
+    def fx(self):
+        """a(x) in f = a(x) + b(x)*y, as a rational function."""
+        a, _, c = self.abc
+        return RationalFunction(a, c)
+
+    def is_constant(self):
+        a, b, c = self.abc
+        return not b and a.degree < 1 and c.degree < 1
 
     def __bool__(self):
-        return bool(self.fx) or bool(self.fy)
+        return bool(self.abc[0]) or bool(self.abc[1])
 
     def __eq__(self, other):
         return (
             isinstance(other, FunctionFieldElement)
             and self.curve == other.curve
-            and self.fx == other.fx
-            and self.fy == other.fy
+            and self.abc == other.abc
         )
 
     def __hash__(self):
-        return hash((self.curve, self.fx, self.fy))
+        return hash((self.curve, self.abc))
 
     def __repr__(self):
-        if self.curve.kind == "p1" or not self.fy:
-            return repr(self.fx)
-        if not self.fx:
-            return "(%r)*y" % (self.fy,)
-        return "%r + (%r)*y" % (self.fx, self.fy)
+        a, b, c = self.abc
+        if not b:
+            num = repr(a)
+        elif not a:
+            num = "(%r)*y" % (b,)
+        else:
+            num = "%r + (%r)*y" % (a, b)
+        return num if c.degree == 0 else "(%s)/(%r)" % (num, c)
 
     def _coerce(self, other):
         if isinstance(other, FunctionFieldElement):
@@ -383,56 +431,48 @@ class FunctionFieldElement:
         raise DomainError("cannot combine function with %r" % (other,))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if self.curve.kind == "p1":
-            return FunctionFieldElement(self.curve, self.fx + other.fx)
-        return FunctionFieldElement(self.curve, self.fx + other.fx, self.fy + other.fy)
+        a1, b1, c1 = self.abc
+        a2, b2, c2 = self._coerce(other).abc
+        if c1 == c2:
+            return self._reduced(self.curve, a1 + a2, b1 + b2, c1)
+        return self._reduced(self.curve, a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if self.curve.kind == "p1":
-            return FunctionFieldElement(self.curve, self.fx - other.fx)
-        return FunctionFieldElement(self.curve, self.fx - other.fx, self.fy - other.fy)
+        return self + -self._coerce(other)
 
     def __neg__(self):
-        if self.curve.kind == "p1":
-            return FunctionFieldElement(self.curve, -self.fx)
-        return FunctionFieldElement(self.curve, -self.fx, -self.fy)
+        a, b, c = self.abc
+        return self._raw(self.curve, -a, -b, c)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if self.curve.kind == "p1":
-            return FunctionFieldElement(self.curve, self.fx * other.fx)
-        rhs = RationalFunction(self.curve.rhs_poly())
-        fx = self.fx * other.fx + self.fy * other.fy * rhs
-        fy = self.fx * other.fy + self.fy * other.fx
-        return FunctionFieldElement(self.curve, fx, fy)
-
-    def conjugate(self):
-        if self.curve.kind == "p1":
-            return self
-        return FunctionFieldElement(self.curve, self.fx, -self.fy)
-
-    def norm_x(self):
-        """a^2 - b^2*(x^3+ax+b) as a rational function of x (elliptic)."""
-        rhs = RationalFunction(self.curve.rhs_poly())
-        return self.fx * self.fx - self.fy * self.fy * rhs
+        a1, b1, c1 = self.abc
+        a2, b2, c2 = self._coerce(other).abc
+        a = a1 * a2
+        if b1 and b2:
+            a = a + b1 * b2 * self.curve.rhs_poly()
+        return self._reduced(self.curve, a, a1 * b2 + a2 * b1, c1 * c2)
 
     def inverse(self):
+        """1/f = C*(A - B*y) / (A^2 - B^2*(x^3 + a*x + b)), over the norm of
+        A + B*y; C/A when B = 0."""
         if not self:
             raise DomainError("inverting the zero function")
-        if self.curve.kind == "p1":
-            return FunctionFieldElement(self.curve, self.fx.inverse())
-        n = self.norm_x().inverse()
-        return FunctionFieldElement(self.curve, self.fx * n, -self.fy * n)
+        a, b, c = self.abc
+        if not b:
+            return self._reduced(self.curve, c, b, a)
+        norm = a * a - b * b * self.curve.rhs_poly()
+        return self._reduced(self.curve, c * a, -(c * b), norm)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
+        return self * self._coerce(other).inverse()
 
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
+        a, b, c = self.abc
+        if not b:
+            # gcd(A, C) = 1, so A^e/C^e is reduced too
+            return self._raw(self.curve, a**e, b, c**e)
         result = FunctionFieldElement.one(self.curve)
         base = self
         while e:
@@ -442,22 +482,13 @@ class FunctionFieldElement:
             e >>= 1
         return result
 
-    def as_abc(self):
-        """Clear denominators: (A, B, C) polynomials with self = (A + B*y)/C."""
-        if self.curve.kind == "p1":
-            return self.fx.num, Polynomial.zero(self.curve.spec), self.fx.den
-        c = self.fx.den * self.fy.den
-        a = self.fx.num * self.fy.den
-        b = self.fy.num * self.fx.den
-        return a, b, c
-
     def evaluate_affine(self, x, y):
         """Value at an affine point of the elliptic model (may raise on pole)."""
-        a, b, c = self.as_abc()
-        cf = c.lift_to(x.spec).evaluate(x)
+        a, b, c = (g.lift_to(x.spec) for g in self.abc)
+        cf = c.evaluate(x)
         if not cf:
             raise DomainError("pole at evaluation point")
-        return (a.lift_to(x.spec).evaluate(x) + b.lift_to(x.spec).evaluate(x) * y) / cf
+        return (a.evaluate(x) + b.evaluate(x) * y) / cf
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +597,13 @@ def valuation(f, place):
         raise DomainError("valuation of zero undefined")
     if f.curve != place.curve:
         raise DomainError("function and place on different curves")
+    a, b, c = f.abc
     if place.kind == "p1-finite":
         pi = place.data
-        return _poly_mult(f.fx.num, pi) - _poly_mult(f.fx.den, pi)
+        return _poly_mult(a, pi) - _poly_mult(c, pi)
     if place.kind == "p1-infinity":
-        return f.fx.den.degree - f.fx.num.degree
+        return c.degree - a.degree
     if place.kind == "ec-origin":
-        a, b, c = f.as_abc()
         cands = []
         if a:
             cands.append(-2 * a.degree)
@@ -582,7 +613,7 @@ def valuation(f, place):
     # ec-affine
     field = place.data[1]
     x0, y0 = place.representative()
-    a, b, c = (g.lift_to(field) for g in f.as_abc())
+    a, b, c = (g.lift_to(field) for g in f.abc)
     rhs = f.curve.rhs_poly(field)
     e = 2 if not y0 else 1
     return _val_affine(a, b, x0, y0, rhs) - e * c.root_multiplicity(x0)
@@ -645,21 +676,20 @@ def principal_divisor(f, ext_bound=DEFAULT_EXT_BOUND):
     if not f:
         raise DomainError("divisor of zero undefined")
     curve = f.curve
+    a, b, c = f.abc
     entries = []
     if curve.kind == "p1":
-        for poly in (f.fx.num, f.fx.den):
+        for poly, sign in ((a, 1), (c, -1)):
             if poly.degree < 1:
                 continue
-            sign = 1 if poly is f.fx.num else -1
             _, factors = factor_polynomial(poly)
             for irr, mult in factors:
                 entries.append((Place.finite(curve, irr), sign * mult))
-        vinf = f.fx.den.degree - f.fx.num.degree
+        vinf = c.degree - a.degree
         if vinf:
             entries.append((Place.infinity(curve), vinf))
         div = Divisor(curve, entries)
     else:
-        a, b, c = f.as_abc()
         norm = a * a - b * b * curve.rhs_poly()
         candidates = {}
         for poly in (norm, c):
@@ -749,12 +779,13 @@ def expand_at(f, place, prec):
     if f.curve != place.curve:
         raise DomainError("function and place on different curves")
     curve = f.curve
+    a, b, c = f.abc
     if curve.kind == "p1":
         if place.kind == "p1-finite":
             fieldv = place.residue_field()
             theta = fieldv.gen() if fieldv.k > 1 else -place.data.constant_term()
-            num = f.fx.num.lift_to(fieldv).shift(theta)
-            den = f.fx.den.lift_to(fieldv).shift(theta)
+            num = a.lift_to(fieldv).shift(theta)
+            den = c.lift_to(fieldv).shift(theta)
             work = max(prec, 0) + num.degree + 2 * den.degree + 4
             ns = LaurentSeries.from_polynomial(num, work)
             ds = LaurentSeries.from_polynomial(den, work)
@@ -762,18 +793,16 @@ def expand_at(f, place, prec):
             assert out.prec >= prec
             return out.truncate(prec)
         # infinity: t = 1/u
-        num, den = f.fx.num, f.fx.den
-        rn = Polynomial.from_elements(curve.spec, list(reversed(num.coeffs)))
-        rd = Polynomial.from_elements(curve.spec, list(reversed(den.coeffs)))
-        work = max(prec, 0) + num.degree + 2 * den.degree + 4
+        rn = Polynomial.from_elements(curve.spec, list(reversed(a.coeffs)))
+        rd = Polynomial.from_elements(curve.spec, list(reversed(c.coeffs)))
+        work = max(prec, 0) + a.degree + 2 * c.degree + 4
         ns = LaurentSeries.from_polynomial(rn, work)
         ds = LaurentSeries.from_polynomial(rd, work)
-        out = (ns * ds.inverse()).shift(den.degree - num.degree)
+        out = (ns * ds.inverse()).shift(c.degree - a.degree)
         assert out.prec >= prec
         return out.truncate(prec)
     # elliptic
     v = valuation(f, place)
-    a, b, c = f.as_abc()
     field = place.residue_field()
     a, b, c = a.lift_to(field), b.lift_to(field), c.lift_to(field)
     maxdeg = max(a.degree, b.degree, c.degree, 1)
@@ -806,7 +835,7 @@ def leading_value_at(f, place):
     curve = f.curve
     if curve.kind == "p1" and place.kind == "p1-finite":
         pi = place.data
-        num, den = f.fx.num, f.fx.den
+        num, den = f.abc[0], f.abc[2]
         while not num % pi:
             num = num.exact_div(pi)
         while not den % pi:
@@ -819,7 +848,7 @@ def leading_value_at(f, place):
         dval = fieldv.element([c.val[0] for c in (den % pi).coeffs])
         return nval / dval
     if curve.kind == "p1":
-        return f.fx.num.lc() / f.fx.den.lc()
+        return f.abc[0].lc() / f.abc[2].lc()
     v = valuation(f, place)
     if v == 0 and place.kind == "ec-affine":
         try:
@@ -1017,9 +1046,8 @@ def _rr_basis_elliptic(curve, parts):
         b = [0] * (bound // 2 + 1)
         for c, (i, j) in zip(vec, exponents):
             (b if j else a)[i] = c
-        fa = RationalFunction(Polynomial.from_ints(spec, a), mult)
-        fb = RationalFunction(Polynomial.from_ints(spec, b), mult)
-        basis.append(FunctionFieldElement(curve, fa, fb))
+        a, b = Polynomial.from_ints(spec, a), Polynomial.from_ints(spec, b)
+        basis.append(FunctionFieldElement._reduced(curve, a, b, mult))
     return basis
 
 

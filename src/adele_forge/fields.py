@@ -1044,10 +1044,6 @@ class RationalFunction:
         return rf
 
     @classmethod
-    def from_poly(cls, num):
-        return cls(num)
-
-    @classmethod
     def zero(cls, spec):
         return cls(Polynomial.zero(spec))
 
@@ -1076,9 +1072,6 @@ class RationalFunction:
         if self.den.degree == 0:
             return repr(self.num)
         return "(%r)/(%r)" % (self.num, self.den)
-
-    def is_poly(self):
-        return self.den.degree == 0
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -11,12 +11,6 @@ def rref(rows, p):
     return K.mat_rref([list(r) for r in rows], p)
 
 
-def rank(rows, p):
-    if not rows:
-        return 0
-    return len(rref(rows, p)[1])
-
-
 def kernel_basis(rows, p):
     """Basis of the right kernel {v : rows @ v = 0} over GF(p).
 
@@ -36,18 +30,3 @@ def kernel_basis(rows, p):
             v[c] = (-red[r][f]) % p
         basis.append(v)
     return basis
-
-
-def solve(rows, rhs, p):
-    """One solution of rows @ v = rhs, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    red, pivots = K.mat_rref(aug, p)
-    if ncols in pivots:
-        return None
-    v = [0] * ncols
-    for r, c in enumerate(pivots):
-        v[c] = red[r][ncols]
-    return v

@@ -9,7 +9,6 @@ observable.
 
 from .curves import (
     FunctionFieldElement,
-    Place,
     expand_at,
     principal_divisor,
     residue_value,
@@ -59,21 +58,11 @@ def symbol_support(symbol, ext_bound=6):
     places = {}
     for f, g, _ in symbol.entries:
         for h in (f, g):
-            if _is_constant(h):
+            if h.is_constant():
                 continue
             for v, _m in principal_divisor(h, ext_bound).items():
                 places[v] = None
     return sorted(places, key=lambda v: v.sort_key())
-
-
-def _is_constant(f):
-    if f.curve.kind == "p1":
-        return f.fx.num.degree < 1 and f.fx.den.degree < 1
-    return (
-        not f.fy
-        and f.fx.num.degree < 1
-        and f.fx.den.degree < 1
-    )
 
 
 def tame_symbol(symbol, place):

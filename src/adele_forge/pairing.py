@@ -227,17 +227,6 @@ class PairingValue:
         return "PairingValue(%r, order %d)" % (self.value, self.order)
 
 
-def _translated_divisor(curve, P, T):
-    """(P+T) - (T) as a Divisor."""
-    return Divisor(
-        curve,
-        {
-            Place.rational_point(curve, ec_add(curve, P, T)): 1,
-            Place.rational_point(curve, T): -1,
-        },
-    )
-
-
 def _offset_candidates(curve):
     """The translation offsets in trial order, affine points then O, as a
     function that starts a new pass over them.  The points are enumerated

@@ -38,7 +38,6 @@ from .milnor import (
     weil_reciprocity_check,
 )
 from .pairing import (
-    massey_triple,
     massey_triple_curve,
     miller_function,
     sign_audit,
@@ -98,7 +97,6 @@ def miller_symbols(curve, l, count):
     tor = [P for P in torsion_points(curve, l) if P is not None]
     offsets = rational_points(curve)[1:]
     out = []
-    i = 0
     for P in tor:
         for Q in tor:
             for R in offsets[:2]:
@@ -111,7 +109,6 @@ def miller_symbols(curve, l, count):
                     continue
                 if f and g:
                     out.append(MilnorSymbol.pair(f, g))
-            i += 1
     return out
 
 
@@ -532,17 +529,13 @@ ALL_CHECKS = [
 ]
 
 
-def run_selfcheck(audit_overrides=None):
+def run_selfcheck():
     """Run the whole invariant suite; returns (results, passed, failed)."""
     results = []
     for check in ALL_CHECKS:
         name = check.__name__
         try:
-            if check is check_sign_audit and audit_overrides:
-                report = sign_audit(overrides=audit_overrides)
-                ok, detail = True, repr(report.resolved)
-            else:
-                ok, detail = check()
+            ok, detail = check()
         except AdeleForgeError as exc:
             ok, detail = False, "%s: %s" % (exc.code, exc)
         except AssertionError as exc:

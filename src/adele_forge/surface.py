@@ -268,14 +268,8 @@ def bipoly_gcd(A, B):
         return B
     if not B:
         return A
-    if A.deg_u() == 0 and B.deg_u() == 0:
+    if A.deg_u() == 0 or B.deg_u() == 0:
         g = poly_gcd(_content_u(A), _content_u(B))
-        return BiPoly.from_u_polys(A.spec, [g])
-    if A.deg_u() == 0:
-        g = poly_gcd(_content_u(A), _content_u(B))
-        return BiPoly.from_u_polys(A.spec, [g])
-    if B.deg_u() == 0:
-        g = poly_gcd(_content_u(B), _content_u(A))
         return BiPoly.from_u_polys(A.spec, [g])
     contA, contB = _content_u(A), _content_u(B)
     Ap = bipoly_divide(A, BiPoly.from_u_polys(A.spec, [contA]))
@@ -909,14 +903,7 @@ def curve_intersection_points(C1, C2, ext_bound=6):
     R = _resultant_x2(F, G)
     for field, x0, x1 in _binary_roots(R, p, ext_bound):
         d = field.k
-        fib_f = _fiber_poly(F, x0, x1, field)
-        fib_g = _fiber_poly(G, x0, x1, field)
-        if not fib_f and not fib_g:
-            raise DomainError("improper intersection: common line component")
-        if not fib_f or not fib_g:
-            h = fib_g or fib_f
-        else:
-            h = poly_gcd(fib_f, fib_g)
+        h = _fiber_gcd(F, G, x0, x1, field)
         if h.degree < 1:
             continue  # spurious direction (leading coefficients vanished)
         _, fibfactors = factor_polynomial(h)
@@ -928,7 +915,7 @@ def curve_intersection_points(C1, C2, ext_bound=6):
                     "intersection point of degree %d exceeds the bound %d" % (m, ext_bound)
                 )
             if e == 1:
-                fieldm, x0m, x1m = field, x0, x1
+                fieldm, x0m, x1m, hm = field, x0, x1, h
             else:
                 fieldm = canonical_field(p, m)
                 if d == 1:
@@ -939,14 +926,7 @@ def curve_intersection_points(C1, C2, ext_bound=6):
                     minpoly = _minimal_poly(x0, field1)
                     x0m = roots_in_field(minpoly, fieldm)[0]
                     x1m = fieldm.one()
-            ff = _fiber_poly(F, x0m, x1m, fieldm)
-            fg = _fiber_poly(G, x0m, x1m, fieldm)
-            if not ff and not fg:
-                raise DomainError("improper intersection: common line component")
-            if not ff or not fg:
-                hm = fg or ff
-            else:
-                hm = poly_gcd(ff, fg)
+                hm = _fiber_gcd(F, G, x0m, x1m, fieldm)
             for z in poly_roots(hm):
                 try:
                     pt = ProjPoint((x0m, x1m, z))
@@ -955,6 +935,18 @@ def curve_intersection_points(C1, C2, ext_bound=6):
                 if pt.degree == m and pt not in points:
                     points.append(pt)
     return points
+
+
+def _fiber_gcd(F, G, x0, x1, field):
+    """The common Z-roots of F and G on the fibre (x0 : x1 : Z): the gcd of
+    the two fibre polynomials, or the one that is nonzero."""
+    ff = _fiber_poly(F, x0, x1, field)
+    fg = _fiber_poly(G, x0, x1, field)
+    if not ff and not fg:
+        raise DomainError("improper intersection: common line component")
+    if not ff or not fg:
+        return fg or ff
+    return poly_gcd(ff, fg)
 
 
 def _fiber_poly(F, x0, x1, field):
@@ -1069,6 +1061,21 @@ def _contributing_flags(D1, D2, ext_bound, points):
     return flags, list(all_points)
 
 
+def _smooth_flags(D1, D2, ext_bound, points):
+    """The characteristic, the flags of ``_contributing_flags`` with each
+    curve checked smooth at its points, and an auxiliary line that avoids
+    every contributing point and every component of D1 and D2."""
+    p = _surface_char(D1, D2)
+    flags, contributing = _contributing_flags(D1, D2, ext_bound, points)
+    for C, pts in flags:
+        for pt in pts:
+            if not C.smooth_at(pt):
+                raise DomainError("flag-curve singular at %r" % (pt,))
+    aux = choose_aux_line(p, contributing, exclude_forms={C.form for C, _ in D1.items()}
+                          | {C.form for C, _ in D2.items()})
+    return p, flags, aux
+
+
 def intersection_number(D1, D2, ext_bound=6, points=None):
     """The adelic intersection number -sum [k(x):k] nu_{XCx}{s1^-1, s2^-1}.
 
@@ -1082,14 +1089,7 @@ def intersection_number(D1, D2, ext_bound=6, points=None):
     intersection of the same divisors and each ordered curve pair's points
     are found once.  None computes them afresh.
     """
-    p = _surface_char(D1, D2)
-    flags, contributing = _contributing_flags(D1, D2, ext_bound, points)
-    for C, pts in flags:
-        for pt in pts:
-            if not C.smooth_at(pt):
-                raise DomainError("flag-curve singular at %r" % (pt,))
-    aux = choose_aux_line(p, contributing, exclude_forms={C.form for C, _ in D1.items()}
-                          | {C.form for C, _ in D2.items()})
+    _, flags, aux = _smooth_flags(D1, D2, ext_bound, points)
     s1 = _local_equation(D1, aux)
     s2 = _local_equation(D2, aux)
     symbol = SurfaceSymbol.pair(s1.inverse(), s2.inverse())
@@ -1150,14 +1150,7 @@ def surface_product_cycle(D1, D2, ext_bound=6, points=None):
     audited global sign, and its degree equals intersection_number(D1, D2).
     ``points`` is the intersection-point memo of ``intersection_number``.
     """
-    p = _surface_char(D1, D2)
-    flags, contributing = _contributing_flags(D1, D2, ext_bound, points)
-    for C, pts in flags:
-        for pt in pts:
-            if not C.smooth_at(pt):
-                raise DomainError("flag-curve singular at %r" % (pt,))
-    aux = choose_aux_line(p, contributing, exclude_forms={C.form for C, _ in D1.items()}
-                          | {C.form for C, _ in D2.items()})
+    p, flags, aux = _smooth_flags(D1, D2, ext_bound, points)
     cycle = {}
     for C, pts in flags:
         # front component of the flag (X, C, x): the local equation of D1 at

@@ -112,6 +112,33 @@ RECIPROCITY_EXT_DOC = {
     "task": "reciprocity",
     "symbols": [[[{"num": [3, 2], "ynum": [1, 1]}, {"num": [1, 2]}, -1]]],
 }
+# divisors with affine places on y^2 = x^3 + x + 1 over GF(5): their
+# Riemann-Roch bases have denominators and y-parts
+RR_AFFINE_DOC = {
+    "field": {"p": 5},
+    "curve": {"model": "elliptic", "a": 1, "b": 1},
+    "task": "rr-table",
+    "divisors": [
+        [{"place": {"type": "affine", "x": 0, "y": 1}, "multiplicity": 2},
+         {"place": {"type": "origin"}, "multiplicity": 1}],
+        [{"place": {"type": "affine", "x": 2, "y": 4}, "multiplicity": 1},
+         {"place": {"type": "affine", "x": 3, "y": 1}, "multiplicity": -1}],
+        [{"place": {"type": "affine", "x": 4, "y": 2}, "multiplicity": 3},
+         {"place": {"type": "origin"}, "multiplicity": -1}],
+        [{"place": {"type": "affine", "x": 0, "y": 4}, "multiplicity": -2},
+         {"place": {"type": "origin"}, "multiplicity": 1}],
+    ],
+}
+RECIPROCITY_P1_DOC = {
+    "field": {"p": 7},
+    "curve": {"model": "projective-line"},
+    "task": "reciprocity",
+    "symbols": [
+        [[{"num": [1, 2, 1], "den": [3, 1]}, {"num": [2, 0, 1]}, 1]],
+        [[{"num": [0, 1]}, {"num": [1, 1], "den": [2, 0, 1]}, 2],
+         [{"num": [3, 0, 0, 1]}, {"num": [6, 5], "den": [1, 0, 1]}, -1]],
+    ],
+}
 
 
 @pytest.mark.parametrize(
@@ -121,8 +148,11 @@ RECIPROCITY_EXT_DOC = {
         (TORSION3_DOC, 6, "cd31d65a51225bff7b5b3431cc0d40b8b723d21d74f7f39c1c8ff4c220fd3e78"),
         (TAME_GF49_DOC, 6, "893dbdc32726b80c15c427540d640526374eafa17b29eabca33103aceb021700"),
         (RECIPROCITY_EXT_DOC, 16, "70bef0c0b1669afb22d56439c34a5690feae0e7f0c8a8488261449e58afe2f23"),
+        (RR_AFFINE_DOC, 6, "c7291d02a2587dff3832a8eb8eee4451ab2c0400198196a0ef3b41ea835b90d5"),
+        (RECIPROCITY_P1_DOC, 6, "2d53abda5eea24626e722d83eb17b05cbe996d6c5dc14f22e9b2073ddcf4967a"),
     ],
-    ids=["weil-gf5", "massey-3-torsion", "tame-gf49", "reciprocity-ext16"],
+    ids=["weil-gf5", "massey-3-torsion", "tame-gf49", "reciprocity-ext16", "rr-table-affine-gf5",
+         "reciprocity-p1"],
 )
 def test_pairing_report_bytes(doc, ext_bound, digest):
     # SHA-256 of the report without "version", as perfbench digests it
@@ -380,6 +410,20 @@ def test_rr_table_stabilization_cap_is_a_domain_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error [domain]: ")
     assert "degree -5000" in captured.err and "4096" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("curve", [{"model": "projective-line"}, {"model": "elliptic", "a": 1, "b": 1}])
+def test_rr_table_wide_window_fails_at_its_first_divisor(tmp_path, capsys, curve):
+    # the window is iterated, never built: degree -10^9 fails before the next
+    cfg = tmp_path / "rr.json"
+    cfg.write_text(json.dumps(dict(RR_DOC, curve=curve, degrees=[-1000000000, 3])))
+    start = time.perf_counter()
+    assert main(["run", str(cfg)]) == 1
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error [domain]: ")
+    assert "degree -1000000000" in captured.err
     assert "Traceback" not in captured.out + captured.err
 
 

@@ -28,6 +28,7 @@ from adele_forge.fields import (
     RationalFunction,
     canonical_field,
     field_sqrt,
+    poly_gcd,
     prime_field,
 )
 
@@ -394,8 +395,8 @@ def test_rr_expansions_match_expand_at_p1(mults, m, which):
     places = _p1_places() + [base]
     D = Divisor(P15, dict(zip(places, mults)))
     _check_expansions(D, base, m, which)
-    for f in riemann_roch_space(D):  # each element in canonical form
-        assert f.fx == RationalFunction(f.fx.num, f.fx.den)
+    for f in riemann_roch_space(D):
+        _assert_reduced(f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -409,6 +410,8 @@ def test_rr_expansions_match_expand_at_elliptic(mults, m, which):
     base = Place.origin(E)
     D = Divisor(E, dict(zip(affine + [base], mults)))
     _check_expansions(D, base, m, which)
+    for f in riemann_roch_space(D):
+        _assert_reduced(f)
 
 
 def test_rr_expansions_fixtures():
@@ -490,3 +493,106 @@ def test_ec_add_rejects_off_curve_operands(field):
     for P, Q in ((off, on), (on, off), (off, None), (None, off), (off, off)):
         with pytest.raises(DomainError, match="not on the curve"):
             ec_add(E, P, Q)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on the reduced triple (A + B*y)/C against a reference on pairs
+# (a, b) of rational functions, f = a(x) + b(x)*y
+
+
+@st.composite
+def _curves(draw):
+    # y^2 = x^3 + a*x + b is singular in characteristic 2: P^1 only there
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    spec = prime_field(p)
+    if p == 2 or draw(st.booleans()):
+        return CurveModel.projective_line(spec)
+    smooth = [(a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b * b) % p]
+    a, b = draw(st.sampled_from(smooth))
+    return CurveModel.elliptic(spec, a, b)
+
+
+@st.composite
+def _rational_functions(draw, spec):
+    coeffs = st.lists(st.integers(0, spec.p - 1), max_size=4)
+    num = Polynomial.from_ints(spec, draw(coeffs))
+    den = Polynomial.from_ints(spec, draw(coeffs.filter(any)))
+    return RationalFunction(num, den)
+
+
+def _ref_pair(draw, curve):
+    a = draw(_rational_functions(curve.spec))
+    if curve.kind == "p1":
+        return a, RationalFunction.zero(curve.spec)
+    return a, draw(_rational_functions(curve.spec))
+
+
+def _ref_mul(curve, f, g):
+    (a1, b1), (a2, b2) = f, g
+    if curve.kind == "p1":
+        return a1 * a2, b1
+    rhs = RationalFunction(curve.rhs_poly())
+    return a1 * a2 + b1 * b2 * rhs, a1 * b2 + b1 * a2
+
+
+def _ref_inverse(curve, f):
+    a, b = f
+    if curve.kind == "p1":
+        return a.inverse(), b
+    n = (a * a - b * b * RationalFunction(curve.rhs_poly())).inverse()
+    return a * n, -b * n
+
+
+def _ref_pow(curve, f, e):
+    if e < 0:
+        f, e = _ref_inverse(curve, f), -e
+    out = (RationalFunction.one(curve.spec), RationalFunction.zero(curve.spec))
+    for _ in range(e):
+        out = _ref_mul(curve, out, f)
+    return out
+
+
+def _element(curve, pair):
+    a, b = pair
+    return FunctionFieldElement(curve, a, None if curve.kind == "p1" else b)
+
+
+def _assert_reduced(f):
+    a, b, c = f.abc
+    assert c.lc() == c.spec.one()
+    assert poly_gcd(poly_gcd(a, b), c).degree == 0
+    assert f.curve.kind != "p1" or not b
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_function_arithmetic_matches_rational_pairs(data):
+    curve = data.draw(_curves())
+    fr, gr = _ref_pair(data.draw, curve), _ref_pair(data.draw, curve)
+    f, g = _element(curve, fr), _element(curve, gr)
+    e = data.draw(st.integers(-3, 3))
+    cases = [
+        (f + g, (fr[0] + gr[0], fr[1] + gr[1])),
+        (f - g, (fr[0] - gr[0], fr[1] - gr[1])),
+        (-f, (-fr[0], -fr[1])),
+        (f * g, _ref_mul(curve, fr, gr)),
+    ]
+    if g:
+        cases.append((f / g, _ref_mul(curve, fr, _ref_inverse(curve, gr))))
+    else:
+        with pytest.raises(DomainError):
+            f / g
+    if f or e >= 0:
+        cases.append((f**e, _ref_pow(curve, fr, e)))
+    for got, (a, b) in cases:
+        _assert_reduced(got)
+        A, B, C = got.abc
+        assert (RationalFunction(A, C), RationalFunction(B, C)) == (a, b)
+        # the same value built another way: equal, with an equal hash
+        want = _element(curve, (a, b))
+        assert got == want and hash(got) == hash(want)
+    _assert_reduced(f)
+    _assert_reduced(g)
+    assert f.fx == fr[0] and g.fx == gr[0]
+    assert f * g == g * f and hash(f * g) == hash(g * f)
+    assert f + g == g + f and hash(f + g) == hash(g + f)
