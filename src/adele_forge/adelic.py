@@ -15,6 +15,7 @@ from .curves import (
     valuation,
 )
 from .errors import DomainError
+from .fields import DEFAULT_EXT_BOUND
 from .linalg import rref
 from .milnor import GerstenCochain, MilnorSymbol, symbol_support, tame_symbol
 
@@ -196,7 +197,7 @@ def _rat(poly):
     return RationalFunction(poly)
 
 
-def nu_curve(cochain, ext_bound=6):
+def nu_curve(cochain, ext_bound=DEFAULT_EXT_BOUND):
     """Residue morphism of a degree-1 cochain into the Gersten complex.
 
     Weight 1: v -> -valuation(component_v); weight 2: v -> tame symbol of
@@ -294,7 +295,7 @@ def cochain_product(left, right):
     return AdeleCochain(curve, 1, weight, tail=tail, exceptions=exc)
 
 
-def cohomology_dims(curve, D, ext_bound=6):
+def cohomology_dims(curve, D, ext_bound=DEFAULT_EXT_BOUND):
     """h^0 and h^1 of the adelic complex with O(D) coefficients.
 
     h0 is dim L(D).  h1 is the corank of the principal-parts map

@@ -19,7 +19,7 @@ from .curves import (
     Place,
 )
 from .errors import AdeleForgeError, DomainError, SchemaError
-from .fields import FieldSpec, Polynomial, RationalFunction
+from .fields import DEFAULT_EXT_BOUND, FieldSpec, Polynomial, RationalFunction
 from .milnor import MilnorSymbol, tame_symbol, weil_reciprocity_check
 from .pairing import massey_triple_curve, sign_audit, weil_pairing_idelic, weil_pairing_miller
 from .selfcheck import run_selfcheck
@@ -286,6 +286,8 @@ def _task_tame(config, curve, ext_bound):
 
 
 def _task_intersect(config, spec, ext_bound):
+    if spec.k != 1:
+        raise DomainError("plane intersections require a prime base field, not %r" % (spec,))
     for key in ("divisor1", "divisor2"):
         if key not in config:
             raise SchemaError("intersect needs divisor1 and divisor2")
@@ -385,7 +387,7 @@ def _signs_dict():
     }
 
 
-def run_config(doc, seed=0, ext_bound=6):
+def run_config(doc, seed=0, ext_bound=DEFAULT_EXT_BOUND):
     """Validate a config document and execute its task; returns the report."""
     _expect_keys(
         doc,
@@ -458,7 +460,7 @@ def _emit(report, out_path):
 def main(argv=None):
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0, help="factorization seed")
-    shared.add_argument("--ext-bound", type=int, default=6, help="rationality bound")
+    shared.add_argument("--ext-bound", type=int, default=DEFAULT_EXT_BOUND, help="rationality bound")
     shared.add_argument("--out", default=None, help="write the report to a file")
     parser = argparse.ArgumentParser(prog="adele-forge", parents=[shared])
     sub = parser.add_subparsers(dest="command", required=True)

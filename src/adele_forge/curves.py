@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .fields import (
+    DEFAULT_EXT_BOUND,
     FieldElement,
     Polynomial,
     RationalFunction,
@@ -22,8 +23,6 @@ from .fields import (
     roots_in_field,
 )
 from .series import LaurentSeries
-
-DEFAULT_EXT_BOUND = 6
 
 
 class CurveModel:

@@ -19,6 +19,7 @@ from . import _kernels as K
 from .errors import DomainError
 
 FACTOR_SEED = 0  # default seed for the randomized splitting steps
+DEFAULT_EXT_BOUND = 6  # largest degree of a place or point searched for by default
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -15,7 +15,7 @@ from .curves import (
     valuation,
 )
 from .errors import DomainError
-from .fields import factor_polynomial, norm_to_prime_field, trace_to_prime_field
+from .fields import DEFAULT_EXT_BOUND, factor_polynomial, norm_to_prime_field, trace_to_prime_field
 
 
 class MilnorSymbol:
@@ -53,7 +53,7 @@ class MilnorSymbol:
         return " * ".join("{%r,%r}^%d" % (f, g, e) for f, g, e in self.entries)
 
 
-def symbol_support(symbol, ext_bound=6):
+def symbol_support(symbol, ext_bound=DEFAULT_EXT_BOUND):
     """Places where some entry function has a zero or a pole."""
     places = {}
     for f, g, _ in symbol.entries:
@@ -133,7 +133,7 @@ def _nontrivial(weight, x):
     return x != one
 
 
-def gersten_boundary(cochain, ext_bound=6):
+def gersten_boundary(cochain, ext_bound=DEFAULT_EXT_BOUND):
     """Residue differential of a level-0 cochain: valuations for weight 1,
     tame symbols for weight 2."""
     if cochain.level != 0:
@@ -152,7 +152,7 @@ def gersten_boundary(cochain, ext_bound=6):
     raise DomainError("no boundary at weight 0")
 
 
-def weil_reciprocity_check(symbol, ext_bound=6):
+def weil_reciprocity_check(symbol, ext_bound=DEFAULT_EXT_BOUND):
     """Product over all places of the norms of the tame symbols; equals 1 on
     a proper curve."""
     spec = symbol.curve.spec

@@ -1,6 +1,8 @@
 """Flags, two-step residues and the adelic intersection formula on the
-projective plane, with Fulton's local multiplicity recursion and resultant
-Bezout as independent oracles.
+projective plane, checked against Bezout's deg D1 * deg D2 and Fulton's local
+multiplicity recursion.  The points where two curves meet come from their
+resultant in X2, a Sylvester determinant over GF(p)[X0] taken by Bareiss
+elimination.
 
 Surface functions stay in factored form (products of irreducible forms with
 integer exponents); the valuation along a curve is an exponent lookup, and
@@ -12,7 +14,9 @@ import math
 
 from . import signs
 from .errors import DomainError
-from .fields import Polynomial, canonical_field, factor_polynomial, poly_gcd, poly_roots, prime_field, roots_in_field
+from .fields import (
+    DEFAULT_EXT_BOUND, Polynomial, canonical_field, factor_polynomial, poly_gcd, poly_roots, prime_field, roots_in_field,
+)
 
 log = logging.getLogger(__name__)
 
@@ -416,15 +420,6 @@ class HomForm:
             return None
         return HomForm(self.p, out)
 
-    def coeff_of_x2(self):
-        """Coefficients of powers of X2, as BiPoly in (X0, X1) over GF(p)."""
-        field = prime_field(self.p)
-        n = max(k for (_, _, k) in self.terms)
-        out = [dict() for _ in range(n + 1)]
-        for (i, j, k), c in self.terms.items():
-            out[k][(i, j)] = field.element(c)
-        return [BiPoly(field, d) for d in out]
-
 
 class PlaneCurve:
     """An irreducible plane curve.
@@ -810,70 +805,66 @@ def parshin_point_reciprocity(symbol, point):
 # intersection points of two plane curves
 
 
-def _bipoly_det(matrix):
-    n = len(matrix)
-    if n == 0:
-        raise DomainError("empty determinant")
-    if n == 1:
-        return matrix[0][0]
-    spec = matrix[0][0].spec
-    total = BiPoly.zero(spec)
-    for j in range(n):
-        entry = matrix[0][j]
-        if not entry:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        term = entry * _bipoly_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def _x2_coeffs(F, spec):
+    """[a_m, ..., a_0]: F(w, 1, X2) = sum a_k(w) X2^k, m the X2-degree of F."""
+    rows = [[0] * (F.degree + 1) for _ in range(max(k for (_, _, k) in F.terms) + 1)]
+    for (i, _, k), c in F.terms.items():
+        rows[k][i] = c
+    return [Polynomial.from_ints(spec, row) for row in reversed(rows)]
+
+
+def _bareiss_det(rows, spec):
+    """Determinant of a square matrix over GF(p)[w] by fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968): step k replaces each entry
+    below and right of the pivot by a 2x2 minor divided exactly by the
+    previous pivot, so every entry stays a polynomial.  A zero pivot is
+    swapped with the first row below it that is nonzero in its column."""
+    rows = [list(row) for row in rows]
+    negate, prev = False, Polynomial.one(spec)
+    for k in range(len(rows)):
+        below = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if below is None:
+            return Polynomial.zero(spec)
+        if below != k:
+            rows[k], rows[below] = rows[below], rows[k]
+            negate = not negate
+        top = rows[k]
+        for row in rows[k + 1 :]:
+            row[k + 1 :] = [(top[k] * x - row[k] * y).exact_div(prev) for x, y in zip(row[k + 1 :], top[k + 1 :])]
+        prev = top[k]
+    return -prev if negate else prev
 
 
 def _resultant_x2(F, G):
-    """Res_{X2}(F, G) as a BiPoly in (X0, X1) over GF(p)."""
-    a = F.coeff_of_x2()
-    b = G.coeff_of_x2()
-    m = len(a) - 1
-    n = len(b) - 1
-    if m < 0 or n < 0:
-        raise DomainError("zero form in resultant")
-    if m == 0:
-        out = BiPoly.constant(prime_field(F.p).one())
-        for _ in range(n):
-            out = out * a[0]
-        return out
-    if n == 0:
-        out = BiPoly.constant(prime_field(F.p).one())
-        for _ in range(m):
-            out = out * b[0]
-        return out
-    size = m + n
+    """R(w, 1) for the binary form R(X0, X1) = Res_{X2}(F, G), as a
+    polynomial in w over GF(p), and the degree of R.
+
+    With m and n the X2-degrees of F and G, the Sylvester matrix of
+    F(w, 1, X2) and G(w, 1, X2) at formal degrees m and n is that of F and G
+    at X1 = 1, so its determinant is R(w, 1).  R is homogeneous of degree
+    n*deg F + m*deg G - m*n, so R(1, 0) is the coefficient of w to that
+    power (0 when R(w, 1) has lower degree).
+    """
     spec = prime_field(F.p)
-    zero = BiPoly.zero(spec)
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + list(reversed(a)) + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + list(reversed(b)) + [zero] * (size - n - 1 - i))
-    return _bipoly_det(rows)
+    a, b = _x2_coeffs(F, spec), _x2_coeffs(G, spec)
+    m, n = len(a) - 1, len(b) - 1
+    zero = Polynomial.zero(spec)
+    rows = [[zero] * i + a + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + b + [zero] * (m - 1 - i) for i in range(m)]
+    return _bareiss_det(rows, spec), n * F.degree + m * G.degree - m * n
 
 
-def _binary_roots(R, p, ext_bound):
-    """Directions (x0 : x1) where the binary form R (a BiPoly in u=X0, v=X1)
-    vanishes, grouped by degree: yields (field, x0, x1)."""
+def _binary_roots(r, degree, p, ext_bound):
+    """Directions (x0 : x1) where the binary form R of the given degree with
+    R(w, 1) = r vanishes, grouped by degree: yields (field, x0, x1, irr),
+    irr the minimal polynomial of x0 over GF(p)."""
     field1 = prime_field(p)
-    if not R:
-        raise DomainError("identically zero resultant: improper intersection")
-    # direction (1 : 0)
-    if not R.evaluate(field1.one(), field1.zero()):
-        yield (field1, field1.one(), field1.zero())
-    # directions (w : 1): roots of R(w, 1)
-    n = R.deg_u()
-    coeffs = [field1.zero()] * (n + 1)
-    for (i, j), c in R.terms.items():
-        coeffs[i] = coeffs[i] + c
-    r = Polynomial.from_elements(field1, coeffs)
     if not r:
-        raise DomainError("degenerate resultant restriction")
+        raise DomainError("identically zero resultant: improper intersection")
+    # direction (1 : 0): R(1, 0) is the coefficient of w^degree
+    if r.degree < degree:
+        yield (field1, field1.one(), field1.zero(), Polynomial.from_ints(field1, [-1, 1]))
+    # directions (w : 1): roots of R(w, 1)
     _, factors = factor_polynomial(r)
     for irr, _mult in factors:
         d = irr.degree
@@ -883,10 +874,10 @@ def _binary_roots(R, p, ext_bound):
             )
         field = canonical_field(p, d)
         w0 = roots_in_field(irr, field)[0]
-        yield (field, w0, field.one())
+        yield (field, w0, field.one(), irr)
 
 
-def curve_intersection_points(C1, C2, ext_bound=6):
+def curve_intersection_points(C1, C2, ext_bound=DEFAULT_EXT_BOUND):
     """All closed points of C1 . C2 as ProjPoint orbits."""
     if C1 == C2:
         raise DomainError("improper intersection: identical components")
@@ -894,20 +885,18 @@ def curve_intersection_points(C1, C2, ext_bound=6):
     p = F.p
     field1 = prime_field(p)
     points = []
-    one = field1.one()
-    zero = field1.zero()
     # the single point with X0 = X1 = 0
-    special = (zero, zero, one)
+    special = (field1.zero(), field1.zero(), field1.one())
     if not F.evaluate(special) and not G.evaluate(special):
         points.append(ProjPoint(special))
-    R = _resultant_x2(F, G)
-    for field, x0, x1 in _binary_roots(R, p, ext_bound):
+    r, degree = _resultant_x2(F, G)
+    for field, x0, x1, irr in _binary_roots(r, degree, p, ext_bound):
         d = field.k
         h = _fiber_gcd(F, G, x0, x1, field)
         if h.degree < 1:
             continue  # spurious direction (leading coefficients vanished)
         _, fibfactors = factor_polynomial(h)
-        degrees = sorted({irr.degree for irr, _ in fibfactors})
+        degrees = sorted({g.degree for g, _ in fibfactors})
         for e in degrees:
             m = d * e
             if m > ext_bound:
@@ -917,15 +906,10 @@ def curve_intersection_points(C1, C2, ext_bound=6):
             if e == 1:
                 fieldm, x0m, x1m, hm = field, x0, x1, h
             else:
+                # re-find the direction inside the bigger field
                 fieldm = canonical_field(p, m)
-                if d == 1:
-                    x0m = fieldm.element(x0.val[0])
-                    x1m = fieldm.element(x1.val[0])
-                else:
-                    # re-find the direction inside the bigger field
-                    minpoly = _minimal_poly(x0, field1)
-                    x0m = roots_in_field(minpoly, fieldm)[0]
-                    x1m = fieldm.one()
+                x0m = roots_in_field(irr, fieldm)[0]
+                x1m = fieldm.element(x1.val[0])
                 hm = _fiber_gcd(F, G, x0m, x1m, fieldm)
             for z in poly_roots(hm):
                 try:
@@ -957,22 +941,6 @@ def _fiber_poly(F, x0, x1, field):
     for (i, j, k), c in F.terms.items():
         coeffs[k] = coeffs[k] + field.element(c) * p0[i] * p1[j]
     return Polynomial.from_elements(field, coeffs)
-
-
-def _minimal_poly(a, base):
-    """Minimal polynomial over the prime field of a field element."""
-    field = a.spec
-    conjs = []
-    cur = a
-    while True:
-        conjs.append(cur)
-        cur = cur.frobenius()
-        if cur == a:
-            break
-    poly = Polynomial.one(field)
-    for c in conjs:
-        poly = poly * Polynomial.from_elements(field, [-c, field.one()])
-    return Polynomial.from_elements(base, [base.element(c.lift_int()) for c in poly.coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -1076,7 +1044,7 @@ def _smooth_flags(D1, D2, ext_bound, points):
     return p, flags, aux
 
 
-def intersection_number(D1, D2, ext_bound=6, points=None):
+def intersection_number(D1, D2, ext_bound=DEFAULT_EXT_BOUND, points=None):
     """The adelic intersection number -sum [k(x):k] nu_{XCx}{s1^-1, s2^-1}.
 
     s1 and s2 are single degree-zero ratios per divisor with poles on an
@@ -1112,7 +1080,7 @@ def bezout_number(D1, D2):
     return D1.degree * D2.degree
 
 
-def fulton_intersection_cycle(D1, D2, ext_bound=6, points=None):
+def fulton_intersection_cycle(D1, D2, ext_bound=DEFAULT_EXT_BOUND, points=None):
     """Point-by-point Fulton multiplicities I_x(D1, D2) as an oracle cycle.
 
     ``points`` is the intersection-point memo of ``intersection_number``.
@@ -1141,7 +1109,7 @@ def fulton_intersection_cycle(D1, D2, ext_bound=6, points=None):
     return cycle
 
 
-def surface_product_cycle(D1, D2, ext_bound=6, points=None):
+def surface_product_cycle(D1, D2, ext_bound=DEFAULT_EXT_BOUND, points=None):
     """The zero-cycle nu_X([D1].[D2]) of the flag-wise product of the two
     divisor 1-cocycles with per-flag local equations (tail 1 outside the
     supports), as a finite map point -> integer.

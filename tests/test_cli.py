@@ -1,8 +1,16 @@
+import copy
 import hashlib
+import io
 import json
+import re
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adele_forge.cli import main, run_config
 from adele_forge.errors import DomainError, SchemaError
@@ -459,3 +467,114 @@ def test_non_list_payloads_are_schema_errors(tmp_path, capsys, doc, message):
     captured = capsys.readouterr()
     assert captured.err.startswith("schema error ") and message in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_intersect_over_an_extension_field_is_a_domain_error(tmp_path, capsys):
+    # over GF(49) the line X0 = 0 meets X0^2 + X1^2 - 3X2^2 in two rational
+    # points; plane curves are forms over GF(p), so the field is refused
+    # instead of silently computing over GF(7)
+    doc = {
+        "field": {"p": 7, "k": 2, "modulus": [1, 0, 1]},
+        "task": "intersect",
+        "divisor1": [{"form": [[1, 0, 0, 1]], "multiplicity": 1}],
+        "divisor2": [{"form": [[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, -3]], "multiplicity": 1}],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error [domain]: plane intersections require a prime base field, not GF(7^2)\n"
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz: mutated configs exit cleanly
+
+# one cheap valid config per task; rr-table windows stay narrow, since the
+# cost of a wide one is not bounded
+FUZZ_BASES = [
+    dict(RR_DOC, degrees=[-2, 3]),
+    RR_AFFINE_DOC,
+    RECIPROCITY_P1_DOC,
+    TAME_GF49_DOC,
+    LINE_CONIC_DOC,
+    WEIL_DOC,
+    TORSION3_DOC,
+    {"task": "selfcheck"},
+]
+WRONG_TYPES = [None, True, 1.5, "x", {}]
+OUT_OF_RANGE = [-1, 0, -(10**9)]
+MESSAGE = re.compile(r"(schema )?error \[[a-z]+\]: [^\n]+\n")
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+# each mutation: which nodes it applies to, and what it does to one
+MUTATIONS = {
+    "wrong type": (lambda node: True, st.sampled_from(WRONG_TYPES)),
+    "out-of-range int": (
+        lambda node: isinstance(node, int) and not isinstance(node, bool),
+        st.sampled_from(OUT_OF_RANGE),
+    ),
+    "empty list": (lambda node: isinstance(node, list), st.just([])),
+    "unknown key": (lambda node: isinstance(node, dict), None),
+}
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A base config with one to three mutations."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    todo = draw(st.integers(1, 3))
+    while todo:
+        applies, values = MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))]
+        paths = [p for p in _paths(doc) if applies(_at(doc, p))]
+        if not paths:
+            continue
+        todo -= 1
+        path = draw(st.sampled_from(paths))
+        if values is None:
+            _at(doc, path)["bogus"] = 1
+        else:
+            doc = _replace(doc, path, copy.deepcopy(draw(values)))
+    return doc
+
+
+def test_cli_fuzz_exits_cleanly():
+    # every mutated config exits 0, 1, 2 or 3 through main(); a nonzero exit
+    # carries exactly one error line on stderr, and nothing raises
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+
+        @settings(deadline=None, max_examples=300)
+        @given(_mutated_configs())
+        def check(doc):
+            cfg.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                status = main(["run", str(cfg)])
+            assert status in (0, 1, 2, 3)
+            if status:
+                assert MESSAGE.fullmatch(err.getvalue()), err.getvalue()
+            else:
+                assert err.getvalue() == "" and json.loads(out.getvalue())
+
+        check()

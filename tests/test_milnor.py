@@ -1,6 +1,9 @@
+from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adele_forge.curves import CurveModel, FunctionFieldElement, Place, principal_divisor
 from adele_forge.errors import DomainError
@@ -15,6 +18,7 @@ from adele_forge.milnor import (
     tame_symbol,
     weil_reciprocity_check,
 )
+from adele_forge.selfcheck import random_elliptic_function, random_p1_function
 
 F5 = prime_field(5)
 F7 = prime_field(7)
@@ -191,3 +195,43 @@ def test_elliptic_reciprocity_extension_places():
         seen_higher = seen_higher or any(v.residue_degree > 1 for v in sup)
         assert weil_reciprocity_check(s, 16) == F5.one()
     assert seen_higher
+
+
+@st.composite
+def _curves(draw):
+    """P^1 over GF(p), p <= 7, or a nonsingular y^2 = x^3 + a x + b over
+    GF(p), p in {5, 7, 11}."""
+    if draw(st.booleans()):
+        return CurveModel.projective_line(prime_field(draw(st.sampled_from([2, 3, 5, 7]))))
+    p = draw(st.sampled_from([5, 7, 11]))
+    a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    assume((4 * a**3 + 27 * b * b) % p)
+    return CurveModel.elliptic(prime_field(p), a, b)
+
+
+def test_weil_reciprocity_random_symbols():
+    # the product over all places of the norms of the tame symbols of
+    # sum e_i {f_i, g_i} is 1, with f_i, g_i drawn as selfcheck draws them;
+    # a draw with a place above the extension bound is skipped and counted
+    ext_bound = 6
+    tally = Counter()
+
+    @settings(deadline=None, max_examples=40)
+    @given(_curves(), st.integers(0, 2**32), st.lists(st.sampled_from([-2, -1, 1, 3]), min_size=1, max_size=2))
+    def check(curve, seed, exponents):
+        rng = Random(seed)
+        draw_fn = random_p1_function if curve.kind == "p1" else random_elliptic_function
+        s = MilnorSymbol(curve, [(draw_fn(curve, rng), draw_fn(curve, rng), e) for e in exponents])
+        try:
+            value = weil_reciprocity_check(s, ext_bound)
+        except DomainError as exc:
+            assert "exceeds the extension bound" in str(exc)
+            tally["skipped"] += 1
+            assume(False)
+        tally[curve.kind] += 1
+        assert value == curve.spec.one()
+
+    check()
+    print("reciprocity: %d on P^1, %d elliptic, %d skipped (a place of degree > %d)"
+          % (tally["p1"], tally["elliptic"], tally["skipped"], ext_bound))
+    assert tally["p1"] and tally["elliptic"]

@@ -1,6 +1,8 @@
 from collections import Counter
 from random import Random
 
+import time
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,7 @@ from adele_forge.surface import (
     surface_product_cycle,
     valuation_on_curve,
 )
-from adele_forge.surface import _fiber_poly, _has_linear_factor
+from adele_forge.surface import _fiber_poly, _has_linear_factor, _resultant_x2
 
 P = 7
 F7 = prime_field(P)
@@ -417,6 +419,109 @@ def test_ext_bound_enforced():
     c2 = PlaneCurve(HomForm(P, {(2, 0, 0): 1, (0, 1, 1): 1, (0, 0, 2): -2}))
     with _pytest.raises(DomainError):
         curve_intersection_points(c1, c2, ext_bound=3)
+
+
+# ---------------------------------------------------------------------------
+# the resultant in X2
+
+
+def _sylvester_reference(F, G):
+    """Res_{X2}(F, G) as a BiPoly in (u, v) = (X0, X1): the Sylvester matrix
+    of the X2-coefficients of the forms themselves, expanded by cofactors."""
+    field = prime_field(F.p)
+
+    def x2_coeffs(H):
+        top = max(k for _, _, k in H.terms)
+        out = [BiPoly.zero(field)] * (top + 1)
+        for (i, j, k), c in H.terms.items():
+            out[top - k] = out[top - k] + BiPoly(field, {(i, j): field.element(c)})
+        return out
+
+    a, b = x2_coeffs(F), x2_coeffs(G)
+    m, n = len(a) - 1, len(b) - 1
+    zero = BiPoly.zero(field)
+    rows = [[zero] * i + a + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + b + [zero] * (m - 1 - i) for i in range(m)]
+    return _laplace_det(rows, field)
+
+
+def _laplace_det(rows, field):
+    if not rows:
+        return BiPoly.constant(field.one())
+    total = BiPoly.zero(field)
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            term = entry * _laplace_det([row[:j] + row[j + 1 :] for row in rows[1:]], field)
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+@st.composite
+def _form_pair(draw):
+    """Two forms of degree <= 3 over GF(p), p <= 7; each passes through
+    (0:0:1) (no X2^d term) with probability about one half."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    forms = []
+    for _ in range(2):
+        d = draw(st.integers(1, 3))
+        monos = _monomials(d)
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos)))
+        if draw(st.booleans()):
+            coeffs[monos.index((0, 0, d))] = 0
+        assume(any(coeffs))
+        forms.append(HomForm(p, dict(zip(monos, coeffs))))
+    return forms
+
+
+@settings(deadline=None, max_examples=300)
+@given(_form_pair())
+def test_resultant_matches_cofactor_expansion(forms):
+    F, G = forms
+    R = _sylvester_reference(F, G)
+    r, degree = _resultant_x2(F, G)
+    field = r.spec
+    # R(w, 1): the coefficient of w^i sums the terms u^i v^j
+    coeffs = [field.zero()] * (R.deg_u() + 1)
+    for (i, _), c in R.terms.items():
+        coeffs[i] = coeffs[i] + c
+    assert r == Polynomial.from_elements(field, coeffs)
+    # R is homogeneous of the stated degree, and R(1, 0) is read off r
+    assert all(i + j == degree for i, j in R.terms)
+    at_1_0 = r.coeffs[degree] if r.degree == degree else field.zero()
+    assert at_1_0 == R.evaluate(field.one(), field.zero())
+
+
+def _dense_form(p, d, coeffs):
+    """The form with the given coefficients on the monomials of degree d in
+    the order of _monomials."""
+    return HomForm(p, dict(zip(_monomials(d), coeffs)))
+
+
+def test_dense_quintic_resultant_is_fast():
+    # Laplace expansion of this 10 x 10 Sylvester matrix took over 3 s
+    rng = Random(5)
+    F, G = (_dense_form(7, 5, [rng.randrange(1, 7) for _ in range(21)]) for _ in range(2))
+    start = time.perf_counter()
+    r, degree = _resultant_x2(F, G)
+    assert time.perf_counter() - start < 1.0
+    assert degree == 25 and r.degree <= 25 and r
+
+
+# the first pair of dense quintics over GF(5) drawn from Random(0), two at a
+# time with coefficients in 1..4, whose points all have degree <= 8
+QUINTIC_1 = [3, 2, 2, 4, 1, 1, 1, 2, 2, 1, 4, 1, 1, 4, 3, 4, 4, 2, 4, 1, 3]
+QUINTIC_2 = [2, 3, 2, 4, 2, 3, 1, 1, 1, 4, 2, 1, 4, 4, 3, 2, 1, 2, 2, 1, 2]
+
+
+def test_dense_quintic_intersect_matches_oracles():
+    doc = {"field": {"p": 5}, "task": "intersect"}
+    for key, coeffs in (("divisor1", QUINTIC_1), ("divisor2", QUINTIC_2)):
+        rows = [list(ijk) + [c] for ijk, c in zip(_monomials(5), coeffs)]
+        doc[key] = [{"form": rows, "multiplicity": 1}]
+    rep = run_config(doc, ext_bound=8)
+    assert rep["oracle"]["oracles"] == "match"
+    assert rep["result"]["intersection_number"] == "25"
+    assert [row["point"]["degree"] for row in rep["result"]["cycle"]] == ["1", "2", "2", "6", "6", "8"]
 
 
 # ---------------------------------------------------------------------------
