@@ -10,8 +10,8 @@ from .curves import (
     FunctionFieldElement,
     Place,
     principal_divisor,
+    riemann_roch_dimension,
     riemann_roch_expansions,
-    riemann_roch_space,
     valuation,
 )
 from .errors import DomainError
@@ -310,7 +310,7 @@ def cohomology_dims(curve, D, ext_bound=DEFAULT_EXT_BOUND):
         v1 = Place.infinity(curve)
     else:
         v1 = Place.origin(curve)
-    h0 = len(riemann_roch_space(D, ext_bound))
+    h0 = riemann_roch_dimension(D, ext_bound)
     m = 2 * (curve.genus + 1)
     previous = None
     while True:

@@ -388,7 +388,10 @@ def _signs_dict():
 
 
 def run_config(doc, seed=0, ext_bound=DEFAULT_EXT_BOUND):
-    """Validate a config document and execute its task; returns the report."""
+    """Validate a config document and execute its task; returns the report.
+
+    ``seed`` (or the config's ``seed`` key) is validated and recorded in the
+    report; no result depends on it."""
     _expect_keys(
         doc,
         ("task",),
@@ -416,26 +419,20 @@ def run_config(doc, seed=0, ext_bound=DEFAULT_EXT_BOUND):
         for k in ("degrees", "divisors", "symbols", "symbol", "place", "divisor1", "divisor2", "l", "P", "Q")
         if k in doc
     }
-    from . import fields
-
-    fields.FACTOR_SEED = seed
-    try:
-        if task == "intersect":
-            result, oracle = _task_intersect(payload, spec, ext_bound)
-        else:
-            if "curve" not in doc:
-                raise SchemaError("task %r needs a curve" % task)
-            curve = _parse_curve(doc["curve"], spec)
-            runner = {
-                "rr-table": _task_rr_table,
-                "reciprocity": _task_reciprocity,
-                "tame": _task_tame,
-                "weil": _task_weil,
-                "massey": _task_massey,
-            }[task]
-            result, oracle = runner(payload, curve, ext_bound)
-    finally:
-        fields.FACTOR_SEED = 0
+    if task == "intersect":
+        result, oracle = _task_intersect(payload, spec, ext_bound)
+    else:
+        if "curve" not in doc:
+            raise SchemaError("task %r needs a curve" % task)
+        curve = _parse_curve(doc["curve"], spec)
+        runner = {
+            "rr-table": _task_rr_table,
+            "reciprocity": _task_reciprocity,
+            "tame": _task_tame,
+            "weil": _task_weil,
+            "massey": _task_massey,
+        }[task]
+        result, oracle = runner(payload, curve, ext_bound)
     return {
         "version": __version__,
         "task": task,
@@ -459,7 +456,7 @@ def _emit(report, out_path):
 
 def main(argv=None):
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0, help="factorization seed")
+    shared.add_argument("--seed", type=int, default=0, help="recorded in the report; results do not depend on it")
     shared.add_argument("--ext-bound", type=int, default=DEFAULT_EXT_BOUND, help="rationality bound")
     shared.add_argument("--out", default=None, help="write the report to a file")
     parser = argparse.ArgumentParser(prog="adele-forge", parents=[shared])

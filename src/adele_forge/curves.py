@@ -906,6 +906,16 @@ def riemann_roch_space(D, ext_bound=DEFAULT_EXT_BOUND):
     return _rr_basis_elliptic(curve, parts) if parts else []
 
 
+def riemann_roch_dimension(D, ext_bound=DEFAULT_EXT_BOUND):
+    """dim L(D), read off the ansatz of ``riemann_roch_space`` without
+    building its basis."""
+    if D.curve.kind == "p1":
+        parts = _rr_parts_p1(D)
+        return parts[2] + 1 if parts else 0
+    parts = _rr_parts_elliptic(D, ext_bound)
+    return len(parts[2]) if parts else 0
+
+
 def riemann_roch_expansions(D, place, prec, ext_bound=DEFAULT_EXT_BOUND):
     """The Laurent expansions below ``prec`` at the base place (infinity on
     P^1, O on the elliptic model) of the basis ``riemann_roch_space(D)``

@@ -18,7 +18,6 @@ from random import Random
 from . import _kernels as K
 from .errors import DomainError
 
-FACTOR_SEED = 0  # default seed for the randomized splitting steps
 DEFAULT_EXT_BOUND = 6  # largest degree of a place or point searched for by default
 
 
@@ -962,16 +961,15 @@ def _equal_degree_split(f, d, rng):
     return _equal_degree_split(g, d, rng) + _equal_degree_split(f.exact_div(g), d, rng)
 
 
-def factor_polynomial(f, seed=None):
+def factor_polynomial(f, seed=0):
     """Full factorization over the coefficient field.
 
     Returns (leading coefficient, [(monic irreducible, multiplicity), ...])
-    with factors in a deterministic order (degree, then coefficient order).
+    with factors in a deterministic order (degree, then coefficient order),
+    so ``seed`` (of the randomized splitting) changes only the time taken.
     """
     if not f:
         raise DomainError("cannot factor zero")
-    if seed is None:
-        seed = FACTOR_SEED
     lc = f.lc()
     f = f.monic()
     rng = Random(seed)
@@ -995,7 +993,7 @@ def poly_roots(f):
     x = Polynomial.x(spec)
     g = poly_gcd(f, x.powmod(q, f) - x)
     roots = []
-    rng = Random(FACTOR_SEED)
+    rng = Random(0)
     if g.degree > 0:
         for lin in _equal_degree_split(g, 1, rng):
             roots.append(-lin.constant_term())

@@ -196,20 +196,6 @@ class BiPoly:
         return BiPoly(self.spec, out)
 
 
-def _prem_u(A, B):
-    """Pseudo-remainder of A by B with respect to u."""
-    db = B.deg_u()
-    if db < 0:
-        raise DomainError("pseudo-division by zero")
-    lcB = B.as_u_polys()[db]
-    R = A
-    while R and R.deg_u() >= db:
-        da = R.deg_u()
-        lcR = R.as_u_polys()[da]
-        R = R * BiPoly.from_u_polys(R.spec, [lcB]) - B.mul_monomial(da - db, 0) * BiPoly.from_u_polys(R.spec, [lcR])
-    return R
-
-
 def bipoly_divide(N, F):
     """Exact quotient N / F in k[u,v], or None when F does not divide N."""
     if not N:
@@ -256,64 +242,36 @@ def bipoly_multiplicity(N, F):
         m += 1
 
 
-def _content_u(A):
-    polys = [p for p in A.as_u_polys() if p]
-    if not polys:
-        return Polynomial.zero(A.spec)
-    g = polys[0]
-    for p in polys[1:]:
-        g = poly_gcd(g, p)
-    return g
-
-
-def bipoly_gcd(A, B):
-    """A gcd of A and B in k[u,v] (defined up to a scalar)."""
-    if not A:
-        return B
-    if not B:
-        return A
-    if A.deg_u() == 0 or B.deg_u() == 0:
-        g = poly_gcd(_content_u(A), _content_u(B))
-        return BiPoly.from_u_polys(A.spec, [g])
-    contA, contB = _content_u(A), _content_u(B)
-    Ap = bipoly_divide(A, BiPoly.from_u_polys(A.spec, [contA]))
-    Bp = bipoly_divide(B, BiPoly.from_u_polys(B.spec, [contB]))
-    while Bp:
-        R = _prem_u(Ap, Bp)
-        if R:
-            cont = _content_u(R)
-            R = bipoly_divide(R, BiPoly.from_u_polys(R.spec, [cont]))
-        Ap, Bp = Bp, R
-    cont = poly_gcd(contA, contB)
-    return Ap * BiPoly.from_u_polys(A.spec, [cont])
-
-
 def fulton_multiplicity(F, G, point):
     """Local intersection multiplicity of two affine curves at a point.
 
-    Computed by the classical recursion on restrictions to the u-axis;
-    INFINITE when the curves share a component through the point.
+    Computed by the classical recursion on restrictions to the u-axis
+    (Fulton, *Algebraic Curves*, 3.3); INFINITE when the curves share a
+    component through the point.  No gcd is taken: the recursion is given
+    deg F * deg G levels of intersection to spend, and a count past that
+    proves a shared component through the point.  This is exact: each level
+    adds at least 1; a finite local multiplicity is at most deg F * deg G
+    (affine Bezout); and a component shared away from the point is a unit
+    there, so it only lowers that count.  The plane intersections reject
+    curve pairs sharing a component before any call (``_contributing_flags``
+    runs ``curve_intersection_points`` on every pair); a direct call on such
+    a pair can spend up to deg F * deg G levels before it returns INFINITE.
     """
     u0, v0 = point
     if F.evaluate(u0, v0) or G.evaluate(u0, v0):
         # a common factor through the point would make both values zero
         return 0
-    F = F.translate(u0, v0)
-    G = G.translate(u0, v0)
-    H = bipoly_gcd(F, G)
-    if H.total_degree() > 0 and not H.evaluate(F.spec.zero(), F.spec.zero()):
-        return INFINITE
-    if H.total_degree() > 0:
-        F = bipoly_divide(F, H)
-        G = bipoly_divide(G, H)
-    return _fulton_origin(F, G)
+    budget = F.total_degree() * G.total_degree()
+    return _fulton_origin(F.translate(u0, v0), G.translate(u0, v0), budget)
 
 
-def _fulton_origin(F, G):
+def _fulton_origin(F, G, budget):
+    """I_0(F, G), or INFINITE once both still pass through the origin with
+    ``budget`` spent."""
     zero = F.spec.zero()
     if F.evaluate(zero, zero) or G.evaluate(zero, zero):
         return 0
-    if not F or not G:
+    if not F or not G or budget <= 0:
         return INFINITE
     while True:
         f = F.restrict_v0()
@@ -330,7 +288,8 @@ def _fulton_origin(F, G):
                 if c:
                     break
                 ord_u += 1
-            return ord_u + _fulton_origin(H, G)
+            rest = _fulton_origin(H, G, budget - ord_u)
+            return rest if rest is INFINITE else ord_u + rest
         c = g.lc() / f.lc()
         G = G - F.mul_monomial(g.degree - f.degree, 0).scale(c)
         if G.evaluate(zero, zero):

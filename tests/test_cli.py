@@ -7,6 +7,7 @@ import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from adele_forge.cli import main, run_config
 from adele_forge.errors import DomainError, SchemaError
+from adele_forge.surface import HomForm, _has_linear_factor
 
 WEIL_DOC = {
     "field": {"p": 5},
@@ -307,6 +309,34 @@ def test_report_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        CONICS_DOC,
+        {
+            "field": {"p": 7},
+            "curve": {"model": "projective-line"},
+            "task": "reciprocity",
+            "symbols": [[[{"num": [1, 0, 1]}, {"num": [3, 1, 0, 1]}, 1]]],
+        },
+        {
+            "field": {"p": 7},
+            "curve": {"model": "elliptic", "a": 1, "b": 1},
+            "task": "rr-table",
+            "degrees": [-2, 4],
+        },
+    ],
+)
+def test_seed_is_recorded_and_changes_nothing_else(doc):
+    # factors and roots are sorted before use, so the splitting seed can
+    # only change the time taken
+    base = run_config(doc)
+    for other in (run_config(doc, seed=7), run_config(dict(doc, seed=12345))):
+        assert other.pop("seed") != base["seed"]
+        other["input"].pop("seed", None)
+        assert other == {k: v for k, v in base.items() if k != "seed"}
+
+
 def test_integers_are_strings():
     rep = run_config(WEIL_DOC)
 
@@ -485,6 +515,65 @@ def test_intersect_over_an_extension_field_is_a_domain_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error [domain]: plane intersections require a prime base field, not GF(7^2)\n"
+
+
+def _form_product(a, b, p):
+    """The product mod p of two forms given as {(i, j, k): c} dicts."""
+    out = {}
+    for (i, j, k), c in a.items():
+        for (i2, j2, k2), c2 in b.items():
+            key = (i + i2, j + j2, k + k2)
+            out[key] = (out.get(key, 0) + c * c2) % p
+    return [[i, j, k, c] for (i, j, k), c in sorted(out.items()) if c]
+
+
+def _quintic_without_line(rng, p):
+    while True:
+        terms = {(i, j, 5 - i - j): rng.randrange(p) for i in range(6) for j in range(6 - i)}
+        terms = {m: c for m, c in terms.items() if c}
+        if terms and not _has_linear_factor(HomForm(p, terms)):
+            return terms
+
+
+def _shared_component_doc(p, shared, cofactors):
+    forms = [_form_product(shared, q, p) for q in cofactors]
+    return {
+        "field": {"p": p},
+        "task": "intersect",
+        "divisor1": [{"form": forms[0], "multiplicity": 1}],
+        "divisor2": [{"form": forms[1], "multiplicity": 1}],
+    }
+
+
+def _assert_domain_error(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert main(["run", str(cfg)]) == 1
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error [domain]: " + message)
+    return elapsed
+
+
+def test_intersect_rejects_a_shared_cubic_up_front(tmp_path, capsys):
+    # forms of degree > 3 are checked for lines only, so these two degree-8
+    # forms are accepted; they share the nonsingular cubic X1^2X2 - X0^3 - X0X2^2,
+    # and the resultant, not a local multiplicity, has to reject the pair
+    rng = Random(0)
+    cubic = {(0, 2, 1): 1, (3, 0, 0): -1, (1, 0, 2): -1}
+    doc = _shared_component_doc(7, cubic, [_quintic_without_line(rng, 7) for _ in range(2)])
+    assert _assert_domain_error(tmp_path, capsys, doc, "identically zero resultant") < 2.0
+
+
+def test_intersect_rejects_a_shared_line_pair_up_front(tmp_path, capsys):
+    # X0^2 + X1^2 is irreducible over GF(7) and splits into two lines through
+    # (0:0:1) over GF(49); the fibres over those directions vanish on both forms
+    doc = _shared_component_doc(
+        7, {(2, 0, 0): 1, (0, 2, 0): 1}, [{(0, 1, 1): 1, (2, 0, 0): -1}, {(1, 0, 1): 1, (0, 2, 0): -1}]
+    )
+    _assert_domain_error(tmp_path, capsys, doc, "improper intersection: common line component")
 
 
 # ---------------------------------------------------------------------------

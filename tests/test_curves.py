@@ -16,6 +16,7 @@ from adele_forge.curves import (
     leading_value_at,
     principal_divisor,
     rational_points,
+    riemann_roch_dimension,
     riemann_roch_expansions,
     riemann_roch_space,
     scalar_multiple,
@@ -412,6 +413,21 @@ def test_rr_expansions_match_expand_at_elliptic(mults, m, which):
     _check_expansions(D, base, m, which)
     for f in riemann_roch_space(D):
         _assert_reduced(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(["p1", "elliptic"]),
+    mults=st.lists(st.integers(-3, 4), min_size=4, max_size=4),
+)
+def test_rr_dimension_matches_basis(model, mults):
+    if model == "p1":
+        places = _p1_places() + [Place.infinity(P15)]
+    else:
+        E, affine = _elliptic_places()
+        places = affine + [Place.origin(E)]
+    D = Divisor(places[0].curve, dict(zip(places, mults)))
+    assert riemann_roch_dimension(D) == len(riemann_roch_space(D))
 
 
 def test_rr_expansions_fixtures():

@@ -22,7 +22,6 @@ from adele_forge.surface import (
     SurfaceDivisor,
     SurfaceSymbol,
     bezout_number,
-    bipoly_gcd,
     choose_aux_line,
     curve_intersection_points,
     curve_tame_symbol,
@@ -81,13 +80,51 @@ def test_fulton_axioms():
     assert fulton_multiplicity(u, v, origin) == fulton_multiplicity(u, v + u * v, origin)
 
 
-def test_bipoly_gcd():
-    u, v = u_var(), v_var()
-    a = (u + v) * (u - v)
-    b = (u + v) * v
-    g = bipoly_gcd(a, b)
-    assert g.total_degree() == 1
-    assert bipoly_gcd(u, v).total_degree() == 0
+@st.composite
+def _fulton_case(draw):
+    """A point of GF(p)^2, p <= 7, and small BiPolys F, G, A, H over GF(p)
+    of exact total degrees (H nonconstant); each nonconstant one passes
+    through the point when a coin says so."""
+    spec = prime_field(draw(st.sampled_from([2, 3, 5, 7])))
+    point = tuple(spec.element(draw(st.integers(0, spec.p - 1))) for _ in range(2))
+
+    def poly(lo, hi):
+        d = draw(st.integers(lo, hi))
+        terms = {(i, j): spec.element(draw(st.integers(0, spec.p - 1)))
+                 for i in range(d + 1) for j in range(d - i)}
+        i = draw(st.integers(0, d))  # a nonzero term of top degree
+        terms[(i, d - i)] = spec.element(draw(st.integers(1, spec.p - 1)))
+        f = BiPoly(spec, terms)
+        if d and draw(st.booleans()):
+            f = f - BiPoly.constant(f.evaluate(*point))
+        return f
+
+    return point, poly(0, 2), poly(0, 2), poly(0, 1), poly(1, 2)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_fulton_case())
+def test_fulton_axioms_random(case):
+    point, F, G, A, H = case
+
+    def I(a, b):
+        m = fulton_multiplicity(a, b, point)
+        assert m is INFINITE or m == 0 or 0 < m <= a.total_degree() * b.total_degree()
+        return m
+
+    def same(m, n):
+        return m is INFINITE and n is INFINITE or m is not INFINITE and m == n
+
+    m = I(F, G)
+    assert same(I(G, F), m)
+    assert same(I(F, G + A * F), m)
+    n = I(F, H)
+    if m is not INFINITE and n is not INFINITE:
+        assert I(F, G * H) == m + n
+    if H.evaluate(*point):
+        assert same(I(H * F, H * G), m)
+    else:
+        assert I(H * F, H * G) is INFINITE
 
 
 def test_plane_curve_validation():
