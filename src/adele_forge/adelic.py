@@ -13,9 +13,10 @@ from .curves import (
     riemann_roch_dimension,
     riemann_roch_expansions,
     valuation,
+    x_minimal_poly,
 )
 from .errors import DomainError
-from .fields import DEFAULT_EXT_BOUND
+from .fields import DEFAULT_EXT_BOUND, Polynomial, RationalFunction
 from .linalg import rref
 from .milnor import GerstenCochain, MilnorSymbol, symbol_support, tame_symbol
 
@@ -170,10 +171,8 @@ def uniformizer(place):
     """A function with valuation exactly 1 at the place."""
     curve = place.curve
     if place.kind == "p1-finite":
-        return FunctionFieldElement(curve, _rat(place.data))
+        return FunctionFieldElement(curve, RationalFunction(place.data))
     if place.kind == "p1-infinity":
-        from .fields import Polynomial, RationalFunction
-
         return FunctionFieldElement(
             curve, RationalFunction(Polynomial.one(curve.spec), Polynomial.x(curve.spec))
         )
@@ -184,17 +183,9 @@ def uniformizer(place):
     x0, y0 = place.representative()
     if not y0:
         return FunctionFieldElement.y_function(curve)
-    from .curves import x_minimal_poly
-
-    u = FunctionFieldElement(curve, _rat(x_minimal_poly(place)))
+    u = FunctionFieldElement(curve, RationalFunction(x_minimal_poly(place)))
     assert valuation(u, place) == 1
     return u
-
-
-def _rat(poly):
-    from .fields import RationalFunction
-
-    return RationalFunction(poly)
 
 
 def nu_curve(cochain, ext_bound=DEFAULT_EXT_BOUND):
@@ -268,31 +259,24 @@ def cochain_product(left, right):
     weight = ("k", wm + wn)
     if weight[1] > 2:
         raise DomainError("weight overflow: K-weight %d is not supported" % weight[1])
-    if p == 0 and q == 0:
-        g = _value_product(curve, wm, left.global_part, wn, right.global_part)
-        tail = _value_product(curve, wm, left.tail, wn, right.tail)
-        places = set(left.exceptions) | set(right.exceptions)
-        exc = {
-            v: _value_product(
-                curve, wm, left.local_component(v), wn, right.local_component(v)
-            )
-            for v in places
-        }
-        return AdeleCochain(curve, 0, weight, global_part=g, tail=tail, exceptions=exc)
-    if p == 0:
+    if p == 0 and q == 1:
         # front component of the flag (X, x) is the global part of ``left``
         a = left.global_part
         tail = _value_product(curve, wm, a, wn, right.tail)
         exc = {v: _value_product(curve, wm, a, wn, x) for v, x in right.exceptions.items()}
         return AdeleCochain(curve, 1, weight, tail=tail, exceptions=exc)
-    # p == 1, q == 0: back component of (X, x) is the local part of ``right``
+    # (0, 0) and (1, 0): place by place, the back component of (X, x) is the
+    # local part of ``right``; degree 0 adds the product of global parts
     places = set(left.exceptions) | set(right.exceptions)
     tail = _value_product(curve, wm, left.tail, wn, right.tail)
     exc = {
         v: _value_product(curve, wm, left.local_component(v), wn, right.local_component(v))
         for v in places
     }
-    return AdeleCochain(curve, 1, weight, tail=tail, exceptions=exc)
+    if p == 1:
+        return AdeleCochain(curve, 1, weight, tail=tail, exceptions=exc)
+    g = _value_product(curve, wm, left.global_part, wn, right.global_part)
+    return AdeleCochain(curve, 0, weight, global_part=g, tail=tail, exceptions=exc)
 
 
 def cohomology_dims(curve, D, ext_bound=DEFAULT_EXT_BOUND):

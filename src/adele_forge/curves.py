@@ -19,6 +19,7 @@ from .fields import (
     canonical_field,
     factor_polynomial,
     field_sqrt,
+    frobenius_orbit,
     poly_gcd,
     roots_in_field,
 )
@@ -150,13 +151,7 @@ class Place:
         field = x0.spec
         if not curve.contains_affine(x0, y0):
             raise DomainError("point is not on the curve")
-        orbit = []
-        px, py = x0, y0
-        while True:
-            orbit.append((px, py))
-            px, py = px.frobenius(), py.frobenius()
-            if (px, py) == (x0, y0):
-                break
+        orbit = frobenius_orbit((x0, y0))
         if len(orbit) != field.k:
             raise DomainError("orbit does not generate its coordinate field")
         return cls(curve, "ec-affine", (frozenset(orbit), field))
@@ -883,15 +878,8 @@ def x_minimal_poly(place):
     x0 = place.representative()[0]
     spec = place.curve.spec
     field = x0.spec
-    xs = []
-    cur = x0
-    while True:
-        xs.append(cur)
-        cur = cur.frobenius()
-        if cur == x0:
-            break
     poly = Polynomial.one(field)
-    for xi in xs:
+    for (xi,) in frobenius_orbit((x0,)):
         poly = poly * Polynomial.from_elements(field, [-xi, field.one()])
     return Polynomial.from_elements(spec, [spec.element(c.lift_int()) for c in poly.coeffs])
 

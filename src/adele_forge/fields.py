@@ -375,12 +375,19 @@ class FieldElement:
 
     def minimal_degree(self):
         """Degree of the subfield GF(p^d) generated by this element."""
-        a = self
-        for d in range(1, self.spec.k + 1):
-            a = a.frobenius()
-            if a == self:
-                return d
-        raise AssertionError("frobenius orbit did not close")
+        return len(frobenius_orbit((self,)))
+
+
+def frobenius_orbit(coords):
+    """The Frobenius orbit of a tuple of elements of one field: the tuple,
+    then its coordinatewise p-th powers, and so on until the tuple itself
+    comes back (which it does not repeat)."""
+    orbit = [tuple(coords)]
+    while True:
+        cur = tuple(c.frobenius() for c in orbit[-1])
+        if cur == orbit[0]:
+            return orbit
+        orbit.append(cur)
 
 
 def norm_to_prime_field(a):

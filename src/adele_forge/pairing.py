@@ -5,7 +5,7 @@ product, direct images by norms, and the sign audit that pins the package's
 global sign constants.
 """
 
-from itertools import chain
+from itertools import chain, count
 
 from . import signs
 from .adelic import cochain_product, divisor_cocycle, nu_curve, AdeleCochain
@@ -227,27 +227,35 @@ class PairingValue:
         return "PairingValue(%r, order %d)" % (self.value, self.order)
 
 
-def _offset_candidates(curve):
-    """The translation offsets in trial order, affine points then O, as a
-    function that starts a new pass over them.  The points are enumerated
-    lazily, once: every pass draws on the same memoized prefix, so nested
-    loops that stop early never walk all of E(GF(p))."""
+def _disjoint_offsets(curve, P, Q, r_index=0, s_index=0):
+    """The offset pairs (R, S) whose translated representatives (P + R) - (R)
+    and (Q + S) - (S) have disjoint supports, R outer and S inner, each over
+    the affine points then O, skipping the first ``r_index`` and ``s_index``
+    of them.  The points are enumerated lazily, once: every pass draws on the
+    same memoized prefix, so a caller that stops early never walks all of
+    E(GF(p))."""
     source = chain(affine_points(curve), [None])
     seen = []
     end = object()
 
-    def offsets():
-        i = 0
-        while True:
+    def offsets(start):
+        for i in count():
             if i == len(seen):
                 T = next(source, end)
                 if T is end:
                     return
                 seen.append(T)
-            yield seen[i]
-            i += 1
+            if i >= start:
+                yield seen[i]
 
-    return offsets
+    for R in offsets(r_index):
+        PR = _shifted_support(curve, P, R)
+        if PR is None:
+            continue
+        for S in offsets(s_index):
+            QS = _shifted_support(curve, Q, S)
+            if QS is not None and not PR & QS:
+                yield R, S
 
 
 def weil_pairing_idelic(curve, P, Q, l, divisors=None):
@@ -260,17 +268,12 @@ def weil_pairing_idelic(curve, P, Q, l, divisors=None):
         return PairingValue(curve.spec.one(), l)
     if divisors is None:
         divisors = {}
-    offsets = _offset_candidates(curve)
-    for R in offsets():
-        for S in offsets():
-            PR, QS = _shifted_support(curve, P, R), _shifted_support(curve, Q, S)
-            if PR is None or QS is None or PR & QS:
-                continue
-            f = miller_function(curve, P, l, R, divisors)
-            g = miller_function(curve, Q, l, S, divisors)
-            num = f.evaluate_at_divisor(_scale_div(g.divisor, l))
-            den = g.evaluate_at_divisor(_scale_div(f.divisor, l))
-            return PairingValue(num / den, l)
+    for R, S in _disjoint_offsets(curve, P, Q):
+        f = miller_function(curve, P, l, R, divisors)
+        g = miller_function(curve, Q, l, S, divisors)
+        num = f.evaluate_at_divisor(_scale_div(g.divisor, l))
+        den = g.evaluate_at_divisor(_scale_div(f.divisor, l))
+        return PairingValue(num / den, l)
     raise DomainError("no disjoint-support representatives found")
 
 
@@ -355,27 +358,21 @@ def weil_pairing_miller(curve, P, Q, l):
     _check_torsion(curve, P, Q, l)
     if P is None or Q is None or P == Q:
         return PairingValue(curve.spec.one(), l)
-    offsets = _offset_candidates(curve)
-    for T1 in offsets():
-        for T2 in offsets():
-            sup1 = _shifted_support(curve, P, T1)
-            sup2 = _shifted_support(curve, Q, T2)
-            if sup1 is None or sup2 is None or sup1 & sup2:
-                continue
-            try:
-                # f(D_Q) with D_Q = (Q+T2) - (T2), f = f_P translated by T1:
-                # f(X) = f_{l,P}(X - T1) up to a constant that cancels
-                mT1 = ec_neg(curve, T1)
-                mT2 = ec_neg(curve, T2)
-                num = _miller_point_eval(
-                    curve, P, l, ec_add(curve, ec_add(curve, Q, T2), mT1)
-                ) / _miller_point_eval(curve, P, l, ec_add(curve, T2, mT1))
-                den = _miller_point_eval(
-                    curve, Q, l, ec_add(curve, ec_add(curve, P, T1), mT2)
-                ) / _miller_point_eval(curve, Q, l, ec_add(curve, T1, mT2))
-                return PairingValue(num / den, l)
-            except _Degenerate:
-                continue
+    for T1, T2 in _disjoint_offsets(curve, P, Q):
+        try:
+            # f(D_Q) with D_Q = (Q+T2) - (T2), f = f_P translated by T1:
+            # f(X) = f_{l,P}(X - T1) up to a constant that cancels
+            mT1 = ec_neg(curve, T1)
+            mT2 = ec_neg(curve, T2)
+            num = _miller_point_eval(
+                curve, P, l, ec_add(curve, ec_add(curve, Q, T2), mT1)
+            ) / _miller_point_eval(curve, P, l, ec_add(curve, T2, mT1))
+            den = _miller_point_eval(
+                curve, Q, l, ec_add(curve, ec_add(curve, P, T1), mT2)
+            ) / _miller_point_eval(curve, Q, l, ec_add(curve, T1, mT2))
+            return PairingValue(num / den, l)
+        except _Degenerate:
+            continue
     raise DomainError("no nondegenerate evaluation offsets found")
 
 
@@ -441,22 +438,12 @@ def massey_triple_curve(curve, P, Q, l, r_index=0, s_index=0, divisors=None):
         raise DomainError("Massey product of the class of O is trivial: P and Q must differ from O")
     if divisors is None:
         divisors = {}
-    offsets = _offset_candidates(curve)
-    for i, R in enumerate(offsets()):
-        if i < r_index:
-            continue
-        for j, S in enumerate(offsets()):
-            if j < s_index:
-                continue
-            supY = _shifted_support(curve, P, R)
-            supZ = _shifted_support(curve, Q, S)
-            if supY is None or supZ is None or supY & supZ:
-                continue
-            f = miller_function(curve, P, l, R, divisors)
-            g = miller_function(curve, Q, l, S, divisors)
-            Y = _scale_div(f.divisor, l)
-            Z = _scale_div(g.divisor, l)
-            return massey_triple(curve, Y, f, Z, g)
+    for R, S in _disjoint_offsets(curve, P, Q, r_index, s_index):
+        f = miller_function(curve, P, l, R, divisors)
+        g = miller_function(curve, Q, l, S, divisors)
+        Y = _scale_div(f.divisor, l)
+        Z = _scale_div(g.divisor, l)
+        return massey_triple(curve, Y, f, Z, g)
     raise DomainError("representative offsets exhausted")
 
 

@@ -4,6 +4,11 @@ multiplicity recursion.  The points where two curves meet come from their
 resultant in X2, a Sylvester determinant over GF(p)[X0] taken by Bareiss
 elimination.
 
+Affine curves in a chart are BiPolys: one ``fields.Polynomial`` in u per
+power of v, so that this module does no coefficient arithmetic of its own.
+Fulton's recursion reads the restriction to v = 0 and the division by v off
+those rows, after one shift in v that moves the point onto v = 0.
+
 Surface functions stay in factored form (products of irreducible forms with
 integer exponents); the valuation along a curve is an exponent lookup, and
 restriction to a curve is deferred to valuation time.
@@ -15,7 +20,8 @@ import math
 from . import signs
 from .errors import DomainError
 from .fields import (
-    DEFAULT_EXT_BOUND, Polynomial, canonical_field, factor_polynomial, poly_gcd, poly_roots, prime_field, roots_in_field,
+    DEFAULT_EXT_BOUND, Polynomial, canonical_field, factor_polynomial, frobenius_orbit, poly_gcd, poly_roots,
+    prime_field, roots_in_field,
 )
 
 log = logging.getLogger(__name__)
@@ -35,32 +41,57 @@ def _powers(x, n):
 
 
 class BiPoly:
-    """Bivariate polynomial over a FieldSpec: {(i, j): coefficient}."""
+    """Bivariate polynomial over a FieldSpec, stored by powers of v: ``rows[j]``
+    is the coefficient of v^j, a Polynomial in u, and the top row is nonzero
+    (the zero BiPoly has no rows).  Every coefficient operation is a
+    Polynomial operation on the rows.
 
-    __slots__ = ("spec", "terms")
+    ``BiPoly(spec, {(i, j): c})`` builds one from the coefficients c of
+    u^i v^j, and ``terms`` reads them back the same way.
+    """
+
+    __slots__ = ("spec", "rows")
 
     def __init__(self, spec, terms):
+        width = max((i for i, _ in terms), default=-1) + 1
+        grid = [[spec.zero()] * width for _ in range(max((j for _, j in terms), default=-1) + 1)]
+        for (i, j), c in terms.items():
+            grid[j][i] = c
         self.spec = spec
-        self.terms = {ij: c for ij, c in terms.items() if c}
+        self.rows = _trimmed([Polynomial.from_elements(spec, row) for row in grid])
+
+    @classmethod
+    def from_rows(cls, spec, rows):
+        """The BiPoly sum rows[j] * v^j; zero top rows are dropped."""
+        out = cls.__new__(cls)
+        out.spec = spec
+        out.rows = _trimmed(list(rows))
+        return out
 
     @classmethod
     def zero(cls, spec):
-        return cls(spec, {})
+        return cls.from_rows(spec, ())
 
     @classmethod
     def constant(cls, c):
-        return cls(c.spec, {(0, 0): c})
+        return cls.from_rows(c.spec, (Polynomial.constant(c),))
 
     @classmethod
     def variable(cls, spec, which):
-        ij = (1, 0) if which == "u" else (0, 1)
-        return cls(spec, {ij: spec.one()})
+        if which == "u":
+            return cls.from_rows(spec, (Polynomial.x(spec),))
+        return cls.from_rows(spec, (Polynomial.zero(spec), Polynomial.one(spec)))
+
+    @property
+    def terms(self):
+        """{(i, j): nonzero coefficient of u^i v^j}, a fresh dict."""
+        return {(i, j): c for j, row in enumerate(self.rows) for i, c in enumerate(row.coeffs) if c}
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.rows)
 
     def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.spec == other.spec and self.terms == other.terms
+        return isinstance(other, BiPoly) and self.spec == other.spec and self.rows == other.rows
 
     def __repr__(self):
         if not self.terms:
@@ -70,163 +101,89 @@ class BiPoly:
             bits.append("%r*u^%d*v^%d" % (c, i, j))
         return " + ".join(bits)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for ij, c in other.terms.items():
-            s = out.get(ij, self.spec.zero()) + c
-            if s:
-                out[ij] = s
-            else:
-                out.pop(ij, None)
-        return BiPoly(self.spec, out)
+    def _padded(self, n):
+        return self.rows + (Polynomial.zero(self.spec),) * (n - len(self.rows))
 
-    def __neg__(self):
-        return BiPoly(self.spec, {ij: -c for ij, c in self.terms.items()})
+    def __add__(self, other):
+        n = max(len(self.rows), len(other.rows))
+        return BiPoly.from_rows(self.spec, [a + b for a, b in zip(self._padded(n), other._padded(n))])
 
     def __sub__(self, other):
-        return self + (-other)
+        n = max(len(self.rows), len(other.rows))
+        return BiPoly.from_rows(self.spec, [a - b for a, b in zip(self._padded(n), other._padded(n))])
 
     def __mul__(self, other):
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                ij = (i1 + i2, j1 + j2)
-                s = out.get(ij, self.spec.zero()) + c1 * c2
-                if s:
-                    out[ij] = s
-                else:
-                    out.pop(ij, None)
-        return BiPoly(self.spec, out)
+        out = [Polynomial.zero(self.spec)] * (len(self.rows) + len(other.rows) - 1)
+        for j, a in enumerate(self.rows):
+            for k, b in enumerate(other.rows):
+                if a and b:
+                    out[j + k] = out[j + k] + a * b
+        return BiPoly.from_rows(self.spec, out)
 
     def scale(self, c):
-        if not c:
-            return BiPoly.zero(self.spec)
-        return BiPoly(self.spec, {ij: c * a for ij, a in self.terms.items()})
+        return BiPoly.from_rows(self.spec, [row.scale(c) for row in self.rows])
 
-    def mul_monomial(self, di, dj):
-        return BiPoly(self.spec, {(i + di, j + dj): c for (i, j), c in self.terms.items()})
+    def submul(self, q, other, shift=0):
+        """self - q * v^shift * other for a Polynomial q in u, in one pass
+        over the rows of ``other``."""
+        rows = list(self._padded(len(other.rows) + shift))
+        for j, row in enumerate(other.rows, shift):
+            rows[j] = rows[j] - q * row
+        return BiPoly.from_rows(self.spec, rows)
+
+    def shift_v(self, v0):
+        """self(u, v + v0), by Horner in v: each step multiplies the rows so
+        far by v + v0 and adds the next row."""
+        if not v0:
+            return self
+        zero = Polynomial.zero(self.spec)
+        out = []
+        for row in reversed(self.rows):
+            out = [a + b.scale(v0) for a, b in zip([row] + out, out + [zero])]
+        return BiPoly.from_rows(self.spec, out)
 
     def evaluate(self, u0, v0):
-        pu = _powers(u0, self.deg_u())
-        pv = _powers(v0, self.deg_v())
         total = self.spec.zero()
-        for (i, j), c in self.terms.items():
-            total = total + c * pu[i] * pv[j]
+        for row in reversed(self.rows):
+            total = total * v0 + row.evaluate(u0)
         return total
 
     def deg_u(self):
-        return max((i for i, _ in self.terms), default=-1)
-
-    def deg_v(self):
-        return max((j for _, j in self.terms), default=-1)
+        return max((row.degree for row in self.rows), default=-1)
 
     def total_degree(self):
-        return max((i + j for i, j in self.terms), default=-1)
-
-    def as_u_polys(self):
-        """Coefficients as polynomials in v, indexed by the power of u."""
-        n = self.deg_u()
-        buckets = [dict() for _ in range(n + 1)]
-        for (i, j), c in self.terms.items():
-            buckets[i][j] = c
-        out = []
-        for d in buckets:
-            m = max(d, default=-1)
-            coeffs = [d.get(j, self.spec.zero()) for j in range(m + 1)]
-            out.append(Polynomial.from_elements(self.spec, coeffs))
-        return out
-
-    @classmethod
-    def from_u_polys(cls, spec, polys):
-        terms = {}
-        for i, poly in enumerate(polys):
-            for j, c in enumerate(poly.coeffs):
-                if c:
-                    terms[(i, j)] = c
-        return cls(spec, terms)
-
-    def swap_vars(self):
-        return BiPoly(self.spec, {(j, i): c for (i, j), c in self.terms.items()})
-
-    def restrict_v0(self):
-        """self(u, 0) as a univariate polynomial in u."""
-        n = self.deg_u()
-        coeffs = [self.spec.zero()] * (n + 1)
-        for (i, j), c in self.terms.items():
-            if j == 0:
-                coeffs[i] = c
-        return Polynomial.from_elements(self.spec, coeffs)
-
-    def exact_div_v(self):
-        """self / v; requires every term to have a positive v-exponent."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            if j == 0:
-                raise DomainError("not divisible by v")
-            out[(i, j - 1)] = c
-        return BiPoly(self.spec, out)
-
-    def translate(self, u0, v0):
-        """self(u + u0, v + v0)."""
-        vshift = Polynomial.from_elements(self.spec, [v0, self.spec.one()])
-        shifted = [poly.compose(vshift) for poly in self.as_u_polys()]
-        # Horner in u with polynomial coefficients: evaluate at (u + u0)
-        result = BiPoly.zero(self.spec)
-        ushift = BiPoly(self.spec, {(1, 0): self.spec.one(), (0, 0): u0})
-        for poly in reversed(shifted):
-            result = result * ushift + BiPoly.from_u_polys(self.spec, [poly])
-        return result
+        return max((row.degree + j for j, row in enumerate(self.rows) if row), default=-1)
 
     def deriv_u(self):
-        out = {}
-        for (i, j), c in self.terms.items():
-            if i:
-                s = c * self.spec.element(i)
-                if s:
-                    out[(i - 1, j)] = s
-        return BiPoly(self.spec, out)
+        return BiPoly.from_rows(self.spec, [row.derivative() for row in self.rows])
 
     def deriv_v(self):
-        out = {}
-        for (i, j), c in self.terms.items():
-            if j:
-                s = c * self.spec.element(j)
-                if s:
-                    out[(i, j - 1)] = s
-        return BiPoly(self.spec, out)
+        return BiPoly.from_rows(self.spec, [row.scale(j) for j, row in enumerate(self.rows) if j])
+
+
+def _trimmed(rows):
+    while rows and not rows[-1]:
+        rows.pop()
+    return tuple(rows)
 
 
 def bipoly_divide(N, F):
-    """Exact quotient N / F in k[u,v], or None when F does not divide N."""
-    if not N:
-        return BiPoly.zero(N.spec)
-    swap = False
-    if F.deg_u() < 1:
-        if F.deg_v() < 1:
-            c = F.terms.get((0, 0))
-            return N.scale(c.inverse())
-        N, F = N.swap_vars(), F.swap_vars()
-        swap = True
-    db = F.deg_u()
-    lcF = F.as_u_polys()[db]
-    Q = BiPoly.zero(N.spec)
+    """Exact quotient N / F in k[u,v], or None when F does not divide N: long
+    division in v, each step an exact division in k[u] by F's leading row."""
+    spec = N.spec
+    lead, n = F.rows[-1], len(F.rows)
+    Q = [Polynomial.zero(spec)] * max(len(N.rows) - n + 1, 0)
     R = N
-    steps = 0
-    while R and R.deg_u() >= db:
-        da = R.deg_u()
-        lcR = R.as_u_polys()[da]
-        q, rem = divmod(lcR, lcF)
+    while len(R.rows) >= n:
+        q, rem = divmod(R.rows[-1], lead)
         if rem:
             return None
-        term = BiPoly.from_u_polys(N.spec, [Polynomial.zero(N.spec)] * (da - db) + [q])
-        Q = Q + term
-        R = R - term * F
-        steps += 1
-        if steps > 4 * (N.deg_u() + N.deg_v() + 2):
-            return None
+        shift = len(R.rows) - n
+        Q[shift] = q
+        R = R.submul(q, F, shift)  # cancels the top row
     if R:
         return None
-    return Q.swap_vars() if swap else Q
+    return BiPoly.from_rows(spec, Q)
 
 
 def bipoly_multiplicity(N, F):
@@ -245,55 +202,49 @@ def bipoly_multiplicity(N, F):
 def fulton_multiplicity(F, G, point):
     """Local intersection multiplicity of two affine curves at a point.
 
-    Computed by the classical recursion on restrictions to the u-axis
-    (Fulton, *Algebraic Curves*, 3.3); INFINITE when the curves share a
-    component through the point.  No gcd is taken: the recursion is given
-    deg F * deg G levels of intersection to spend, and a count past that
-    proves a shared component through the point.  This is exact: each level
-    adds at least 1; a finite local multiplicity is at most deg F * deg G
-    (affine Bezout); and a component shared away from the point is a unit
-    there, so it only lowers that count.  The plane intersections reject
-    curve pairs sharing a component before any call (``_contributing_flags``
-    runs ``curve_intersection_points`` on every pair); a direct call on such
-    a pair can spend up to deg F * deg G levels before it returns INFINITE.
+    Fulton's recursion (*Algebraic Curves*, 3.3), run at the point: one shift
+    in v moves it to (u0, 0), where the restriction to v = 0 is ``rows[0]``
+    and division by v is ``rows[1:]``.  No shift in u is needed, since
+    I_P(F, G + A*F) = I_P(F, G) for every A, and I_P(v, G) is the order of
+    G(u, 0) at u0.
+
+    INFINITE when the curves share a component through the point.  No gcd is
+    taken: the recursion is given deg F * deg G levels of intersection to
+    spend, and a count past that proves a shared component through the
+    point.  This is exact: each level adds at least 1; a finite local
+    multiplicity is at most deg F * deg G (affine Bezout); and a component
+    shared away from the point is a unit there, so it only lowers that
+    count.  The plane intersections reject curve pairs sharing a component
+    before any call (``_contributing_flags`` runs
+    ``curve_intersection_points`` on every pair); a direct call on such a
+    pair can spend up to deg F * deg G levels before it returns INFINITE.
     """
     u0, v0 = point
     if F.evaluate(u0, v0) or G.evaluate(u0, v0):
         # a common factor through the point would make both values zero
         return 0
+    spec = F.spec
     budget = F.total_degree() * G.total_degree()
-    return _fulton_origin(F.translate(u0, v0), G.translate(u0, v0), budget)
-
-
-def _fulton_origin(F, G, budget):
-    """I_0(F, G), or INFINITE once both still pass through the origin with
-    ``budget`` spent."""
-    zero = F.spec.zero()
-    if F.evaluate(zero, zero) or G.evaluate(zero, zero):
-        return 0
-    if not F or not G or budget <= 0:
-        return INFINITE
-    while True:
-        f = F.restrict_v0()
-        g = G.restrict_v0()
+    F, G = F.shift_v(v0), G.shift_v(v0)
+    m = 0
+    # F and G both pass through (u0, 0) here
+    while F and G and m < budget:
+        f, g = F.rows[0], G.rows[0]
         if f.degree > g.degree or (not g and f):
             F, G, f, g = G, F, g, f
-        if not f:
-            # F is divisible by v
-            H = F.exact_div_v()
-            if not g:
-                return INFINITE
-            ord_u = 0
-            for c in g.coeffs:
-                if c:
-                    break
-                ord_u += 1
-            rest = _fulton_origin(H, G, budget - ord_u)
-            return rest if rest is INFINITE else ord_u + rest
-        c = g.lc() / f.lc()
-        G = G - F.mul_monomial(g.degree - f.degree, 0).scale(c)
-        if G.evaluate(zero, zero):
-            return 0
+        if f:
+            # G - c * u^d * F: G(u, 0) loses its leading term
+            c = g.lc() / f.lc()
+            G = G.submul(Polynomial.from_elements(spec, [spec.zero()] * (g.degree - f.degree) + [c]), F)
+            continue
+        if not g:
+            return INFINITE  # v divides both
+        # F = v * H: I(F, G) = I(v, G) + I(H, G)
+        m += g.root_multiplicity(u0)
+        F = BiPoly.from_rows(spec, F.rows[1:])
+        if F.rows[0].evaluate(u0):
+            return m
+    return INFINITE
 
 
 class HomForm:
@@ -514,13 +465,7 @@ class ProjPoint:
         last = max(i for i in range(3) if coords[i])
         inv = coords[last].inverse()
         coords = tuple(c * inv for c in coords)
-        orbit = []
-        cur = coords
-        while True:
-            orbit.append(cur)
-            cur = tuple(c.frobenius() for c in cur)
-            if cur == coords:
-                break
+        orbit = frobenius_orbit(coords)
         if len(orbit) != field.k:
             raise DomainError("point coordinates do not generate their field")
         self.field = field

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import chain
 from random import Random
 
 import time
@@ -22,6 +23,8 @@ from adele_forge.surface import (
     SurfaceDivisor,
     SurfaceSymbol,
     bezout_number,
+    bipoly_divide,
+    bipoly_multiplicity,
     choose_aux_line,
     curve_intersection_points,
     curve_tame_symbol,
@@ -55,6 +58,141 @@ def v_var():
     return BiPoly.variable(F7, "v")
 
 
+# ---------------------------------------------------------------------------
+# BiPoly rows against {(i, j): c} term dicts
+
+
+def _combine(K, terms):
+    """The term dict of the sum of c * u^i * v^j over ((i, j), c) pairs."""
+    out = {}
+    for ij, c in terms:
+        out[ij] = out.get(ij, K.zero()) + c
+    return {ij: c for ij, c in out.items() if c}
+
+
+def _times(a, b):
+    return (((i + k, j + l), c * d) for (i, j), c in a.items() for (k, l), d in b.items())
+
+
+def _reference_divide(K, n, f):
+    """(quotient, remainder) term dicts of n by f: division by the
+    lexicographically largest term of f, u before v, so the remainder is
+    zero exactly when f divides n."""
+    lead = max(f)
+    inv = f[lead].inverse()
+    q, r = {}, {}
+    while n:
+        top = max(n)
+        c = n[top] * inv
+        if top[0] < lead[0] or top[1] < lead[1]:
+            r[top] = n.pop(top)
+            continue
+        shift = {(top[0] - lead[0], top[1] - lead[1]): c}
+        q.update(shift)
+        n = _combine(K, chain(n.items(), ((ij, -x) for ij, x in _times(shift, f))))
+    return q, r
+
+
+def _same(K, f, terms):
+    """f holds exactly these terms, and its top row is nonzero."""
+    assert f.terms == terms
+    assert f == BiPoly(K, terms)
+    assert not f.rows or f.rows[-1]
+
+
+@st.composite
+def _term_dicts(draw, count):
+    """GF(p^k), p <= 7 and k <= 2, and ``count`` term dicts over it with
+    exponents <= 3, often sparse, sometimes empty."""
+    K = canonical_field(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 2)))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    out = []
+    for _ in range(count):
+        raw = draw(st.dictionaries(exps, st.integers(0, K.order - 1), max_size=6))
+        out.append({ij: K.from_encoding(c) for ij, c in raw.items() if c})
+    return K, out
+
+
+@settings(deadline=None, max_examples=200)
+@given(_term_dicts(3), st.data())
+def test_bipoly_rows_match_dict_reference(case, data):
+    K, (a, b, q) = case
+    elt = lambda: K.from_encoding(data.draw(st.integers(0, K.order - 1)))
+    A, B = BiPoly(K, a), BiPoly(K, b)
+    _same(K, A, a)
+    _same(K, A + B, _combine(K, chain(a.items(), b.items())))
+    _same(K, A - B, _combine(K, chain(a.items(), ((ij, -c) for ij, c in b.items()))))
+    _same(K, A * B, _combine(K, _times(a, b)))
+    s = elt()
+    _same(K, A.scale(s), _combine(K, ((ij, s * c) for ij, c in a.items())))
+    _same(K, A.deriv_u(), _combine(K, (((i - 1, j), c * i) for (i, j), c in a.items() if i)))
+    _same(K, A.deriv_v(), _combine(K, (((i, j - 1), c * j) for (i, j), c in a.items() if j)))
+    # the fused step A - q(u) * v^shift * B, q the u-only terms of the third dict
+    qu = {(i, 0): c for (i, j), c in q.items() if not j}
+    shift = data.draw(st.integers(0, 2))
+    row = BiPoly(K, qu).rows[0] if qu else Polynomial.zero(K)
+    _same(K, A.submul(row, B, shift), _combine(K, chain(
+        a.items(), (((i, j + shift), -c) for (i, j), c in _times(qu, b)))))
+    # the v-shift is evaluation at (u, v + v0)
+    v0 = elt()
+    S = A.shift_v(v0)
+    for _ in range(3):
+        u1, v1 = elt(), elt()
+        assert S.evaluate(u1, v1) == A.evaluate(u1, v1 + v0)
+    assert S.total_degree() == A.total_degree()
+
+
+@settings(deadline=None, max_examples=150)
+@given(_term_dicts(2), st.sampled_from(["general", "v-degree 0", "u-degree 0", "constant"]),
+       st.integers(1, 3))
+def test_bipoly_divide_and_multiplicity(case, shape, k):
+    K, (f, a) = case
+    # F of the given shape, with a nonzero top term
+    keep = {"general": lambda i, j: True, "v-degree 0": lambda i, j: not j,
+            "u-degree 0": lambda i, j: not i, "constant": lambda i, j: not i and not j}[shape]
+    top = {"general": (1, 1), "v-degree 0": (2, 0), "u-degree 0": (0, 2), "constant": (0, 0)}[shape]
+    f = {ij: c for ij, c in f.items() if keep(*ij)}
+    f[top] = K.one()
+    F = BiPoly(K, f)
+    # against the reference, on any pair
+    q, r = _reference_divide(K, dict(a), f)
+    assert bipoly_divide(BiPoly(K, a), F) == (None if r else BiPoly(K, q))
+    if shape != "constant" and not r:
+        a = _combine(K, chain(a.items(), [((0, 0), K.one())]))  # now F does not divide A
+    if not a:
+        a = {(0, 0): K.one()}
+    n = a
+    for _ in range(k):
+        n = _combine(K, _times(n, f))
+    N = BiPoly(K, n)
+    if shape == "constant":
+        c = f[(0, 0)]
+        assert bipoly_divide(N, F) == BiPoly(K, {ij: x / c for ij, x in n.items()})
+        return
+    below = a
+    for _ in range(k - 1):
+        below = _combine(K, _times(below, f))
+    assert bipoly_divide(N, F) == BiPoly(K, below)
+    assert bipoly_divide(BiPoly(K, a), F) is None
+    assert bipoly_multiplicity(N, F) == k
+
+
+def test_fulton_examples_off_the_origin():
+    # the examples below and a cusp, moved to (a, b) by u -> u - a, v -> v - b
+    for K in (F7, canonical_field(7, 2)):
+        for a, b in ((3, 0), (0, 5), (K.gen(), K.gen() + 2)):
+            a, b = K.element(a), K.element(b)
+            one = BiPoly.constant(K.one())
+            u = BiPoly.variable(K, "u") - one.scale(a)
+            v = BiPoly.variable(K, "v") - one.scale(b)
+            point = (a, b)
+            assert fulton_multiplicity(u, v, point) == 1
+            assert fulton_multiplicity(v, v - u * u, point) == 2
+            assert fulton_multiplicity(u, v * (v - u), point) == 2
+            assert fulton_multiplicity(v * v - u * u * u, v, point) == 3
+            assert fulton_multiplicity(v * v - u * u * u, v * v + u * u * u, point) == 6
+
+
 def test_fulton_examples():
     origin = (F7.zero(), F7.zero())
     u, v = u_var(), v_var()
@@ -82,18 +220,18 @@ def test_fulton_axioms():
 
 @st.composite
 def _fulton_case(draw):
-    """A point of GF(p)^2, p <= 7, and small BiPolys F, G, A, H over GF(p)
-    of exact total degrees (H nonconstant); each nonconstant one passes
-    through the point when a coin says so."""
-    spec = prime_field(draw(st.sampled_from([2, 3, 5, 7])))
-    point = tuple(spec.element(draw(st.integers(0, spec.p - 1))) for _ in range(2))
+    """A point of K^2, K = GF(p^k) with p <= 7 and k <= 2, and small BiPolys
+    F, G, A, H over K of exact total degrees (H nonconstant); each
+    nonconstant one passes through the point when a coin says so."""
+    spec = canonical_field(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 2)))
+    elt = lambda lo: spec.from_encoding(draw(st.integers(lo, spec.order - 1)))
+    point = (elt(0), elt(0))
 
     def poly(lo, hi):
         d = draw(st.integers(lo, hi))
-        terms = {(i, j): spec.element(draw(st.integers(0, spec.p - 1)))
-                 for i in range(d + 1) for j in range(d - i)}
+        terms = {(i, j): elt(0) for i in range(d + 1) for j in range(d - i)}
         i = draw(st.integers(0, d))  # a nonzero term of top degree
-        terms[(i, d - i)] = spec.element(draw(st.integers(1, spec.p - 1)))
+        terms[(i, d - i)] = elt(1)
         f = BiPoly(spec, terms)
         if d and draw(st.booleans()):
             f = f - BiPoly.constant(f.evaluate(*point))
