@@ -21,7 +21,7 @@ from .fields import (
     field_sqrt,
     frobenius_orbit,
     poly_gcd,
-    roots_in_field,
+    root_in_field,
 )
 from .series import LaurentSeries
 
@@ -531,8 +531,9 @@ def scalar_multiple(curve, n, P):
     while n:
         if n & 1:
             result = ec_add(curve, result, base)
-        base = ec_add(curve, base, base)
         n >>= 1
+        if n:
+            base = ec_add(curve, base, base)
     return result
 
 
@@ -645,7 +646,7 @@ def _places_above_x_factor(curve, g, ext_bound):
             "place of degree %d exceeds the extension bound %d" % (d, ext_bound)
         )
     field = canonical_field(curve.spec.p, d)
-    x0 = roots_in_field(g, field)[0]
+    x0 = root_in_field(g, field)
     rhs0 = curve.rhs_poly(field).evaluate(x0)
     if not rhs0:
         return [Place.affine_orbit(curve, x0, field.zero())]
@@ -659,7 +660,7 @@ def _places_above_x_factor(curve, g, ext_bound):
             "place of degree %d exceeds the extension bound %d" % (2 * d, ext_bound)
         )
     field2 = canonical_field(curve.spec.p, 2 * d)
-    x1 = roots_in_field(g, field2)[0]
+    x1 = root_in_field(g, field2)
     y1 = field_sqrt(curve.rhs_poly(field2).evaluate(x1))
     assert y1 is not None
     return [Place.affine_orbit(curve, x1, y1)]

@@ -937,11 +937,11 @@ def _distinct_degree(f):
     return out
 
 
-def _equal_degree_split(f, d, rng):
-    """Split a squarefree product of degree-d irreducibles (Cantor-Zassenhaus)."""
+def _split_once(f, d, rng):
+    """A proper monic factor of f, a squarefree product of at least two
+    degree-d irreducibles: one Cantor-Zassenhaus step, drawing random
+    polynomials until one splits f."""
     spec = f.spec
-    if f.degree == d:
-        return [f]
     q = spec.order
     n = f.degree
     while True:
@@ -952,7 +952,7 @@ def _equal_degree_split(f, d, rng):
             continue
         g = poly_gcd(a, f)
         if 0 < g.degree < n:
-            break
+            return g
         if spec.p == 2:
             t = a % f
             acc = t
@@ -964,7 +964,14 @@ def _equal_degree_split(f, d, rng):
             b = a.powmod((q**d - 1) // 2, f)
             g = poly_gcd(b - Polynomial.one(spec), f)
         if 0 < g.degree < n:
-            break
+            return g
+
+
+def _equal_degree_split(f, d, rng):
+    """Split a squarefree product of degree-d irreducibles (Cantor-Zassenhaus)."""
+    if f.degree == d:
+        return [f]
+    g = _split_once(f, d, rng)
     return _equal_degree_split(g, d, rng) + _equal_degree_split(f.exact_div(g), d, rng)
 
 
@@ -1011,6 +1018,34 @@ def poly_roots(f):
 def roots_in_field(f, field):
     """Roots in ``field`` of a prime-field polynomial f."""
     return poly_roots(f.lift_to(field))
+
+
+def root_in_field(g, field):
+    """``roots_in_field(g, field)[0]``: the root of smallest encoding in
+    ``field`` of g, a linear polynomial over ``field`` or an irreducible
+    prime-field polynomial whose degree d divides ``field.k``.
+
+    Such a g splits into linear factors over ``field``, so no x^q powmod is
+    needed: splitting steps, each keeping the smaller half, lead to one
+    linear factor, and g's roots are that root's d Frobenius conjugates.
+    """
+    d = g.degree
+    if d < 1 or field.k % (g.spec.k * d):
+        raise DomainError(
+            "root_in_field needs a degree dividing %d, not %d" % (field.k, d)
+        )
+    f = g.lift_to(field).monic()
+    if d == 1:
+        return -f.constant_term()
+    rng = Random(0)
+    while f.degree > 1:
+        h = _split_once(f, 1, rng)
+        rest = f.exact_div(h)
+        f = h if h.degree <= rest.degree else rest
+    orbit = frobenius_orbit((-f.constant_term(),))
+    if len(orbit) != d:
+        raise DomainError("root_in_field needs an irreducible polynomial")
+    return min((r for (r,) in orbit), key=lambda r: r.encoding())
 
 
 class RationalFunction:

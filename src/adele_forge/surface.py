@@ -21,7 +21,7 @@ from . import signs
 from .errors import DomainError
 from .fields import (
     DEFAULT_EXT_BOUND, Polynomial, canonical_field, factor_polynomial, frobenius_orbit, poly_gcd, poly_roots,
-    prime_field, roots_in_field,
+    prime_field, root_in_field,
 )
 
 log = logging.getLogger(__name__)
@@ -188,6 +188,8 @@ def bipoly_divide(N, F):
 
 def bipoly_multiplicity(N, F):
     """Multiplicity of the irreducible F in N (INFINITE when N = 0)."""
+    if F.total_degree() < 1:
+        raise DomainError("multiplicity of a constant is undefined")
     if not N:
         return INFINITE
     m = 0
@@ -777,7 +779,7 @@ def _binary_roots(r, degree, p, ext_bound):
                 "intersection direction of degree %d exceeds the bound %d" % (d, ext_bound)
             )
         field = canonical_field(p, d)
-        w0 = roots_in_field(irr, field)[0]
+        w0 = root_in_field(irr, field)
         yield (field, w0, field.one(), irr)
 
 
@@ -808,14 +810,16 @@ def curve_intersection_points(C1, C2, ext_bound=DEFAULT_EXT_BOUND):
                     "intersection point of degree %d exceeds the bound %d" % (m, ext_bound)
                 )
             if e == 1:
-                fieldm, x0m, x1m, hm = field, x0, x1, h
+                fieldm, x0m, x1m = field, x0, x1
+                zs = sorted((-g.constant_term() for g, _ in fibfactors if g.degree == 1),
+                            key=lambda z: z.encoding())
             else:
                 # re-find the direction inside the bigger field
                 fieldm = canonical_field(p, m)
-                x0m = roots_in_field(irr, fieldm)[0]
+                x0m = root_in_field(irr, fieldm)
                 x1m = fieldm.element(x1.val[0])
-                hm = _fiber_gcd(F, G, x0m, x1m, fieldm)
-            for z in poly_roots(hm):
+                zs = poly_roots(_fiber_gcd(F, G, x0m, x1m, fieldm))
+            for z in zs:
                 try:
                     pt = ProjPoint((x0m, x1m, z))
                 except DomainError:

@@ -1,10 +1,12 @@
 import time
+from itertools import chain
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from adele_forge import curves
 from adele_forge.curves import (
     CurveModel,
     Divisor,
@@ -23,6 +25,7 @@ from adele_forge.curves import (
     torsion_points,
     valuation,
 )
+from adele_forge.curves import _places_above_x_factor
 from adele_forge.errors import DomainError
 from adele_forge.fields import (
     Polynomial,
@@ -31,6 +34,7 @@ from adele_forge.fields import (
     field_sqrt,
     poly_gcd,
     prime_field,
+    roots_in_field,
 )
 
 F5 = prime_field(5)
@@ -196,6 +200,45 @@ def test_group_law_examples():
     assert scalar_multiple(E, 2, P) == (F5.element(4), F5.element(2))
     with pytest.raises(DomainError):
         ec_add(E, (F5.element(1), F5.element(1)), P)
+
+
+def _scalar_multiple_by_adding(curve, n, P):
+    Q = ec_neg(curve, P) if n < 0 else P
+    out = None
+    for _ in range(abs(n)):
+        out = ec_add(curve, out, Q)
+    return out
+
+
+@pytest.mark.parametrize("field", [F7, canonical_field(7, 2)])
+def test_scalar_multiple_matches_repeated_addition(field, monkeypatch):
+    E = CurveModel.elliptic(F7, 2, 3)
+    rhs = E.rhs_poly(field)
+    points = [
+        (x, r) for x in field.elements() for r in [field_sqrt(rhs.evaluate(x))] if r is not None
+    ][:8]
+    assert any(not y for _, y in points)  # a 2-torsion point is among them
+    for P in points + [None]:
+        for n in range(-20, 21):
+            assert scalar_multiple(E, n, P) == _scalar_multiple_by_adding(E, n, P)
+    # one doubling per bit below the top one, one addition per set bit
+    calls = []
+
+    def counting_add(curve, P, Q):
+        calls.append(None)
+        return ec_add(curve, P, Q)
+
+    monkeypatch.setattr(curves, "ec_add", counting_add)
+    for n in range(1, 21):
+        calls.clear()
+        scalar_multiple(E, n, points[0])
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1")
+    monkeypatch.undo()
+    off = (points[0][0], points[0][1] + 1)
+    assert scalar_multiple(E, 0, off) is None
+    for n in chain(range(-20, 0), range(1, 21)):
+        with pytest.raises(DomainError, match="not on the curve"):
+            scalar_multiple(E, n, off)
 
 
 def test_group_law_associativity():
@@ -612,3 +655,50 @@ def test_function_arithmetic_matches_rational_pairs(data):
     assert f.fx == fr[0] and g.fx == gr[0]
     assert f * g == g * f and hash(f * g) == hash(g * f)
     assert f + g == g + f and hash(f + g) == hash(g + f)
+
+
+# ---------------------------------------------------------------------------
+# places above an irreducible factor of the norm
+
+
+def _places_above_by_all_roots(curve, g, ext_bound):
+    """The places above the roots of g, reading the root of smallest
+    encoding off the list of all of g's roots."""
+    p, d = curve.spec.p, g.degree
+    field = canonical_field(p, d)
+    x0 = roots_in_field(g, field)[0]
+    rhs0 = curve.rhs_poly(field).evaluate(x0)
+    if not rhs0:
+        return [Place.affine_orbit(curve, x0, field.zero())]
+    y0 = field_sqrt(rhs0)
+    if y0 is not None:
+        return list(dict.fromkeys([Place.affine_orbit(curve, x0, y0), Place.affine_orbit(curve, x0, -y0)]))
+    if 2 * d > ext_bound:
+        return None
+    field2 = canonical_field(p, 2 * d)
+    x1 = roots_in_field(g, field2)[0]
+    return [Place.affine_orbit(curve, x1, field_sqrt(curve.rhs_poly(field2).evaluate(x1)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_places_above_x_factor_match_all_roots_reference(data):
+    # GF(2) has no elliptic model y^2 = x^3 + a*x + b: its discriminant is 0
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    spec = prime_field(p)
+    a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    assume((4 * a**3 + 27 * b * b) % p)
+    curve = CurveModel.elliptic(spec, a, b)
+    d = data.draw(st.sampled_from(range(1, 7)))
+    g = Polynomial.from_ints(spec, data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1])
+    assume(g.is_irreducible())
+    ext_bound = data.draw(st.sampled_from([d, 2 * d]))
+    want = _places_above_by_all_roots(curve, g, ext_bound)
+    if want is None:
+        with pytest.raises(DomainError, match="exceeds the extension bound"):
+            _places_above_x_factor(curve, g, ext_bound)
+        return
+    got = _places_above_x_factor(curve, g, ext_bound)
+    assert got == want
+    for place in got:
+        assert all(not g.lift_to(place.residue_field()).evaluate(x) for x, _ in place.data[0])

@@ -2,7 +2,7 @@ import time
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adele_forge.errors import DomainError
@@ -19,6 +19,7 @@ from adele_forge.fields import (
     poly_gcd,
     poly_roots,
     prime_field,
+    root_in_field,
     roots_in_field,
 )
 
@@ -155,6 +156,47 @@ def test_roots_and_sqrt():
     g = F4.gen()
     s = field_sqrt(g)
     assert s * s == g
+
+
+@st.composite
+def _irreducible_in_field(draw):
+    """An irreducible g over GF(p), p in {2, 3, 5, 7}, of degree d <= 6 with
+    a random nonzero leading coefficient, and a field of degree d or 2d
+    (at most 8) in which it splits."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.sampled_from(range(1, 7)))
+    k = draw(st.sampled_from([k for k in (d, 2 * d) if k <= 8]))
+    spec = prime_field(p)
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    g = Polynomial.from_ints(spec, coeffs + [draw(st.integers(1, p - 1))])
+    assume(g.is_irreducible())
+    return g, canonical_field(p, k)
+
+
+@settings(deadline=None, max_examples=120)
+@given(_irreducible_in_field())
+def test_root_in_field_is_first_of_all_roots(case):
+    g, field = case
+    roots = roots_in_field(g, field)
+    assert len(roots) == g.degree
+    assert root_in_field(g, field) == roots[0]
+
+
+def test_root_in_field_rejects_what_does_not_split():
+    F125 = canonical_field(5, 3)
+    for g in (Polynomial.zero(F5), Polynomial.from_ints(F5, [3])):
+        with pytest.raises(DomainError, match="degree dividing"):
+            root_in_field(g, F125)
+    # x^2 + 2 is irreducible over GF(5) and has no root in GF(5^3)
+    with pytest.raises(DomainError, match="degree dividing"):
+        root_in_field(Polynomial.from_ints(F5, [2, 0, 1]), F125)
+    # (x - 1)(x - 2) splits, but its roots are not one Frobenius orbit
+    with pytest.raises(DomainError, match="irreducible"):
+        root_in_field(Polynomial.from_ints(F5, [2, -3, 1]), canonical_field(5, 2))
+    # a linear polynomial over the field itself
+    F25 = canonical_field(5, 2)
+    r = F25.gen() + F25.one()
+    assert root_in_field(Polynomial.from_elements(F25, [-r * 3, F25.element(3)]), F25) == r
 
 
 def test_normalize_rational_examples():

@@ -177,6 +177,16 @@ def test_bipoly_divide_and_multiplicity(case, shape, k):
     assert bipoly_multiplicity(N, F) == k
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_bipoly_multiplicity_of_a_constant_is_an_error(k):
+    K = canonical_field(P, k)
+    N = BiPoly.variable(K, "u") + BiPoly.variable(K, "v")
+    for F in (BiPoly.constant(K.one()), BiPoly.constant(K.from_encoding(K.order - 1))):
+        for numerator in (N, N * N, BiPoly.constant(K.one()), BiPoly.zero(K)):
+            with pytest.raises(DomainError, match="constant"):
+                bipoly_multiplicity(numerator, F)
+
+
 def test_fulton_examples_off_the_origin():
     # the examples below and a cusp, moved to (a, b) by u -> u - a, v -> v - b
     for K in (F7, canonical_field(7, 2)):
