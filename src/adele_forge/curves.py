@@ -476,14 +476,6 @@ class FunctionFieldElement:
             e >>= 1
         return result
 
-    def evaluate_affine(self, x, y):
-        """Value at an affine point of the elliptic model (may raise on pole)."""
-        a, b, c = (g.lift_to(x.spec) for g in self.abc)
-        cf = c.evaluate(x)
-        if not cf:
-            raise DomainError("pole at evaluation point")
-        return (a.evaluate(x) + b.evaluate(x) * y) / cf
-
 
 # ---------------------------------------------------------------------------
 # elliptic group law
@@ -573,19 +565,33 @@ def torsion_points(curve, l):
 # valuations
 
 
-def _poly_mult(poly, factor):
-    """Multiplicity of an irreducible factor in a polynomial."""
+def _strip(poly, factor):
+    """(m, q, r) with poly = factor^m * q and r = q mod factor nonzero, for
+    a nonzero poly."""
     m = 0
-    while True:
+    q, r = divmod(poly, factor)
+    while not r:
+        poly, m = q, m + 1
         q, r = divmod(poly, factor)
-        if r:
-            return m
-        poly = q
-        m += 1
+    return m, poly, r
 
 
-def valuation(f, place):
-    """The normalized discrete valuation of f at the place."""
+def leading_term(f, place):
+    """(v, u) with f = u*t^v + (higher terms) in the place's local parameter
+    t: v is the normalized valuation of f and u, the leading coefficient, a
+    unit of the residue field.
+
+    t is pi at a finite place pi of P^1 (not ``expand_at``'s t - theta,
+    which differs from pi by a unit once deg pi >= 2), 1/t at infinity, x/y
+    at O, x - x0 at an affine point with y0 != 0 and y at one with y0 = 0.
+    Over GF(7), with pi = t^2 + 1 and f = pi*(t + 3), u is (3,1) here while
+    ``expand_at(f, v, 2).coefficient(1)`` is (5,6).  Tame symbols and Miller
+    values have total valuation 0 at every place, so they do not depend on
+    this choice.
+
+    One pass over the reduced triple (A + B*y)/C, with no series: strip the
+    place's factor from A, B and C and read u off what is left.
+    """
     if not isinstance(f, FunctionFieldElement):
         raise DomainError("valuation expects a function field element")
     if not f:
@@ -594,48 +600,52 @@ def valuation(f, place):
         raise DomainError("function and place on different curves")
     a, b, c = f.abc
     if place.kind == "p1-finite":
-        pi = place.data
-        return _poly_mult(a, pi) - _poly_mult(c, pi)
+        ma, _, ra = _strip(a, place.data)
+        mc, _, rc = _strip(c, place.data)
+        # the residue class of t generates the residue field, whose modulus is pi
+        fieldv = place.residue_field()
+        ra, rc = (fieldv.element([x.val[0] for x in r.coeffs]) for r in (ra, rc))
+        return ma - mc, ra / rc
     if place.kind == "p1-infinity":
-        return c.degree - a.degree
+        return c.degree - a.degree, a.lc() / c.lc()
     if place.kind == "ec-origin":
-        cands = []
-        if a:
-            cands.append(-2 * a.degree)
-        if b:
-            cands.append(-2 * b.degree - 3)
-        return min(cands) + 2 * c.degree
-    # ec-affine
-    field = place.data[1]
+        # x = t^-2 + ... and y = t^-3 + ... with t = x/y, and C is monic
+        if a and (not b or 2 * a.degree > 2 * b.degree + 3):
+            return 2 * c.degree - 2 * a.degree, a.lc()
+        return 2 * c.degree - 2 * b.degree - 3, b.lc()
     x0, y0 = place.representative()
+    field = x0.spec
+    lin = Polynomial.from_elements(field, [-x0, field.one()])
     a, b, c = (g.lift_to(field) for g in f.abc)
-    rhs = f.curve.rhs_poly(field)
-    e = 2 if not y0 else 1
-    return _val_affine(a, b, x0, y0, rhs) - e * c.root_multiplicity(x0)
-
-
-def _val_affine(a, b, x0, y0, rhs):
-    """Valuation of a(x) + b(x)*y at the affine point (x0, y0)."""
+    mc, _, rc = _strip(c, lin)
+    rc = rc.coeffs[0]
+    # (m, g/(x - x0)^m, its value at x0) for A and B; None for a zero one
+    sa, sb = (_strip(g, lin) if g else None for g in (a, b))
+    a_leads = sb is None or (sa is not None and sa[0] <= sb[0])
     if not y0:
-        # local parameter y; v(x - x0) = 2
-        if not a:
-            return 2 * b.root_multiplicity(x0) + 1
-        if not b:
-            return 2 * a.root_multiplicity(x0)
-        return min(2 * a.root_multiplicity(x0), 2 * b.root_multiplicity(x0) + 1)
-    va = a.evaluate(x0) if a else x0.spec.zero()
-    vb = b.evaluate(x0) if b else x0.spec.zero()
-    if va + vb * y0:
-        return 0
-    if vb:
-        # the conjugate a - b*y does not vanish: read the norm
-        norm = a * a - b * b * rhs
-        return norm.root_multiplicity(x0)
-    # a(x0) = b(x0) = 0: strip one factor of (x - x0) from both
-    lin = Polynomial.from_elements(x0.spec, [-x0, x0.spec.one()])
-    return 1 + _val_affine(
-        a.exact_div(lin) if a else a, b.exact_div(lin) if b else b, x0, y0, rhs
-    )
+        # t = y and x - x0 = t^2/rhs'(x0) + ...: A has even valuation and B*y
+        # odd, so the smaller one leads
+        m, _, r = sa if a_leads else sb
+        d = 3 * x0 * x0 + f.curve.a.val[0]
+        return 2 * (m - mc) + (not a_leads), r.coeffs[0] * d ** (mc - m) / rc
+    # t = x - x0: a unit at x0 is left once the common power of t is stripped
+    if a_leads and (sb is None or sa[0] < sb[0]):
+        return sa[0] - mc, sa[2].coeffs[0] / rc
+    if not a_leads:
+        return sb[0] - mc, sb[2].coeffs[0] * y0 / rc
+    (m, a1, ra), (_, b1, rb) = sa, sb
+    ra, rb = ra.coeffs[0], rb.coeffs[0]
+    if ra + rb * y0:
+        return m - mc, (ra + rb * y0) / rc
+    # A1 + B1*y vanishes at the point and A1 - B1*y does not (its value
+    # -2*B1(x0)*y0 is a unit), so the order is the norm's
+    mn, _, rn = _strip(a1 * a1 - b1 * b1 * f.curve.rhs_poly(field), lin)
+    return m + mn - mc, rn.coeffs[0] / ((ra - rb * y0) * rc)
+
+
+def valuation(f, place):
+    """The normalized discrete valuation of f at the place."""
+    return leading_term(f, place)[0]
 
 
 def _places_above_x_factor(curve, g, ext_bound):
@@ -714,28 +724,32 @@ def principal_divisor(f, ext_bound=DEFAULT_EXT_BOUND):
 # local expansions
 
 
+def _origin_z(curve, n):
+    """z = 1/y below t^n at O, in t = x/y: the root of
+    Phi(z) = z - t^3 - a*t*z^2 - b*z^3.  Newton from z = t^3 + O(t^7)
+    doubles the precision each step, as Phi'(z) = 1 - 2a*t*z - 3b*z^2 is a
+    unit."""
+    field, a, b = curve.spec, curve.a, curve.b
+    m = min(7, n)
+    z = LaurentSeries.var(field, m, 3)
+    while m < n:
+        m = min(2 * m, n)
+        t = LaurentSeries.var(field, m)
+        z = LaurentSeries(field, z.start, z.coeffs, m)
+        tz, zz = t * z, z * z
+        phi = z - t * t * t - (tz * z).scale(a) - (zz * z).scale(b)
+        dphi = LaurentSeries.constant(field.one(), m) - tz.scale(2 * a) - zz.scale(3 * b)
+        z = z - phi * dphi.inverse()
+    return z
+
+
 @lru_cache(maxsize=512)
 def _ec_expansions(curve, place, prec):
     """Laurent expansions (x(t), y(t)) at a place of the elliptic model."""
     if place.kind == "ec-origin":
-        field = curve.spec
-        a = field.element(curve.a.val[0])
-        b = field.element(curve.b.val[0])
-        # z = 1/y satisfies z = t^3 + a*t*z^2 + b*z^3 with t = x/y
-        t = LaurentSeries.var(field, prec + 8)
-        t3 = t * t * t
-        z = t3
-        for _ in range(prec + 10):
-            nz = t3 + t.scale(a) * z * z + (z * z * z).scale(b)
-            nz = nz.truncate(prec + 8)
-            if nz.coeffs == z.coeffs and nz.start == z.start:
-                z = nz
-                break
-            z = nz
-        else:
-            raise AssertionError("origin expansion did not converge")
-        y = z.inverse()
-        x = t * y
+        work = prec + 8
+        y = _origin_z(curve, work).inverse()
+        x = LaurentSeries.var(curve.spec, work) * y
         return x.truncate(prec), y.truncate(prec)
     field = place.data[1]
     x0, y0 = place.representative()
@@ -818,47 +832,9 @@ def expand_at(f, place, prec):
 
 
 def leading_value_at(f, place):
-    """Leading Laurent coefficient of f at the place (a residue-field unit).
-
-    At an affine place of the elliptic model where f = (a + b*y)/c is a unit
-    and c(x0) is nonzero, this is the value (a(x0) + b(x0)*y0)/c(x0) at the
-    place's representative point; every other case reads the coefficient
-    off the Laurent expansion.
-    """
-    if not f:
-        raise DomainError("leading value of zero undefined")
-    curve = f.curve
-    if curve.kind == "p1" and place.kind == "p1-finite":
-        pi = place.data
-        num, den = f.abc[0], f.abc[2]
-        while not num % pi:
-            num = num.exact_div(pi)
-        while not den % pi:
-            den = den.exact_div(pi)
-        fieldv = place.residue_field()
-        if fieldv.k == 1:
-            theta = -pi.constant_term()
-            return num.evaluate(theta) / den.evaluate(theta)
-        nval = fieldv.element([c.val[0] for c in (num % pi).coeffs])
-        dval = fieldv.element([c.val[0] for c in (den % pi).coeffs])
-        return nval / dval
-    if curve.kind == "p1":
-        return f.abc[0].lc() / f.abc[2].lc()
-    v = valuation(f, place)
-    if v == 0 and place.kind == "ec-affine":
-        try:
-            return f.evaluate_affine(*place.representative())
-        except DomainError:  # c(x0) = 0: fall back to the series
-            pass
-    ser = expand_at(f, place, v + 1)
-    return ser.coefficient(v)
-
-
-def residue_value(f, place):
-    """Value of f at the place; requires valuation zero."""
-    if valuation(f, place) != 0:
-        raise DomainError("function is not a unit at the place")
-    return leading_value_at(f, place)
+    """Leading coefficient of f at the place (a residue-field unit), in the
+    local parameter of ``leading_term``."""
+    return leading_term(f, place)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ observable.
 from .curves import (
     FunctionFieldElement,
     expand_at,
+    leading_term,
     principal_divisor,
-    residue_value,
-    valuation,
 )
 from .errors import DomainError
 from .fields import DEFAULT_EXT_BOUND, factor_polynomial, norm_to_prime_field, trace_to_prime_field
@@ -67,21 +66,17 @@ def symbol_support(symbol, ext_bound=DEFAULT_EXT_BOUND):
 
 def tame_symbol(symbol, place):
     """(-1)^(v(f)v(g)) * f^v(g) / g^v(f) reduced at the place, extended
-    multiplicatively over the entries."""
+    multiplicatively over the entries: with f = u_f*t^v(f) + ... and g alike
+    in one local parameter t, that is (-1)^(v(f)v(g)) * u_f^v(g) / u_g^v(f)."""
     if place.curve != symbol.curve:
         raise DomainError("place on a different curve")
-    fieldv = place.residue_field()
-    result = fieldv.one()
-    minus_one = fieldv.element(-1)
+    result = place.residue_field().one()
     for f, g, e in symbol.entries:
-        vf = valuation(f, place)
-        vg = valuation(g, place)
-        if vf == 0 and vg == 0:
-            continue
-        unit = f**vg / g**vf
-        value = residue_value(unit, place)
+        vf, uf = leading_term(f, place)
+        vg, ug = leading_term(g, place)
+        value = uf**vg / ug**vf
         if (vf * vg) % 2:
-            value = minus_one * value
+            value = -value
         result = result * value**e
     return result
 

@@ -17,11 +17,10 @@ from .curves import (
     affine_points,
     ec_add,
     ec_neg,
-    leading_value_at,
+    leading_term,
     principal_divisor,
     scalar_multiple,
     torsion_points,
-    valuation,
 )
 from .errors import AuditError, DomainError
 from .fields import Polynomial, RationalFunction, norm_to_prime_field, prime_field
@@ -95,20 +94,14 @@ class MillerFunction:
         factors[const] = factors.get(const, 0) + 1
         return MillerFunction(self.curve, factors, self.divisor, check=False)
 
-    def times(self, f, e, divisor_shift):
-        factors = dict(self.factors)
-        factors[f] = factors.get(f, 0) + e
-        return MillerFunction(
-            self.curve, factors, self.divisor + divisor_shift, check=False
-        )
-
     def value_at_place(self, place):
         """Leading value at a place where the product has valuation zero."""
         total = 0
         value = place.residue_field().one()
         for f, e in self.factors.items():
-            total += e * valuation(f, place)
-            value = value * leading_value_at(f, place) ** e
+            v, u = leading_term(f, place)
+            total += e * v
+            value = value * u**e
         if total != 0:
             raise DomainError("chain has a zero or pole at %r" % (place,))
         return value

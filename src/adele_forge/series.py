@@ -1,8 +1,9 @@
 """Truncated Laurent series over a finite field.
 
 Used for local expansions at places of a curve: principal parts for the
-adelic cohomology computation, vanishing conditions for Riemann-Roch bases,
-residues of 1-forms, and leading values of functions at places.
+adelic cohomology computation, vanishing conditions for Riemann-Roch bases
+and residues of 1-forms.  Leading values of functions at places need no
+series (``curves.leading_term``).
 
 A series holds coefficients for exponents start, start+1, ..., prec-1 and
 knows nothing beyond prec.  Arithmetic tracks the resulting precision

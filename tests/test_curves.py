@@ -314,7 +314,7 @@ def test_leading_value_matches_series():
 
 def test_leading_value_of_unit_with_vanishing_denominator():
     # (y - y0)/(x - x0) at (x0, y0), y0 != 0: a unit whose c(x0) = 0, so the
-    # value is the slope (3*x0^2 + a)/(2*y0) of the tangent, from the series
+    # value is the slope (3*x0^2 + a)/(2*y0) of the tangent
     E = CurveModel.elliptic(F5, -1, 0)
     x0, y0 = F5.element(2), F5.element(1)
     x = FunctionFieldElement.x_function(E)

@@ -1,0 +1,283 @@
+"""``curves.leading_term`` against the series-based valuation and leading
+value it replaced, tame symbols against the f^v(g)/g^v(f) formula, the
+Newton expansion at O against the fixed point it replaced, and a guard that
+the Weil pairing, Massey and reciprocity checks read no series."""
+
+from itertools import chain
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adele_forge import curves, milnor, selfcheck
+from adele_forge.curves import (
+    CurveModel,
+    FunctionFieldElement,
+    Place,
+    _ec_expansions,
+    _places_above_x_factor,
+    expand_at,
+    leading_term,
+    leading_value_at,
+    principal_divisor,
+    valuation,
+)
+from adele_forge.errors import DomainError
+from adele_forge.fields import (
+    Polynomial,
+    RationalFunction,
+    canonical_field,
+    factor_polynomial,
+    field_sqrt,
+    prime_field,
+)
+from adele_forge.milnor import MilnorSymbol, tame_symbol
+from adele_forge.series import LaurentSeries
+
+# ---------------------------------------------------------------------------
+# reference: valuations by repeated division and leading values read off the
+# Laurent expansion, as computed before leading_term
+
+
+def ref_poly_mult(poly, factor):
+    m = 0
+    while True:
+        q, r = divmod(poly, factor)
+        if r:
+            return m
+        poly = q
+        m += 1
+
+
+def ref_val_affine(a, b, x0, y0, rhs):
+    """Valuation of a(x) + b(x)*y at the affine point (x0, y0)."""
+    if not y0:
+        if not a:
+            return 2 * b.root_multiplicity(x0) + 1
+        if not b:
+            return 2 * a.root_multiplicity(x0)
+        return min(2 * a.root_multiplicity(x0), 2 * b.root_multiplicity(x0) + 1)
+    va = a.evaluate(x0) if a else x0.spec.zero()
+    vb = b.evaluate(x0) if b else x0.spec.zero()
+    if va + vb * y0:
+        return 0
+    if vb:
+        norm = a * a - b * b * rhs
+        return norm.root_multiplicity(x0)
+    lin = Polynomial.from_elements(x0.spec, [-x0, x0.spec.one()])
+    return 1 + ref_val_affine(
+        a.exact_div(lin) if a else a, b.exact_div(lin) if b else b, x0, y0, rhs
+    )
+
+
+def ref_valuation(f, place):
+    a, b, c = f.abc
+    if place.kind == "p1-finite":
+        return ref_poly_mult(a, place.data) - ref_poly_mult(c, place.data)
+    if place.kind == "p1-infinity":
+        return c.degree - a.degree
+    if place.kind == "ec-origin":
+        cands = []
+        if a:
+            cands.append(-2 * a.degree)
+        if b:
+            cands.append(-2 * b.degree - 3)
+        return min(cands) + 2 * c.degree
+    field = place.data[1]
+    x0, y0 = place.representative()
+    a, b, c = (g.lift_to(field) for g in f.abc)
+    rhs = f.curve.rhs_poly(field)
+    e = 2 if not y0 else 1
+    return ref_val_affine(a, b, x0, y0, rhs) - e * c.root_multiplicity(x0)
+
+
+def ref_leading_value(f, place):
+    curve = f.curve
+    if curve.kind == "p1" and place.kind == "p1-finite":
+        pi = place.data
+        num, den = f.abc[0], f.abc[2]
+        while not num % pi:
+            num = num.exact_div(pi)
+        while not den % pi:
+            den = den.exact_div(pi)
+        fieldv = place.residue_field()
+        if fieldv.k == 1:
+            theta = -pi.constant_term()
+            return num.evaluate(theta) / den.evaluate(theta)
+        nval = fieldv.element([c.val[0] for c in (num % pi).coeffs])
+        dval = fieldv.element([c.val[0] for c in (den % pi).coeffs])
+        return nval / dval
+    if curve.kind == "p1":
+        return f.abc[0].lc() / f.abc[2].lc()
+    v = ref_valuation(f, place)
+    if v == 0 and place.kind == "ec-affine":
+        x, y = place.representative()
+        a, b, c = (g.lift_to(x.spec) for g in f.abc)
+        if c.evaluate(x):
+            return (a.evaluate(x) + b.evaluate(x) * y) / c.evaluate(x)
+    return expand_at(f, place, v + 1).coefficient(v)
+
+
+def ref_origin_z(curve, n):
+    """z = 1/y below t^n at O from the fixed point z = t^3 + a*t*z^2 + b*z^3."""
+    a, b = curve.a, curve.b
+    t = LaurentSeries.var(curve.spec, n)
+    t3 = t * t * t
+    z = t3
+    for _ in range(n + 2):
+        nz = (t3 + t.scale(a) * z * z + (z * z * z).scale(b)).truncate(n)
+        done = nz.coeffs == z.coeffs and nz.start == z.start
+        z = nz
+        if done:
+            return z
+    raise AssertionError("origin expansion did not converge")
+
+
+# ---------------------------------------------------------------------------
+# random functions and places
+
+
+def _poly(data, spec, deg, top=()):
+    n = data.draw(st.integers(0, deg + 1 - len(top)))
+    low = data.draw(st.lists(st.integers(0, spec.p - 1), min_size=n, max_size=n))
+    return Polynomial.from_ints(spec, low + list(top))
+
+
+def _function(data, curve):
+    """A random (A + B*y)/C, times (x - c)^j so that A, B and C often share
+    a root with a place, 2-torsion points included."""
+    spec = curve.spec
+    a, c = _poly(data, spec, 4), _poly(data, spec, 3, top=[1])
+    b = _poly(data, spec, 2) if curve.kind == "elliptic" else None
+    if not a and not b:
+        a = Polynomial.one(spec)
+    f = FunctionFieldElement(curve, RationalFunction(a, c), RationalFunction(b) if b else None)
+    x = FunctionFieldElement.x_function(curve)
+    j = data.draw(st.integers(-2, 3))
+    return f * (x - data.draw(st.integers(0, spec.p - 1))) ** j
+
+
+def _p1_places(data, curve):
+    """Infinity and one finite place of each degree 1..3: the first monic
+    irreducible at or after a drawn encoding."""
+    p = curve.spec.p
+    places = [Place.infinity(curve)]
+    for d in (1, 2, 3):
+        start = data.draw(st.integers(0, p**d - 1))
+        for n in range(p**d):
+            e = (start + n) % p**d
+            g = Polynomial.from_ints(curve.spec, [e // p**i % p for i in range(d)] + [1])
+            if g.is_irreducible():
+                places.append(Place.finite(curve, g))
+                break
+    return places
+
+
+def _ec_places(data, curve):
+    """O, the places with y0 = 0 of degree <= 3 and one affine place of each
+    degree 1..3 with y0 != 0 where there is one."""
+    spec = curve.spec
+    places = [Place.origin(curve)]
+    for g, _ in factor_polynomial(curve.rhs_poly())[1]:
+        if g.degree <= 3:
+            places += _places_above_x_factor(curve, g, 6)
+    for d in (1, 2, 3):
+        field = canonical_field(spec.p, d)
+        rhs = curve.rhs_poly(field)
+        start = data.draw(st.integers(0, field.order - 1))
+        for n in range(field.order):
+            x0 = field.from_encoding((start + n) % field.order)
+            y0 = field_sqrt(rhs.evaluate(x0))
+            if y0 and max(x0.minimal_degree(), y0.minimal_degree()) == d:
+                places.append(Place.affine_orbit(curve, x0, y0 if n % 2 else -y0))
+                break
+    return places
+
+
+def _curve(data):
+    if data.draw(st.booleans()):
+        return CurveModel.projective_line(prime_field(data.draw(st.sampled_from([2, 3, 5, 7]))))
+    spec = prime_field(data.draw(st.sampled_from([5, 7, 11])))
+    a, b = data.draw(st.integers(0, spec.p - 1)), data.draw(st.integers(0, spec.p - 1))
+    for d in range(spec.p):  # the first nonsingular b + d
+        try:
+            return CurveModel.elliptic(spec, a, b + d)
+        except DomainError:
+            continue
+
+
+def _support(f):
+    try:
+        return [v for v, _ in principal_divisor(f, 6).items()]
+    except DomainError:  # a place of degree above 6
+        return []
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_leading_term_matches_series_reference(data):
+    curve = _curve(data)
+    places = _p1_places(data, curve) if curve.kind == "p1" else _ec_places(data, curve)
+    f = _function(data, curve)
+    for place in places + _support(f):
+        v, u = leading_term(f, place)
+        assert v == ref_valuation(f, place), (f, place)
+        assert u == ref_leading_value(f, place), (f, place)
+        assert (valuation(f, place), leading_value_at(f, place)) == (v, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tame_symbol_matches_unit_formula(data):
+    curve = _curve(data)
+    places = _p1_places(data, curve) if curve.kind == "p1" else _ec_places(data, curve)
+    f, g = _function(data, curve), _function(data, curve)
+    e = data.draw(st.sampled_from([1, 2, -1]))
+    for place in places + _support(f) + _support(g):
+        vf, vg = ref_valuation(f, place), ref_valuation(g, place)
+        want = place.residue_field().one()
+        if vf or vg:
+            want = ref_leading_value(f**vg / g**vf, place)
+            if (vf * vg) % 2:
+                want = -want
+        assert tame_symbol(MilnorSymbol.pair(f, g, e), place) == want**e, (f, g, place)
+
+
+def test_leading_term_parameter_is_pi_at_higher_degree_places():
+    F7 = prime_field(7)
+    curve = CurveModel.projective_line(F7)
+    pi = Polynomial.from_ints(F7, [1, 0, 1])
+    place = Place.finite(curve, pi)
+    f = FunctionFieldElement(curve, RationalFunction(pi * Polynomial.from_ints(F7, [3, 1])))
+    field = place.residue_field()
+    assert leading_term(f, place) == (1, field.element([3, 1]))
+    # expand_at's parameter t - theta differs from pi = (t - theta)(t + theta)
+    assert expand_at(f, place, 2).coefficient(1) == field.element([5, 6])
+
+
+@pytest.mark.parametrize("p, a, b", [(3, 1, 1), (3, 2, 0), (5, 1, 1), (7, 3, 2), (11, 2, 7), (13, 0, 5), (10007, 17, 3)])
+def test_origin_expansion_matches_fixed_point(p, a, b):
+    curve = CurveModel.elliptic(prime_field(p), a, b)
+    for n in chain(range(1, 70), (97, 200)):
+        z, want = curves._origin_z(curve, n), ref_origin_z(curve, n)
+        assert (z.start, z.coeffs, z.prec) == (want.start, want.coeffs, want.prec), n
+    # the expansions of x = t/z and y = 1/z below prec, from z below prec + 8
+    origin = Place.origin(curve)
+    for prec in (-3, 0, 1, 13, 40):
+        x, y = _ec_expansions(curve, origin, prec)
+        ry = ref_origin_z(curve, prec + 8).inverse()
+        rx = LaurentSeries.var(curve.spec, prec + 8) * ry
+        for got, want in ((x, rx.truncate(prec)), (y, ry.truncate(prec))):
+            assert (got.start, got.coeffs, got.prec) == (want.start, want.coeffs, want.prec), prec
+
+
+def test_pairing_and_reciprocity_checks_read_no_series(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("a leading value read a Laurent series")
+
+    monkeypatch.setattr(curves, "expand_at", no_series)
+    monkeypatch.setattr(curves, "_ec_expansions", no_series)
+    monkeypatch.setattr(milnor, "expand_at", no_series)
+    for check in (selfcheck.check_weil_pairing, selfcheck.check_massey, selfcheck.check_weil_reciprocity):
+        ok, msg = check()
+        assert ok, msg
