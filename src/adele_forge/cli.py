@@ -196,7 +196,7 @@ def _enc_element(a):
 
 def _enc_place(v):
     if v.kind == "p1-finite":
-        return {"type": "finite", "poly": [_enc_int(c.val[0]) for c in v.data.coeffs]}
+        return {"type": "finite", "poly": [_enc_int(c) for c in v.data.vec]}
     if v.kind == "p1-infinity":
         return {"type": "infinity"}
     if v.kind == "ec-origin":

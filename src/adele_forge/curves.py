@@ -83,10 +83,7 @@ class CurveModel:
         """x^3 + a*x + b over the base field or an extension of it."""
         if self.kind != "elliptic":
             raise DomainError("rhs only defined for the elliptic model")
-        f = field or self.spec
-        return Polynomial.from_elements(
-            f, [f.element(self.b.val[0]), f.element(self.a.val[0]), f.zero(), f.one()]
-        )
+        return Polynomial.from_ints(field or self.spec, [self.b.val[0], self.a.val[0], 0, 1])
 
     def contains_affine(self, x, y):
         """Whether y^2 = x^3 + a*x + b, for x and y in one field over the
@@ -175,7 +172,7 @@ class Place:
             d = self.data.degree
             if d == 1:
                 return self.curve.spec
-            return _place_field(self.curve.spec.p, tuple(c.val[0] for c in self.data.coeffs))
+            return _place_field(self.curve.spec.p, tuple(self.data.vec))
         if self.kind == "ec-affine":
             return self.data[1]
         return self.curve.spec
@@ -604,7 +601,7 @@ def leading_term(f, place):
         mc, _, rc = _strip(c, place.data)
         # the residue class of t generates the residue field, whose modulus is pi
         fieldv = place.residue_field()
-        ra, rc = (fieldv.element([x.val[0] for x in r.coeffs]) for r in (ra, rc))
+        ra, rc = fieldv.element(ra.vec), fieldv.element(rc.vec)
         return ma - mc, ra / rc
     if place.kind == "p1-infinity":
         return c.degree - a.degree, a.lc() / c.lc()
@@ -618,7 +615,7 @@ def leading_term(f, place):
     lin = Polynomial.from_elements(field, [-x0, field.one()])
     a, b, c = (g.lift_to(field) for g in f.abc)
     mc, _, rc = _strip(c, lin)
-    rc = rc.coeffs[0]
+    rc = rc.constant_term()
     # (m, g/(x - x0)^m, its value at x0) for A and B; None for a zero one
     sa, sb = (_strip(g, lin) if g else None for g in (a, b))
     a_leads = sb is None or (sa is not None and sa[0] <= sb[0])
@@ -627,20 +624,20 @@ def leading_term(f, place):
         # odd, so the smaller one leads
         m, _, r = sa if a_leads else sb
         d = 3 * x0 * x0 + f.curve.a.val[0]
-        return 2 * (m - mc) + (not a_leads), r.coeffs[0] * d ** (mc - m) / rc
+        return 2 * (m - mc) + (not a_leads), r.constant_term() * d ** (mc - m) / rc
     # t = x - x0: a unit at x0 is left once the common power of t is stripped
     if a_leads and (sb is None or sa[0] < sb[0]):
-        return sa[0] - mc, sa[2].coeffs[0] / rc
+        return sa[0] - mc, sa[2].constant_term() / rc
     if not a_leads:
-        return sb[0] - mc, sb[2].coeffs[0] * y0 / rc
+        return sb[0] - mc, sb[2].constant_term() * y0 / rc
     (m, a1, ra), (_, b1, rb) = sa, sb
-    ra, rb = ra.coeffs[0], rb.coeffs[0]
+    ra, rb = ra.constant_term(), rb.constant_term()
     if ra + rb * y0:
         return m - mc, (ra + rb * y0) / rc
     # A1 + B1*y vanishes at the point and A1 - B1*y does not (its value
     # -2*B1(x0)*y0 is a unit), so the order is the norm's
     mn, _, rn = _strip(a1 * a1 - b1 * b1 * f.curve.rhs_poly(field), lin)
-    return m + mn - mc, rn.coeffs[0] / ((ra - rb * y0) * rc)
+    return m + mn - mc, rn.constant_term() / ((ra - rb * y0) * rc)
 
 
 def valuation(f, place):
@@ -724,23 +721,33 @@ def principal_divisor(f, ext_bound=DEFAULT_EXT_BOUND):
 # local expansions
 
 
-def _origin_z(curve, n):
-    """z = 1/y below t^n at O, in t = x/y: the root of
-    Phi(z) = z - t^3 - a*t*z^2 - b*z^3.  Newton from z = t^3 + O(t^7)
-    doubles the precision each step, as Phi'(z) = 1 - 2a*t*z - 3b*z^2 is a
-    unit."""
-    field, a, b = curve.spec, curve.a, curve.b
-    m = min(7, n)
-    z = LaurentSeries.var(field, m, 3)
+def _newton_root(z, m, n, step):
+    """Lift z, a root of some Phi(z) = 0 known below t^m, to the root below
+    t^n by Newton's iteration with precision doubling: ``step(z, t)``
+    returns Phi(z)/Phi'(z) at the precision of t, and Phi'(z) is a unit, so
+    each step doubles the number of correct coefficients."""
+    field = z.spec
     while m < n:
         m = min(2 * m, n)
-        t = LaurentSeries.var(field, m)
         z = LaurentSeries(field, z.start, z.coeffs, m)
+        z = z - step(z, LaurentSeries.var(field, m))
+    return z
+
+
+def _origin_z(curve, n):
+    """z = 1/y below t^n at O, in t = x/y: the root of
+    Phi(z) = z - t^3 - a*t*z^2 - b*z^3, lifted from z = t^3 + O(t^7), as
+    Phi'(z) = 1 - 2a*t*z - 3b*z^2 is a unit."""
+    field, a, b = curve.spec, curve.a, curve.b
+
+    def step(z, t):
         tz, zz = t * z, z * z
         phi = z - t * t * t - (tz * z).scale(a) - (zz * z).scale(b)
-        dphi = LaurentSeries.constant(field.one(), m) - tz.scale(2 * a) - zz.scale(3 * b)
-        z = z - phi * dphi.inverse()
-    return z
+        dphi = LaurentSeries.constant(field.one(), t.prec) - tz.scale(2 * a) - zz.scale(3 * b)
+        return phi * dphi.inverse()
+
+    m = min(7, n)
+    return _newton_root(LaurentSeries.var(field, m, 3), m, n, step)
 
 
 @lru_cache(maxsize=512)
@@ -762,20 +769,17 @@ def _ec_expansions(curve, place, prec):
         under = LaurentSeries.from_polynomial(rhs, work, var=x)
         y = under.sqrt(y0)
         return x.truncate(prec), y.truncate(prec)
-    # 2-torsion style point: local parameter t = y, solve rhs(x) = t^2
-    work = prec + 8
-    t = LaurentSeries.var(field, work)
-    t2 = t * t
+    # 2-torsion style point: local parameter t = y, and x is the root of
+    # Phi(x) = rhs(x) - t^2 lifted from x = x0 + O(t^2), as Phi'(x) =
+    # rhs'(x) is a unit (x0 is a simple root of rhs)
     drhs = rhs.derivative()
-    x = LaurentSeries.constant(x0, work)
-    for _ in range(work):
-        fx = LaurentSeries.from_polynomial(rhs, work, var=x) - t2
-        if fx.is_zero_to_precision():
-            break
-        dfx = LaurentSeries.from_polynomial(drhs, work, var=x)
-        x = x - fx * dfx.inverse()
-        x = x.truncate(work)
-    return x.truncate(prec), t.truncate(prec)
+
+    def step(x, t):
+        phi = LaurentSeries.from_polynomial(rhs, t.prec, var=x) - t * t
+        return phi * LaurentSeries.from_polynomial(drhs, t.prec, var=x).inverse()
+
+    m = min(2, prec)
+    return _newton_root(LaurentSeries.constant(x0, m), m, prec, step), LaurentSeries.var(field, prec)
 
 
 def expand_at(f, place, prec):
@@ -802,8 +806,8 @@ def expand_at(f, place, prec):
             assert out.prec >= prec
             return out.truncate(prec)
         # infinity: t = 1/u
-        rn = Polynomial.from_elements(curve.spec, list(reversed(a.coeffs)))
-        rd = Polynomial.from_elements(curve.spec, list(reversed(c.coeffs)))
+        rn = Polynomial.from_ints(curve.spec, a.vec[::-1])
+        rd = Polynomial.from_ints(curve.spec, c.vec[::-1])
         work = max(prec, 0) + a.degree + 2 * c.degree + 4
         ns = LaurentSeries.from_polynomial(rn, work)
         ds = LaurentSeries.from_polynomial(rd, work)
@@ -949,17 +953,17 @@ def _rr_parts_p1(D):
 def _rr_basis_p1(curve, parts):
     num_fixed, den, top = parts
     spec = curve.spec
-    zero = spec.zero()
     # x^j * num_fixed and den share only the power of x dividing den: cancel
-    # it by exponent
+    # it by exponent, on the vectors (one int per coefficient over the prime
+    # base field)
     e = 0
-    while not den.coeffs[e]:
+    while not den.vec[e]:
         e += 1
     basis = []
     for j in range(top + 1):
         c = min(j, e)
-        num = Polynomial._raw(spec, (zero,) * (j - c) + num_fixed.coeffs)
-        rf = RationalFunction._raw(num, Polynomial._raw(spec, den.coeffs[c:]))
+        num = Polynomial._raw(spec, [0] * (j - c) + num_fixed.vec)
+        rf = RationalFunction._raw(num, Polynomial._raw(spec, den.vec[c:]))
         basis.append(FunctionFieldElement(curve, rf))
     return basis
 

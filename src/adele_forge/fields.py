@@ -2,17 +2,21 @@
 fields, polynomial factorization, and rational functions in canonical form.
 
 Extension fields are realized as GF(p)[x]/(modulus); elements carry their
-FieldSpec and coefficient vector.  Polynomials over a prime field delegate
-their inner loops to the kernel backend (see ``_kernels``).  Polynomials over
-GF(p^k), k > 1, multiply, divide and take powers modulo a polynomial on flat
-GF(p) int vectors, k ints per coefficient: one Kronecker-packed integer
-product per polynomial product (``_mul``, shared with ``series``), and
-division by a Newton inverse of the reversed divisor, so the only scalar
+FieldSpec and coefficient vector.  A polynomial stores one flat list of GF(p)
+ints, k per coefficient, low degree first: the format of ``series`` too.
+FieldElements appear only at its edge (the constructors, ``lc``,
+``constant_term``, ``evaluate`` and the read-only ``coeffs`` view).  Sums,
+negation and scaling work on the ints for every k.  Over a prime field,
+products, division, powers modulo a polynomial and gcds are the kernel
+backend's (see ``_kernels``).  Over GF(p^k), k > 1, a product is one
+Kronecker-packed integer product (``_mul``, shared with ``series``), and
+division is by a Newton inverse of the reversed divisor, so the only scalar
 field operation of a division or of a whole ``powmod`` is the inverse of
-one leading coefficient.  Polynomials still store FieldElement tuples.
+one leading coefficient.
 """
 
 from functools import lru_cache
+from itertools import zip_longest
 from random import Random
 
 from . import _kernels as K
@@ -461,7 +465,7 @@ def field_sqrt(a):
 # ---------------------------------------------------------------------------
 # flat GF(p) vectors: a sequence of GF(p^k) coefficients stored as k ints
 # each (the coefficient vectors of the field elements, low degree first).
-# Polynomials over GF(p^k), k > 1, and every Laurent series compute on these.
+# Every polynomial and every Laurent series is stored as one.
 
 
 def _slots(vec, count, k, stride):
@@ -535,14 +539,13 @@ def _inverse(spec, a, n):
     return b
 
 
-def _flat(coeffs):
-    return [x for c in coeffs for x in c.val]
-
-
-def _elts(spec, vec):
-    """The FieldElements of a flat vector."""
-    k = spec.k
-    return tuple(spec._elt(tuple(vec[i : i + k])) for i in range(0, len(vec), k))
+def _trim(vec, k):
+    """vec without its trailing zero coefficients, in place."""
+    n = len(vec)
+    while n and not vec[n - 1]:
+        n -= 1
+    del vec[n + (-n % k) :]
+    return vec
 
 
 def _reverse(vec, k):
@@ -581,77 +584,79 @@ def _poly_divmod(spec, a, b, rinv):
 
 
 class Polynomial:
-    """Univariate polynomial over a FieldSpec; coefficients low degree first,
-    no trailing zeros."""
+    """Univariate polynomial over a FieldSpec, stored as ``vec``: one flat
+    list of GF(p) ints, k per coefficient, low degree first, with no
+    trailing zero coefficient (the format of ``series``).  ``coeffs`` is a
+    read-only view of it as FieldElements."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "vec")
 
     def __init__(self, spec, coeffs):
         self.spec = spec
-        elts = [spec.element(c) for c in coeffs]
-        while elts and not elts[-1]:
-            elts.pop()
-        self.coeffs = tuple(elts)
+        self.vec = _trim([x for c in coeffs for x in spec.element(c).val], spec.k)
 
     @classmethod
-    def _raw(cls, spec, elts):
+    def _raw(cls, spec, vec):
+        """The polynomial of a flat vector without trailing zero coefficients."""
         poly = cls.__new__(cls)
         poly.spec = spec
-        poly.coeffs = elts
+        poly.vec = vec
         return poly
 
     @classmethod
     def from_elements(cls, spec, elts):
-        elts = list(elts)
-        while elts and not elts[-1]:
-            elts.pop()
-        return cls._raw(spec, tuple(elts))
+        return cls._raw(spec, _trim([x for c in elts for x in c.val], spec.k))
 
     @classmethod
     def from_ints(cls, spec, ints):
-        return cls(spec, list(ints))
+        ints = [c % spec.p for c in ints]
+        return cls._raw(spec, _trim(_slots(ints, len(ints), 1, spec.k), spec.k))
 
     @classmethod
     def zero(cls, spec):
-        return cls._raw(spec, ())
+        return cls._raw(spec, [])
 
     @classmethod
     def one(cls, spec):
-        return cls._raw(spec, (spec.one(),))
+        return cls._raw(spec, list(spec.one().val))
 
     @classmethod
     def x(cls, spec):
-        return cls._raw(spec, (spec.zero(), spec.one()))
+        return cls._raw(spec, [0] * spec.k + list(spec.one().val))
 
     @classmethod
     def constant(cls, c):
-        if not c:
-            return cls.zero(c.spec)
-        return cls._raw(c.spec, (c,))
+        return cls._raw(c.spec, list(c.val) if c else [])
+
+    @property
+    def coeffs(self):
+        spec, vec, k = self.spec, self.vec, self.spec.k
+        return tuple(spec._elt(tuple(vec[i : i + k])) for i in range(0, len(vec), k))
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.vec) // self.spec.k - 1
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.vec)
 
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
             and self.spec == other.spec
-            and self.coeffs == other.coeffs
+            and self.vec == other.vec
         )
 
     def __hash__(self):
-        return hash((self.spec._hash, self.coeffs))
+        return hash((self.spec._hash, tuple(self.vec)))
 
     def __repr__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if not c:
                 continue
             cs = repr(c)
@@ -663,21 +668,14 @@ class Polynomial:
         return " + ".join(parts)
 
     def lc(self):
-        if not self.coeffs:
+        if not self.vec:
             return self.spec.zero()
-        return self.coeffs[-1]
+        return self.spec._elt(tuple(self.vec[-self.spec.k :]))
 
     def constant_term(self):
-        if not self.coeffs:
+        if not self.vec:
             return self.spec.zero()
-        return self.coeffs[0]
-
-    def _ints(self):
-        return [c.val[0] for c in self.coeffs]
-
-    def _from_ints(self, ints):
-        spec = self.spec
-        return Polynomial._raw(spec, tuple(spec._elt((c,)) for c in ints))
+        return self.spec._elt(tuple(self.vec[: self.spec.k]))
 
     def _check(self, other):
         if self.spec != other.spec:
@@ -685,56 +683,50 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        if self.spec.k == 1:
-            return self._from_ints(K.poly_add(self._ints(), other._ints(), self.spec.p))
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.spec.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return Polynomial.from_elements(self.spec, [x + y for x, y in zip(a, b)])
+        p = self.spec.p
+        vec = [(x + y) % p for x, y in zip_longest(self.vec, other.vec, fillvalue=0)]
+        return Polynomial._raw(self.spec, _trim(vec, self.spec.k))
 
     def __sub__(self, other):
         self._check(other)
-        if self.spec.k == 1:
-            return self._from_ints(K.poly_sub(self._ints(), other._ints(), self.spec.p))
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.spec.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return Polynomial.from_elements(self.spec, [x - y for x, y in zip(a, b)])
+        p = self.spec.p
+        vec = [(x - y) % p for x, y in zip_longest(self.vec, other.vec, fillvalue=0)]
+        return Polynomial._raw(self.spec, _trim(vec, self.spec.k))
 
     def __neg__(self):
-        return Polynomial._raw(self.spec, tuple(-c for c in self.coeffs))
+        p = self.spec.p
+        return Polynomial._raw(self.spec, [(-x) % p for x in self.vec])
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            other = Polynomial.constant(self.spec.element(other))
+            return self.scale(other)
         self._check(other)
-        if self.spec.k == 1:
-            return self._from_ints(K.poly_mul(self._ints(), other._ints(), self.spec.p))
         spec = self.spec
-        if not self.coeffs or not other.coeffs:
-            return Polynomial.zero(spec)
-        return Polynomial._raw(spec, _elts(spec, _poly_mul(spec, _flat(self.coeffs), _flat(other.coeffs))))
+        if spec.k == 1:
+            return Polynomial._raw(spec, K.poly_mul(self.vec, other.vec, spec.p))
+        return Polynomial._raw(spec, _poly_mul(spec, self.vec, other.vec))
 
     def scale(self, c):
-        c = self.spec.element(c)
-        return Polynomial.from_elements(self.spec, [a * c for a in self.coeffs])
+        spec = self.spec
+        c = spec.element(c)
+        if spec.k == 1:
+            return Polynomial._raw(spec, K.poly_scale(self.vec, c.val[0], spec.p))
+        return Polynomial._raw(spec, _trim(_mul(spec, self.vec, c.val, self.degree + 1), spec.k))
 
     def __divmod__(self, other):
         self._check(other)
         if not other:
             raise DomainError("polynomial division by zero")
-        if self.spec.k == 1:
-            q, r = K.poly_divmod(self._ints(), other._ints(), self.spec.p)
-            return self._from_ints(q), self._from_ints(r)
         spec = self.spec
-        if self.degree < other.degree:
-            return Polynomial.zero(spec), self
-        b = _flat(other.coeffs)
-        rinv = _inverse(spec, _reverse(b, spec.k), self.degree - other.degree + 1)
-        q, r = _poly_divmod(spec, _flat(self.coeffs), b, rinv)
-        return Polynomial._raw(spec, _elts(spec, q)), Polynomial._raw(spec, _elts(spec, r))
+        if spec.k == 1:
+            q, r = K.poly_divmod(self.vec, other.vec, spec.p)
+        elif self.degree < other.degree:
+            q, r = [], self.vec
+        else:
+            b = other.vec
+            rinv = _inverse(spec, _reverse(b, spec.k), self.degree - other.degree + 1)
+            q, r = _poly_divmod(spec, self.vec, b, rinv)
+        return Polynomial._raw(spec, q), Polynomial._raw(spec, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -767,25 +759,24 @@ class Polynomial:
             raise DomainError("negative polynomial power")
         if not modulus:
             raise DomainError("polynomial division by zero")
-        if self.spec.k == 1:
-            out = K.poly_powmod(self._ints(), e, modulus._ints(), self.spec.p)
-            return self._from_ints(out)
         spec = self.spec
+        if spec.k == 1:
+            return Polynomial._raw(spec, K.poly_powmod(self.vec, e, modulus.vec, spec.p))
         if not e:
             return Polynomial.one(spec)
         # reduce through one inverse of the reversed modulus: every square
         # or product has degree <= 2 deg(m) - 2 and so needs deg(m) - 1
         # quotient coefficients; the first reduction of self may need more
-        m = _flat(modulus.coeffs)
+        m = modulus.vec
         n = modulus.degree
         rinv = _inverse(spec, _reverse(m, spec.k), max(n - 1, self.degree - n + 1, 1))
-        base = _poly_divmod(spec, _flat(self.coeffs), m, rinv)[1]
+        base = _poly_divmod(spec, self.vec, m, rinv)[1]
         result = base
         for bit in bin(e)[3:]:
             result = _poly_divmod(spec, _poly_mul(spec, result, result), m, rinv)[1]
             if bit == "1":
                 result = _poly_divmod(spec, _poly_mul(spec, result, base), m, rinv)[1]
-        return Polynomial._raw(spec, _elts(spec, result))
+        return Polynomial._raw(spec, result)
 
     def monic(self):
         if not self:
@@ -795,28 +786,28 @@ class Polynomial:
         return self.scale(self.lc().inverse())
 
     def evaluate(self, x):
-        """The value at x (an int or an element of this field), by Horner;
-        on ints over GF(p)."""
+        """The value at x (an int or an element of this field), by Horner
+        on the flat vector: on ints over GF(p), on k-tuples reduced by the
+        modulus over GF(p^k)."""
         spec = self.spec
         if isinstance(x, int):
             x = spec.element(x)
         if x.spec != spec:
             raise DomainError("evaluation point in a different field")
-        if spec.k == 1:
-            p, t, y = spec.p, x.val[0], 0
-            for c in reversed(self.coeffs):
-                y = (y * t + c.val[0]) % p
-            return x.spec._elt((y,))
-        y = x.spec.zero()
-        for c in reversed(self.coeffs):
-            y = y * x + c
-        return y
+        p, k, vec = spec.p, spec.k, self.vec
+        if k == 1:
+            t, y = x.val[0], 0
+            for c in reversed(vec):
+                y = (y * t + c) % p
+            return spec._elt((y,))
+        y = (0,) * k
+        for i in range(len(vec) - k, -1, -k):
+            y = tuple([(a + c) % p for a, c in zip(_mulmod(y, x.val, spec.modulus, p), vec[i : i + k])])
+        return spec._elt(y)
 
     def derivative(self):
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(self.coeffs[i] * self.spec.element(i))
-        return Polynomial.from_elements(self.spec, out)
+        coeffs, spec = self.coeffs, self.spec
+        return Polynomial.from_elements(spec, [coeffs[i] * spec.element(i) for i in range(1, len(coeffs))])
 
     def compose(self, other):
         """self(other) for a polynomial argument."""
@@ -837,7 +828,7 @@ class Polynomial:
             return self
         if self.spec.k != 1 or spec.p != self.spec.p:
             raise DomainError("can only lift from the prime subfield")
-        return Polynomial.from_elements(spec, [spec.element(c.val[0]) for c in self.coeffs])
+        return Polynomial._raw(spec, _slots(self.vec, len(self.vec), 1, spec.k))
 
     def root_multiplicity(self, x0):
         """Multiplicity of the root x0 (0 if not a root)."""
@@ -870,8 +861,7 @@ def poly_gcd(a, b):
     if a.spec != b.spec:
         raise DomainError("polynomial field mismatch")
     if a.spec.k == 1:
-        out = K.poly_gcd(a._ints(), b._ints(), a.spec.p)
-        return a._from_ints(out)
+        return Polynomial._raw(a.spec, K.poly_gcd(a.vec, b.vec, a.spec.p))
     while b:
         a, b = b, a % b
     return a.monic()
@@ -882,10 +872,7 @@ def _pth_root(f):
     spec = f.spec
     p = spec.p
     e = spec.order // p
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        out.append(f.coeffs[i] ** e if e > 1 else f.coeffs[i])
-    return Polynomial.from_elements(spec, out)
+    return Polynomial.from_elements(spec, [c**e if e > 1 else c for c in f.coeffs[::p]])
 
 
 def _squarefree_decomposition(f):
@@ -975,18 +962,18 @@ def _equal_degree_split(f, d, rng):
     return _equal_degree_split(g, d, rng) + _equal_degree_split(f.exact_div(g), d, rng)
 
 
-def factor_polynomial(f, seed=0):
+def factor_polynomial(f):
     """Full factorization over the coefficient field.
 
     Returns (leading coefficient, [(monic irreducible, multiplicity), ...])
-    with factors in a deterministic order (degree, then coefficient order),
-    so ``seed`` (of the randomized splitting) changes only the time taken.
+    with factors in a deterministic order (degree, then coefficient order).
+    The randomized splitting draws from Random(0).
     """
     if not f:
         raise DomainError("cannot factor zero")
     lc = f.lc()
     f = f.monic()
-    rng = Random(seed)
+    rng = Random(0)
     factors = []
     if f.degree == 0:
         return lc, []

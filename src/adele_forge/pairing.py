@@ -398,13 +398,6 @@ def direct_image(cocycle):
     return result
 
 
-def direct_image_over(spec, cocycle):
-    result = spec.one()
-    for v, val in cocycle.items():
-        result = result * norm_to_prime_field(val)
-    return result
-
-
 def massey_triple(curve, Y, f, Z, g):
     """The triple product cocycle (-1)^(pq) (sum f(z)^Z(z) z + sum g(y)^(-Y(y)) y)
     for chains f, g with div f = l*Y, div g = l*Z and disjoint supports."""
@@ -417,7 +410,7 @@ def massey_triple(curve, Y, f, Z, g):
         cocycle[v] = f.value_at_place(v) ** (-m)  # (-1)^{pq} = -1 inverts
     for v, m in Y.items():
         cocycle[v] = g.value_at_place(v) ** m
-    image = direct_image_over(curve.spec, cocycle)
+    image = direct_image(cocycle)
     return MasseyOutput(cocycle, image)
 
 

@@ -26,14 +26,16 @@ for all k:
   the inverse of the leading coefficient (of 2*branch for sqrt).
 
 The product and the Newton inverse live in ``fields`` (``_mul``,
-``_inverse``), which uses them for polynomials over GF(p^k) as well.
+``_inverse``), which uses them for polynomials over GF(p^k) as well.  A
+``fields.Polynomial`` stores its coefficients in this same format, so
+``from_polynomial`` copies its vector.
 
 FieldElements appear only at the boundary: the constructors, ``scale`` and
 ``sqrt`` take them and ``coefficient`` returns one.
 """
 
 from .errors import DomainError
-from .fields import _flat, _inverse, _mul, _newton_steps
+from .fields import _inverse, _mul, _newton_steps
 
 
 def _sqrt(spec, a, n, root):
@@ -98,11 +100,13 @@ class LaurentSeries:
     @classmethod
     def from_polynomial(cls, poly, prec, var=None):
         """poly(t) as a series, or poly(var) for a series argument."""
+        spec, vec = poly.spec, poly.vec
         if var is None:
-            return cls(poly.spec, 0, _flat(poly.coeffs), prec)
-        result = cls.zero(poly.spec, prec)
-        for c in reversed(poly.coeffs):
-            result = result * var + cls.constant(c, prec)
+            return cls(spec, 0, vec, prec)
+        k = spec.k
+        result = cls.zero(spec, prec)
+        for i in range(len(vec) - k, -1, -k):
+            result = result * var + cls(spec, 0, vec[i : i + k], prec)
         return result
 
     def is_zero_to_precision(self):

@@ -138,7 +138,6 @@ def test_factor_deterministic():
     spec = prime_field(11)
     f = Polynomial.from_ints(spec, [rng.randrange(11) for _ in range(9)] + [1])
     assert factor_polynomial(f) == factor_polynomial(f)
-    assert factor_polynomial(f, seed=5) == factor_polynomial(f, seed=5)
 
 
 def test_roots_and_sqrt():
@@ -650,3 +649,76 @@ def test_polynomial_evaluate_matches_naive_sum(data):
     for other in (canonical_field(spec.p, spec.k % 4 + 1), prime_field(3 if spec.p != 3 else 5)):
         with pytest.raises(DomainError, match="different field"):
             f.evaluate(other.one())
+
+
+# ---------------------------------------------------------------------------
+# the representation contract: a Polynomial is its flat vector ``vec``, k
+# ints in [0, p) per coefficient with a nonzero top block, and ``coeffs``,
+# ``lc``, ``constant_term``, ``degree``, ``repr`` and ``sort_key`` read the
+# same polynomial
+
+
+CONTRACT_FIELDS = [prime_field(p) for p in (2, 3, 5, 7, M61)] + [
+    canonical_field(p, k) for p in (2, 3, 5, 7) for k in (2, 3)
+] + [FieldSpec(M61, 2, [1, 0, 1]), FieldSpec(M61, 3, [5, 1, 0, 1])]
+
+
+def _ref_repr(coeffs):
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        if coeffs[i]:
+            cs = repr(coeffs[i])
+            xs = "" if i == 0 else "x" if i == 1 else "x^%d" % i
+            parts.append(cs if not xs else xs if cs == "1" else cs + "*" + xs)
+    return " + ".join(parts) or "0"
+
+
+def _assert_contract(f):
+    spec, vec = f.spec, f.vec
+    p, k = spec.p, spec.k
+    assert type(vec) is list and len(vec) % k == 0
+    assert all(type(x) is int and 0 <= x < p for x in vec)
+    assert not vec or any(vec[-k:])
+    coeffs = f.coeffs
+    assert [c.spec for c in coeffs] == [spec] * len(coeffs)
+    assert [x for c in coeffs for x in c.val] == vec
+    g = Polynomial(spec, coeffs)
+    assert g == f and hash(g) == hash(f)
+    assert f.degree == len(coeffs) - 1
+    assert f.lc() == (coeffs[-1] if coeffs else spec.zero())
+    assert f.constant_term() == (coeffs[0] if coeffs else spec.zero())
+    assert repr(f) == _ref_repr(coeffs)
+    assert f.sort_key() == (len(coeffs) - 1, tuple(c.encoding() for c in reversed(coeffs)))
+
+
+@st.composite
+def _contract_case(draw):
+    spec = draw(st.sampled_from(CONTRACT_FIELDS))
+    code = st.one_of(st.just(0), st.just(1), st.integers(0, spec.order - 1))
+
+    def poly():
+        codes = draw(st.lists(code, max_size=7))
+        if spec.k == 1 and draw(st.booleans()):
+            # the int constructors reduce mod p, so draw outside [0, p) too
+            ints = [c - draw(st.integers(0, 2)) * spec.p for c in codes]
+            return Polynomial.from_ints(spec, ints) if draw(st.booleans()) else Polynomial(spec, ints)
+        return Polynomial.from_elements(spec, [spec.from_encoding(c) for c in codes])
+
+    a, b, m = poly(), poly(), poly()
+    assume(m)
+    return a, b, m, spec.from_encoding(draw(code)), draw(st.integers(0, 30))
+
+
+@POLY_LAWS
+@given(_contract_case())
+def test_polynomial_representation_contract(case):
+    a, b, m, c, e = case
+    results = [a, b, a + b, a - b, -a, a * b, a * c, a.scale(c), a.powmod(e, m), poly_gcd(a, b), a.monic()]
+    results += divmod(a, m)
+    spec = a.spec
+    if spec.k == 1 and spec.p < 100:
+        results += [a.lift_to(canonical_field(spec.p, d)) for d in (2, 3)]
+    assert a.lift_to(spec) is a
+    for f in results:
+        _assert_contract(f)
+    assert a + b - b == a and -(-a) == a

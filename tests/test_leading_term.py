@@ -1,7 +1,8 @@
 """``curves.leading_term`` against the series-based valuation and leading
 value it replaced, tame symbols against the f^v(g)/g^v(f) formula, the
-Newton expansion at O against the fixed point it replaced, and a guard that
-the Weil pairing, Massey and reciprocity checks read no series."""
+Newton expansions at O and at points with y0 = 0 against the iterations
+they replaced, and a guard that the Weil pairing, Massey and reciprocity
+checks read no series."""
 
 from itertools import chain
 
@@ -131,6 +132,27 @@ def ref_origin_z(curve, n):
         if done:
             return z
     raise AssertionError("origin expansion did not converge")
+
+
+def ref_two_torsion_x(curve, place, prec):
+    """x(t) below t^prec at an affine place with y0 = 0, in t = y: Newton on
+    rhs(x) = t^2 at the full working precision prec + 8 until it is exact."""
+    field = place.data[1]
+    x0 = place.representative()[0]
+    rhs = curve.rhs_poly(field)
+    work = prec + 8
+    t = LaurentSeries.var(field, work)
+    t2 = t * t
+    drhs = rhs.derivative()
+    x = LaurentSeries.constant(x0, work)
+    for _ in range(work):
+        fx = LaurentSeries.from_polynomial(rhs, work, var=x) - t2
+        if fx.is_zero_to_precision():
+            break
+        dfx = LaurentSeries.from_polynomial(drhs, work, var=x)
+        x = x - fx * dfx.inverse()
+        x = x.truncate(work)
+    return x.truncate(prec)
 
 
 # ---------------------------------------------------------------------------
@@ -281,3 +303,23 @@ def test_pairing_and_reciprocity_checks_read_no_series(monkeypatch):
     for check in (selfcheck.check_weil_pairing, selfcheck.check_massey, selfcheck.check_weil_reciprocity):
         ok, msg = check()
         assert ok, msg
+
+
+def test_two_torsion_expansion_matches_full_precision_loop():
+    F5, F3 = prime_field(5), prime_field(3)
+    e5 = CurveModel.elliptic(F5, -1, 0)  # x^3 - x = x(x - 1)(x + 1)
+    e3 = CurveModel.elliptic(F3, 1, 0)  # x^3 + x = x(x^2 + 1)
+    places = [Place.affine_orbit(e5, F5.element(x0), F5.zero()) for x0 in (0, 1, 4)]
+    (deg2,) = _places_above_x_factor(e3, Polynomial.from_ints(F3, [1, 0, 1]), 2)
+    assert deg2.residue_degree == 2
+    for curve, place in [(e5, pl) for pl in places] + [(e3, deg2)]:
+        field = place.data[1]
+        # the loop stops only once x is exact below prec + 8, so its output
+        # at any prec <= 200 is its output at 200 truncated
+        full = ref_two_torsion_x(curve, place, 200)
+        for prec in range(1, 201):
+            x, y = _ec_expansions.__wrapped__(curve, place, prec)
+            want = ref_two_torsion_x(curve, place, prec) if prec in (1, 2, 3, 9, 64) else full.truncate(prec)
+            assert (x.start, x.coeffs, x.prec) == (want.start, want.coeffs, want.prec), (place, prec)
+            t = LaurentSeries.var(field, prec)
+            assert (y.start, y.coeffs, y.prec) == (t.start, t.coeffs, t.prec), (place, prec)
