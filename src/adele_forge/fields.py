@@ -8,11 +8,20 @@ FieldElements appear only at its edge (the constructors, ``lc``,
 ``constant_term``, ``evaluate`` and the read-only ``coeffs`` view).  Sums,
 negation and scaling work on the ints for every k.  Over a prime field,
 products, division, powers modulo a polynomial and gcds are the kernel
-backend's (see ``_kernels``).  Over GF(p^k), k > 1, a product is one
-Kronecker-packed integer product (``_mul``, shared with ``series``), and
-division is by a Newton inverse of the reversed divisor, so the only scalar
-field operation of a division or of a whole ``powmod`` is the inverse of
-one leading coefficient.
+backend's (see ``_kernels``).  Over GF(p^k), k > 1:
+
+- a product is ``_mul`` (shared with ``series``): coefficient by
+  coefficient when either operand has one coefficient (``scale``, series
+  times a constant), else one Kronecker-packed integer product;
+- ``divmod``, and so ``%``, ``exact_div`` and ``poly_gcd``, is long
+  division on k-tuples (``_schoolbook_divmod``), one scalar inverse each;
+- ``powmod`` reduces every step by one Newton inverse of the reversed
+  modulus (``_poly_divmod``).
+
+Factorization is Cantor-Zassenhaus (``factor_polynomial``, ``poly_roots``);
+the one root of an irreducible prime-field polynomial that a place or point
+needs comes from the trace map instead (``root_in_field``), which takes no
+extension-field power above (p - 1)/2.
 """
 
 from functools import lru_cache
@@ -491,12 +500,29 @@ def _unpack(n, total, count, width, p):
 
 def _mul(spec, a, b, n):
     """The first n coefficients (n*k ints, zero-padded) of the product of
-    the flat vectors a and b."""
+    the flat vectors a and b.
+
+    Which algorithm runs depends only on the operands' lengths (truncated
+    to n): with one coefficient in either operand the product is taken
+    coefficient by coefficient (one comprehension at k = 1, ``_mulmod`` per
+    coefficient at k > 1), which serves ``scale`` over GF(p^k) and series
+    times a constant; longer operands are Kronecker-packed into two ints and
+    multiplied once, with each chunk reduced by the modulus."""
     p, k = spec.p, spec.k
     la = min(len(a) // k, n)
     lb = min(len(b) // k, n)
     out = [0] * (max(n, 0) * k)
     if not la or not lb:
+        return out
+    if la == 1 or lb == 1:
+        if la == 1:
+            a, b, la = b, a, lb
+        if k == 1:
+            c = b[0]
+            out[:la] = [x * c % p for x in a[:la]]
+        else:
+            c, modulus = b[:k], spec.modulus
+            out[: la * k] = [x for i in range(0, la * k, k) for x in _mulmod(c, a[i : i + k], modulus, p)]
         return out
     stride = 2 * k - 1
     m = min(n, la + lb - 1)
@@ -581,6 +607,31 @@ def _poly_divmod(spec, a, b, rinv):
     while r and not any(r[-k:]):
         del r[-k:]
     return q, r
+
+
+def _schoolbook_divmod(spec, a, b):
+    """Quotient and remainder, without trailing zeros, of the flat
+    polynomials a by b (both without trailing zeros, b nonzero) over
+    GF(p^k): the prime-field kernel's long division on k-tuples, with one
+    scalar inverse of lc(b) and one ``_mulmod`` per divisor coefficient for
+    each quotient coefficient."""
+    p, k, modulus = spec.p, spec.k, spec.modulus
+    nb = len(b) // k
+    nq = len(a) // k - nb + 1
+    if nq <= 0:
+        return [], a
+    lead = b[-k:]
+    inv = None if lead == [1] + [0] * (k - 1) else spec._elt(tuple(lead)).inverse().val
+    low = [b[j : j + k] for j in range(0, (nb - 1) * k, k)]
+    r = [a[i : i + k] for i in range(0, len(a), k)]
+    q = []
+    for i in range(nq - 1, -1, -1):
+        c = r[i + nb - 1] if inv is None else _mulmod(inv, r[i + nb - 1], modulus, p)
+        q.append(c)
+        if any(c):
+            for j, y in enumerate(low):
+                r[i + j] = [(u - v) % p for u, v in zip(r[i + j], _mulmod(c, y, modulus, p))]
+    return [x for c in reversed(q) for x in c], _trim([x for c in r[: nb - 1] for x in c], k)
 
 
 class Polynomial:
@@ -714,18 +765,19 @@ class Polynomial:
         return Polynomial._raw(spec, _trim(_mul(spec, self.vec, c.val, self.degree + 1), spec.k))
 
     def __divmod__(self, other):
+        """Quotient and remainder by long division: the kernel backend's
+        over GF(p), ``_schoolbook_divmod`` over GF(p^k).  Both serve ``%``,
+        ``exact_div``, ``poly_gcd`` and ``root_multiplicity``; only
+        ``powmod`` divides by a Newton inverse (``_poly_divmod``), which
+        one inverse of the modulus serves for every step."""
         self._check(other)
         if not other:
             raise DomainError("polynomial division by zero")
         spec = self.spec
         if spec.k == 1:
             q, r = K.poly_divmod(self.vec, other.vec, spec.p)
-        elif self.degree < other.degree:
-            q, r = [], self.vec
         else:
-            b = other.vec
-            rinv = _inverse(spec, _reverse(b, spec.k), self.degree - other.degree + 1)
-            q, r = _poly_divmod(spec, self.vec, b, rinv)
+            q, r = _schoolbook_divmod(spec, self.vec, other.vec)
         return Polynomial._raw(spec, q), Polynomial._raw(spec, r)
 
     def __floordiv__(self, other):
@@ -927,7 +979,9 @@ def _distinct_degree(f):
 def _split_once(f, d, rng):
     """A proper monic factor of f, a squarefree product of at least two
     degree-d irreducibles: one Cantor-Zassenhaus step, drawing random
-    polynomials until one splits f."""
+    polynomials until one splits f.  It serves ``_equal_degree_split``
+    (``factor_polynomial`` and ``poly_roots``); ``root_in_field`` splits by
+    the trace map instead."""
     spec = f.spec
     q = spec.order
     n = f.degree
@@ -1012,9 +1066,17 @@ def root_in_field(g, field):
     ``field`` of g, a linear polynomial over ``field`` or an irreducible
     prime-field polynomial whose degree d divides ``field.k``.
 
-    Such a g splits into linear factors over ``field``, so no x^q powmod is
-    needed: splitting steps, each keeping the smaller half, lead to one
-    linear factor, and g's roots are that root's d Frobenius conjugates.
+    g's roots are one Frobenius orbit, so one root found in any way gives
+    the answer.  It is found by the trace map (von zur Gathen & Gerhard,
+    Modern Computer Algebra, 14.3): with X_i = x^(p^i) mod g over GF(p),
+    computed by prime-field ``powmod``, the polynomial
+    T = sum_i sigma^i(beta) X_i over ``field`` has T(r) = Tr(beta r) in GF(p)
+    at every root r.  For random beta (and c), gcd(f, (T + c)^((p-1)/2) - 1)
+    (gcd(f, T) when p = 2) splits f; each split keeps the smaller half
+    until one linear factor is left.  No extension-field power above
+    (p - 1)/2 is taken.  x^(p^d) = x mod g is checked first: it holds iff g
+    divides x^(p^d) - x, so a g that is not squarefree or does not split
+    raises DomainError instead of looping.
     """
     d = g.degree
     if d < 1 or field.k % (g.spec.k * d):
@@ -1024,11 +1086,37 @@ def root_in_field(g, field):
     f = g.lift_to(field).monic()
     if d == 1:
         return -f.constant_term()
+    p, k = field.p, field.k
+    # x^(p^i) mod g for i <= d; they repeat with period d once x^(p^d) = x
+    g0 = g.monic()
+    xs = [Polynomial.x(g.spec)]
+    for _ in range(d):
+        xs.append(xs[-1].powmod(p, g0))
+    if xs.pop() != xs[0]:
+        raise DomainError("root_in_field needs an irreducible polynomial")
+    cols = [x.vec + [0] * (d - len(x.vec)) for x in xs]
     rng = Random(0)
+    one = Polynomial.one(field)
     while f.degree > 1:
-        h = _split_once(f, 1, rng)
-        rest = f.exact_div(h)
-        f = h if h.degree <= rest.degree else rest
+        beta = field.from_encoding(rng.randrange(1, field.order))
+        conj = [beta]
+        for _ in range(k - 1):
+            conj.append(conj[-1].frobenius())
+        # coefficient j of T is sum_i X_i[j] * sigma^i(beta), k ints each
+        t = [
+            sum(cols[i % d][j] * conj[i].val[s] for i in range(k)) % p
+            for j in range(d)
+            for s in range(k)
+        ]
+        T = Polynomial._raw(field, _trim(t, k)) % f
+        if p == 2:
+            h = poly_gcd(f, T)
+        else:
+            T += Polynomial.constant(field.element(rng.randrange(p)))
+            h = poly_gcd(f, T.powmod((p - 1) // 2, f) - one)
+        if 0 < h.degree < f.degree:
+            rest = f.exact_div(h)
+            f = h if h.degree <= rest.degree else rest
     orbit = frobenius_orbit((-f.constant_term(),))
     if len(orbit) != d:
         raise DomainError("root_in_field needs an irreducible polynomial")

@@ -10,6 +10,10 @@ from adele_forge.fields import (
     FieldSpec,
     Polynomial,
     RationalFunction,
+    _inverse,
+    _mul,
+    _poly_divmod,
+    _reverse,
     canonical_field,
     factor_polynomial,
     field_sqrt,
@@ -159,10 +163,10 @@ def test_roots_and_sqrt():
 
 @st.composite
 def _irreducible_in_field(draw):
-    """An irreducible g over GF(p), p in {2, 3, 5, 7}, of degree d <= 6 with
-    a random nonzero leading coefficient, and a field of degree d or 2d
+    """An irreducible g over GF(p), p in {2, 3, 5, 7, 11}, of degree d <= 6
+    with a random nonzero leading coefficient, and a field of degree d or 2d
     (at most 8) in which it splits."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
     d = draw(st.sampled_from(range(1, 7)))
     k = draw(st.sampled_from([k for k in (d, 2 * d) if k <= 8]))
     spec = prime_field(p)
@@ -181,6 +185,57 @@ def test_root_in_field_is_first_of_all_roots(case):
     assert root_in_field(g, field) == roots[0]
 
 
+# irreducible quadratics over GF(2^61 - 1), two of them not monic: -1 and
+# 3 are non-residues (p = 3 mod 4, and p = 1 mod 3 with p = 3 mod 4 gives
+# (3/p) = -1); the test checks the others
+M61_QUADRATICS = [[1, 0, 1], [-3, 0, 1], [11, 3, 2], [2, 2, 5]]
+M61_FIELDS = [FieldSpec(M61, 2, [1, 0, 1]), FieldSpec(M61, 4, [1, 1, 0, 0, 1])]
+
+
+@pytest.mark.parametrize("field", M61_FIELDS, ids=repr)
+@pytest.mark.parametrize("coeffs", M61_QUADRATICS, ids=str)
+def test_root_in_field_large_p(coeffs, field):
+    g = Polynomial.from_ints(prime_field(M61), coeffs)
+    assert g.is_irreducible()
+    roots = roots_in_field(g, field)
+    assert len(roots) == 2 and not g.lift_to(field).evaluate(roots[0])
+    assert root_in_field(g, field) == roots[0]
+
+
+def test_root_in_field_takes_no_large_extension_power(monkeypatch):
+    """The trace-map split raises polynomials over the extension field to
+    at most (p - 1)/2, never to (q - 1)/2 or to p^i as Cantor-Zassenhaus
+    and the characteristic-2 trace do."""
+    powers = []
+    powmod = Polynomial.powmod
+
+    def recording(self, e, modulus):
+        powers.append((self.spec, e))
+        return powmod(self, e, modulus)
+
+    monkeypatch.setattr(Polynomial, "powmod", recording)
+    cases = [
+        ([1, 1, 1], canonical_field(2, 2)),
+        ([1, 1, 0, 1], canonical_field(2, 6)),
+        ([2, 0, 1], canonical_field(5, 4)),
+        ([1, 0, 0, 0, 4, 1], canonical_field(5, 5)),
+        ([2, 0, 8, 2], canonical_field(11, 6)),
+    ]
+    for coeffs, field in cases:
+        g = Polynomial.from_ints(prime_field(field.p), coeffs)
+        assert g.is_irreducible()
+        powers.clear()
+        root = root_in_field(g, field)
+        assert not g.lift_to(field).evaluate(root)
+        ext = [e for spec, e in powers if spec.k > 1]
+        assert all(e <= (field.p - 1) // 2 for e in ext), ext
+        if field.p > 2:
+            assert ext  # the split itself ran
+    for coeffs in M61_QUADRATICS:
+        root_in_field(Polynomial.from_ints(prime_field(M61), coeffs), M61_FIELDS[1])
+    assert all(e <= (M61 - 1) // 2 for spec, e in powers if spec.k > 1)
+
+
 def test_root_in_field_rejects_what_does_not_split():
     F125 = canonical_field(5, 3)
     for g in (Polynomial.zero(F5), Polynomial.from_ints(F5, [3])):
@@ -192,6 +247,14 @@ def test_root_in_field_rejects_what_does_not_split():
     # (x - 1)(x - 2) splits, but its roots are not one Frobenius orbit
     with pytest.raises(DomainError, match="irreducible"):
         root_in_field(Polynomial.from_ints(F5, [2, -3, 1]), canonical_field(5, 2))
+    # (x - 1)^2 is not squarefree
+    with pytest.raises(DomainError, match="irreducible"):
+        root_in_field(Polynomial.from_ints(F5, [1, -2, 1]), canonical_field(5, 2))
+    # (x^2 + 2)(x^3 + x + 1) has degree 5, but x^2 + 2 has no root in
+    # GF(5^5); a split that keeps the quadratic half can never finish
+    g = Polynomial.from_ints(F5, [2, 0, 1]) * Polynomial.from_ints(F5, [1, 1, 0, 1])
+    with pytest.raises(DomainError, match="irreducible"):
+        root_in_field(g, canonical_field(5, 5))
     # a linear polynomial over the field itself
     F25 = canonical_field(5, 2)
     r = F25.gen() + F25.one()
@@ -466,6 +529,63 @@ def test_ext_division_edge_cases():
         assert divmod(zero, f) == (zero, zero)
         assert f * zero == zero and zero * f == zero
         assert zero.powmod(3, f) == zero
+
+
+DIVISION_FIELDS = [canonical_field(p, k) for p in (2, 3, 5, 7, M61) for k in range(2, 7)]
+
+
+@st.composite
+def _division_case(draw):
+    """A field GF(p^k), k in 2..6, a divisor b with a random (mostly not
+    monic) leading coefficient and a dividend a with nq = 0..12 quotient
+    coefficients: shorter than b (often empty) when nq = 0."""
+    spec = draw(st.sampled_from(DIVISION_FIELDS))
+    code = st.one_of(st.just(0), st.just(1), st.integers(0, spec.order - 1))
+    nonzero = st.one_of(st.just(1), st.integers(1, spec.order - 1))
+    nb = draw(st.integers(1, 6))
+    nq = draw(st.integers(0, 12))
+    b = draw(st.lists(code, min_size=nb - 1, max_size=nb - 1)) + [draw(nonzero)]
+    if nq:
+        a = draw(st.lists(code, min_size=nb + nq - 2, max_size=nb + nq - 2)) + [draw(nonzero)]
+    else:
+        a = draw(st.lists(code, max_size=nb - 1))
+    return tuple(Polynomial.from_elements(spec, [spec.from_encoding(c) for c in v]) for v in (a, b))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_division_case())
+def test_ext_divmod_is_newton_division(case):
+    """Long division over GF(p^k) gives exactly the Newton quotient and
+    remainder that ``powmod`` reduces by, and a = q b + r, deg r < deg b."""
+    a, b = case
+    spec, k = a.spec, a.spec.k
+    q, r = divmod(a, b)
+    rinv = _inverse(spec, _reverse(b.vec, k), max(a.degree - b.degree + 1, 1))
+    assert (q.vec, r.vec) == _poly_divmod(spec, a.vec, b.vec, rinv)
+    assert q * b + r == a and r.degree < b.degree
+    assert q.degree == (a.degree - b.degree if a.degree >= b.degree else -1)
+    _assert_contract(q)
+    _assert_contract(r)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_mul_by_one_coefficient(data):
+    """``_mul`` with a one-coefficient operand, on either side, is the
+    FieldElement product coefficient by coefficient, truncated or padded
+    with zeros to n coefficients."""
+    k = data.draw(st.integers(1, 6))
+    spec = data.draw(st.sampled_from([canonical_field(p, k) for p in (2, 3, 5, 7, M61)]))
+    code = st.one_of(st.just(0), st.just(1), st.integers(0, spec.order - 1))
+    a = [spec.from_encoding(c) for c in data.draw(st.lists(code, max_size=10))]
+    va = [x for e in a for x in e.val]
+    for c in (spec.from_encoding(data.draw(code)), spec.zero(), -spec.one()):
+        vc = list(c.val)
+        for n in range(len(a) + 2):
+            want = [x for e in a[:n] for x in (e * c).val] + [0] * (k * max(n - len(a), 0))
+            assert _mul(spec, va, vc, n) == want
+            assert _mul(spec, vc, va, n) == want
+            assert _mul(spec, va, [], n) == _mul(spec, [], vc, n) == [0] * (k * n)
 
 
 def test_powmod_rejects_negative_exponent():
