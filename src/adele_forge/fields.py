@@ -13,10 +13,9 @@ backend's (see ``_kernels``).  Over GF(p^k), k > 1:
 - a product is ``_mul`` (shared with ``series``): coefficient by
   coefficient when either operand has one coefficient (``scale``, series
   times a constant), else one Kronecker-packed integer product;
-- ``divmod``, and so ``%``, ``exact_div`` and ``poly_gcd``, is long
-  division on k-tuples (``_schoolbook_divmod``), one scalar inverse each;
-- ``powmod`` reduces every step by one Newton inverse of the reversed
-  modulus (``_poly_divmod``).
+- ``divmod``, and so ``%``, ``exact_div``, ``poly_gcd`` and every
+  reduction step of ``powmod``, is long division on k-tuples
+  (``_schoolbook_divmod``), one scalar inverse each.
 
 Factorization is Cantor-Zassenhaus (``factor_polynomial``, ``poly_roots``);
 the one root of an irreducible prime-field polynomial that a place or point
@@ -555,7 +554,7 @@ def _newton_steps(n):
 
 def _inverse(spec, a, n):
     """The first n coefficients of 1/a, for a flat vector with a unit
-    constant term."""
+    constant term: the series inverse (``series``)."""
     p, k = spec.p, spec.k
     b = list(spec._elt(tuple(a[:k])).inverse().val)
     for m, m2 in _newton_steps(n):
@@ -574,39 +573,12 @@ def _trim(vec, k):
     return vec
 
 
-def _reverse(vec, k):
-    """The coefficients of a flat vector in reverse order."""
-    return [vec[i + j] for i in range(len(vec) - k, -1, -k) for j in range(k)]
-
-
 def _poly_mul(spec, a, b):
     """The full product of two flat polynomials without trailing zeros."""
     if not a or not b:
         return []
     k = spec.k
     return _mul(spec, a, b, len(a) // k + len(b) // k - 1)
-
-
-def _poly_divmod(spec, a, b, rinv):
-    """Quotient and remainder, without trailing zeros, of the flat
-    polynomials a by b (both without trailing zeros, b nonzero), given at least the first len(a) - len(b) + 1
-    coefficients of 1/rev(b), rev(b) being b with its coefficients reversed.
-
-    rev(q) = rev(a) / rev(b) modulo t^(deg a - deg b + 1), and the remainder
-    a - q*b is zero from degree deg b on, so one truncated product gives it
-    (von zur Gathen & Gerhard, Modern Computer Algebra, 9.1).
-    """
-    p, k = spec.p, spec.k
-    na, nb = len(a) // k, len(b) // k
-    if na < nb:
-        return [], a
-    nq = na - nb + 1
-    q = _reverse(_mul(spec, _reverse(a[(nb - 1) * k :], k), rinv, nq), k)
-    low = (nb - 1) * k
-    r = [(x - y) % p for x, y in zip(a[:low], _mul(spec, q, b, nb - 1))]
-    while r and not any(r[-k:]):
-        del r[-k:]
-    return q, r
 
 
 def _schoolbook_divmod(spec, a, b):
@@ -766,10 +738,9 @@ class Polynomial:
 
     def __divmod__(self, other):
         """Quotient and remainder by long division: the kernel backend's
-        over GF(p), ``_schoolbook_divmod`` over GF(p^k).  Both serve ``%``,
-        ``exact_div``, ``poly_gcd`` and ``root_multiplicity``; only
-        ``powmod`` divides by a Newton inverse (``_poly_divmod``), which
-        one inverse of the modulus serves for every step."""
+        over GF(p), ``_schoolbook_divmod`` over GF(p^k).  The same division
+        serves ``%``, ``exact_div``, ``poly_gcd``, ``root_multiplicity`` and
+        every reduction step of ``powmod``."""
         self._check(other)
         if not other:
             raise DomainError("polynomial division by zero")
@@ -816,18 +787,13 @@ class Polynomial:
             return Polynomial._raw(spec, K.poly_powmod(self.vec, e, modulus.vec, spec.p))
         if not e:
             return Polynomial.one(spec)
-        # reduce through one inverse of the reversed modulus: every square
-        # or product has degree <= 2 deg(m) - 2 and so needs deg(m) - 1
-        # quotient coefficients; the first reduction of self may need more
         m = modulus.vec
-        n = modulus.degree
-        rinv = _inverse(spec, _reverse(m, spec.k), max(n - 1, self.degree - n + 1, 1))
-        base = _poly_divmod(spec, self.vec, m, rinv)[1]
+        base = _schoolbook_divmod(spec, self.vec, m)[1]
         result = base
         for bit in bin(e)[3:]:
-            result = _poly_divmod(spec, _poly_mul(spec, result, result), m, rinv)[1]
+            result = _schoolbook_divmod(spec, _poly_mul(spec, result, result), m)[1]
             if bit == "1":
-                result = _poly_divmod(spec, _poly_mul(spec, result, base), m, rinv)[1]
+                result = _schoolbook_divmod(spec, _poly_mul(spec, result, base), m)[1]
         return Polynomial._raw(spec, result)
 
     def monic(self):
@@ -1086,6 +1052,8 @@ def root_in_field(g, field):
     f = g.lift_to(field).monic()
     if d == 1:
         return -f.constant_term()
+    # so g is over GF(p): over ``field`` itself d >= 2 fails the degree
+    # check, and ``lift_to`` raises for every other subfield
     p, k = field.p, field.k
     # x^(p^i) mod g for i <= d; they repeat with period d once x^(p^d) = x
     g0 = g.monic()

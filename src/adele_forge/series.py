@@ -26,7 +26,8 @@ for all k:
   the inverse of the leading coefficient (of 2*branch for sqrt).
 
 The product and the Newton inverse live in ``fields`` (``_mul``,
-``_inverse``), which uses them for polynomials over GF(p^k) as well.  A
+``_inverse``); it multiplies polynomials over GF(p^k) by the same product,
+while the inverse serves only this module.  A
 ``fields.Polynomial`` stores its coefficients in this same format, so
 ``from_polynomial`` copies its vector.
 
