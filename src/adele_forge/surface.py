@@ -6,23 +6,30 @@ elimination.
 
 Affine curves in a chart are BiPolys: one ``fields.Polynomial`` in u per
 power of v, so that this module does no coefficient arithmetic of its own.
-Fulton's recursion reads the restriction to v = 0 and the division by v off
-those rows, after one shift in v that moves the point onto v = 0.
 
 Surface functions stay in factored form (products of irreducible forms with
 integer exponents); the valuation along a curve is an exponent lookup, and
-restriction to a curve is deferred to valuation time.
+restriction to a curve is deferred to valuation time.  There the valuation
+of a form F at a smooth point x of the flag curve C is I_x(F, C), the order
+of F along the branch of C at x (Fulton, *Algebraic Curves*, 3.3): 0 when
+F(x) != 0, 1 when the two chart partials of F and C have a nonzero minor
+(distinct tangents), and otherwise read off a Newton expansion of the branch
+in ``series``.  Fulton's recursion, which reads the restriction to v = 0 and
+the division by v off the rows after one shift in v, serves only the oracle
+``fulton_intersection_cycle``.
 """
 
 import logging
 import math
 
 from . import signs
+from .curves import _newton_root
 from .errors import DomainError
 from .fields import (
     DEFAULT_EXT_BOUND, Polynomial, canonical_field, factor_polynomial, frobenius_orbit, poly_gcd, poly_roots,
     prime_field, root_in_field,
 )
+from .series import LaurentSeries
 
 log = logging.getLogger(__name__)
 
@@ -94,12 +101,7 @@ class BiPoly:
         return isinstance(other, BiPoly) and self.spec == other.spec and self.rows == other.rows
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (i, j), c in sorted(self.terms.items()):
-            bits.append("%r*u^%d*v^%d" % (c, i, j))
-        return " + ".join(bits)
+        return " + ".join("%r*u^%d*v^%d" % (c, i, j) for (i, j), c in sorted(self.terms.items())) or "0"
 
     def _padded(self, n):
         return self.rows + (Polynomial.zero(self.spec),) * (n - len(self.rows))
@@ -147,9 +149,6 @@ class BiPoly:
         for row in reversed(self.rows):
             total = total * v0 + row.evaluate(u0)
         return total
-
-    def deg_u(self):
-        return max((row.degree for row in self.rows), default=-1)
 
     def total_degree(self):
         return max((row.degree + j for j, row in enumerate(self.rows) if row), default=-1)
@@ -202,7 +201,9 @@ def bipoly_multiplicity(N, F):
 
 
 def fulton_multiplicity(F, G, point):
-    """Local intersection multiplicity of two affine curves at a point.
+    """Local intersection multiplicity of two affine curves at a point, for
+    the oracle ``fulton_intersection_cycle`` only: the flag residues it checks
+    take their valuations from ``valuation_on_curve``.
 
     Fulton's recursion (*Algebraic Curves*, 3.3), run at the point: one shift
     in v moves it to (u0, 0), where the restriction to v = 0 is ``rows[0]``
@@ -308,29 +309,32 @@ class HomForm:
             total = total + field.element(c) * p0[i] * p1[j] * p2[k]
         return total
 
-    def dehomogenize(self, chart, field):
+    def dehomogenize(self, chart, field, swap=False):
         """Set X_chart = 1; the remaining coordinates become (u, v) in index
-        order."""
-        a, b = _CHART_VARS[chart]
+        order, or in reverse order when ``swap``."""
+        a, b = _CHART_VARS[chart][:: -1 if swap else 1]
         out = {}
         for ijk, c in self.terms.items():
             key = (ijk[a], ijk[b])
             out[key] = (out.get(key, 0) + c) % self.p
         return BiPoly(field, {ij: field.element(c) for ij, c in out.items() if c})
 
-    def partial(self, var):
-        out = {}
+    def chart_partials(self, coords, chart):
+        """(dF/dX_a, dF/dX_b) at ``coords``, X_a and X_b the chart's affine
+        coordinates, in one pass over the terms: the affine partials times
+        X_chart^(deg F - 1), so ratios and minors of them are the affine
+        ones up to a unit."""
+        field, d = coords[0].spec, self.degree
+        a, b = _CHART_VARS[chart]
+        pa, pb, pc = _powers(coords[a], d), _powers(coords[b], d), _powers(coords[chart], d)
+        da = db = field.zero()
         for ijk, c in self.terms.items():
-            e = ijk[var]
-            if e:
-                new = list(ijk)
-                new[var] -= 1
-                key = tuple(new)
-                out[key] = (out.get(key, 0) + c * e) % self.p
-        out = {k: c for k, c in out.items() if c}
-        if not out:
-            return None
-        return HomForm(self.p, out)
+            i, j, k = ijk[a], ijk[b], ijk[chart]
+            if i:
+                da = da + field.element(c * i) * pa[i - 1] * pb[j] * pc[k]
+            if j:
+                db = db + field.element(c * j) * pa[i] * pb[j - 1] * pc[k]
+        return da, db
 
 
 class PlaneCurve:
@@ -370,11 +374,10 @@ class PlaneCurve:
         return not self.form.evaluate(point.coords)
 
     def smooth_at(self, point):
-        for var in range(3):
-            d = self.form.partial(var)
-            if d is not None and d.evaluate(point.coords):
-                return True
-        return False
+        """Whether the curve is smooth at a point on it: whether the chart
+        partials are not both zero.  The third partial then vanishes too, by
+        Euler's relation x . grad F(x) = deg F * F(x) = 0."""
+        return any(self.form.chart_partials(point.coords, point.chart()))
 
 
 def _has_linear_factor(form):
@@ -536,12 +539,7 @@ class FactoredFunction:
         self.constant = field.element(constant) if isinstance(constant, int) else constant
         if not self.constant:
             raise DomainError("factored functions are nonzero")
-        self.powers = {}
-        for curve, e in (powers or {}).items():
-            if e:
-                self.powers[curve] = self.powers.get(curve, 0) + e
-                if not self.powers[curve]:
-                    del self.powers[curve]
+        self.powers = {c: e for c, e in (powers or {}).items() if e}
 
     def weighted_degree(self):
         return sum(e * c.degree for c, e in self.powers.items())
@@ -563,8 +561,6 @@ class FactoredFunction:
         return FactoredFunction(self.p, self.constant * other.constant, powers)
 
     def __pow__(self, e):
-        if e == 0:
-            return FactoredFunction(self.p, 1, {})
         return FactoredFunction(
             self.p, self.constant**e, {c: k * e for c, k in self.powers.items()}
         )
@@ -599,12 +595,7 @@ class SurfaceSymbol:
         return cls(f.p, [(f, g, e)])
 
     def support_curves(self):
-        out = {}
-        for f, g, _ in self.entries:
-            for h in (f, g):
-                for c in h.powers:
-                    out[c] = None
-        return list(out)
+        return list(dict.fromkeys(c for f, g, _ in self.entries for h in (f, g) for c in h.powers))
 
     def __repr__(self):
         return " * ".join("{%r, %r}^%d" % (f, g, e) for f, g, e in self.entries) or "{1}"
@@ -649,43 +640,70 @@ def curve_tame_symbol(symbol, curve):
         constant = constant * term.constant
         for c, k in term.powers.items():
             powers[c] = powers.get(c, 0) + k
-            if not powers[c]:
-                del powers[c]
-    if powers.get(curve):
+    if powers.pop(curve, 0):
         raise DomainError("curve power did not cancel in the tame symbol")
-    powers.pop(curve, None)
     return RestrictedFunction(curve, constant, powers)
 
 
 def valuation_on_curve(func, curve, point, chart=None):
     """Valuation at a point of the restriction to ``curve`` of a factored
-    function: sum of e_F * I_x(F, curve) over the factored support."""
+    function: sum of e_F * I_x(F, curve) over the factored support, each
+    I_x the order of F along the branch of the curve at its smooth point x
+    (Fulton, *Algebraic Curves*, 3.3).  I_x is 0 off F, and 1 when the
+    Jacobian minor of the two chart partials is nonzero (distinct tangents);
+    only a tangency or a singular point of F takes ``_branch_order``."""
     if isinstance(func, RestrictedFunction):
         if func.curve != curve:
             raise DomainError("function restricted to a different curve")
-        powers = func.powers
-    else:
-        powers = func.powers
-        if func.exponent_along(curve):
-            raise DomainError("function vanishes identically along the curve")
+    elif func.exponent_along(curve):
+        raise DomainError("function vanishes identically along the curve")
     if not curve.contains(point):
         raise DomainError("point is not on the curve")
-    if not curve.smooth_at(point):
-        raise DomainError("flag-curve singular at point")
     if chart is None:
         chart = point.chart()
-    field = point.field
-    pt = point.affine(chart)
-    C = curve.form.dehomogenize(chart, field)
+    ca, cb = curve.form.chart_partials(point.coords, chart)
+    if not (ca or cb):
+        raise DomainError("flag-curve singular at point")
     total = 0
-    for F, e in powers.items():
+    for F, e in func.powers.items():
         if F == curve:
             raise DomainError("function vanishes identically along the curve")
-        m = fulton_multiplicity(F.form.dehomogenize(chart, field), C, pt)
-        if m is INFINITE:
-            raise DomainError("improper restriction: common component")
-        total += e * m
+        if F.form.evaluate(point.coords):
+            continue
+        fa, fb = F.form.chart_partials(point.coords, chart)
+        total += e * (1 if fa * cb != fb * ca else _branch_order(F.form, curve.form, point, chart, not cb))
     return total
+
+
+def _branch_order(F, C, point, chart, swap):
+    """ord_t F(u0 + t, v0 + w(t)) for the branch w of the curve C = 0 through
+    its smooth point (u0, v0) in the chart, u and v swapped when dC/dv
+    vanishes there.  w is Newton's root of C(u0 + t, v0 + w) = 0, its
+    precision doubled until F has a nonzero coefficient; a zero past
+    deg F * deg C (Bezout) means a common component."""
+    field = point.field
+    u0, v0 = point.affine(chart)[:: -1 if swap else 1]
+    Fc, Cc = F.dehomogenize(chart, field, swap), C.dehomogenize(chart, field, swap)
+    dC = Cc.deriv_v()
+
+    def at(G, w, prec):
+        u = LaurentSeries.constant(u0, prec) + LaurentSeries.var(field, prec)
+        v = LaurentSeries.constant(v0, prec) + w
+        out = LaurentSeries.zero(field, prec)
+        for row in reversed(G.rows):
+            out = out * v + LaurentSeries.from_polynomial(row, prec, var=u)
+        return out
+
+    # the order is at least 2 here, so the first look is below t^4
+    w, m, n = LaurentSeries.zero(field, 1), 1, 4
+    while True:
+        w = _newton_root(w, m, n, lambda w, t: at(Cc, w, t.prec) * at(dC, w, t.prec).inverse())
+        order = at(Fc, w, n).valuation()
+        if order is not None:
+            return order
+        if n > F.degree * C.degree:
+            raise DomainError("improper restriction: common component")
+        m, n = n, 2 * n
 
 
 def flag_residue(symbol, flag):
@@ -885,28 +903,16 @@ def _aux_line_candidates(p, avoid_points):
 def choose_aux_line(p, avoid_points, exclude_forms=()):
     """Deterministically pick a line avoiding the given points."""
     for form in _aux_line_candidates(p, avoid_points):
-        if form in exclude_forms:
-            continue
-        ok = True
-        for pt in avoid_points:
-            if not form.evaluate(pt.coords):
-                ok = False
-                break
-        if ok:
+        if form not in exclude_forms and all(form.evaluate(pt.coords) for pt in avoid_points):
             return PlaneCurve(form)
     raise DomainError("no auxiliary line avoids the contributing points")
 
 
 def _local_equation(divisor, aux):
     """The degree-zero factored function prod F^m / L^(deg) for a divisor."""
-    powers = {}
-    total = 0
-    p = aux.form.p
-    for curve, m in divisor.items():
-        powers[curve] = m
-        total += m * curve.degree
-    powers[aux] = powers.get(aux, 0) - total
-    return FactoredFunction(p, 1, powers)
+    powers = dict(divisor.items())
+    powers[aux] = powers.get(aux, 0) - divisor.degree
+    return FactoredFunction(aux.form.p, 1, powers)
 
 
 def _contributing_flags(D1, D2, ext_bound, points):
@@ -1035,10 +1041,7 @@ def surface_product_cycle(D1, D2, ext_bound=DEFAULT_EXT_BOUND, points=None):
         for pt in pts:
             # back component s_{2,C}/s_{2,x} with s_{2,C} = 1 (C is not in
             # supp D2): the local equation of D2 at x, inverted
-            powers = {}
-            for F, m in D2.items():
-                if F.contains(pt):
-                    powers[F] = m
+            powers = {F: m for F, m in D2.items() if F.contains(pt)}
             deg = sum(m * F.degree for F, m in powers.items())
             powers[aux] = powers.get(aux, 0) - deg
             s2_x = FactoredFunction(p, 1, powers)
@@ -1046,12 +1049,7 @@ def surface_product_cycle(D1, D2, ext_bound=DEFAULT_EXT_BOUND, points=None):
             raw = flag_residue(symbol, Flag2(C, pt))
             if raw:
                 cycle[pt] = cycle.get(pt, 0) + raw
-    out = {}
-    for pt, raw in cycle.items():
-        val = signs.SURFACE_CYCLE_SIGN * raw
-        if val:
-            out[pt] = val
-    return out
+    return {pt: signs.SURFACE_CYCLE_SIGN * raw for pt, raw in cycle.items() if raw}
 
 
 def cycle_degree(cycle):
@@ -1077,9 +1075,7 @@ def dlog2_pole_check(symbol):
     field = prime_field(p)
     for curve in support:
         chart = _visible_chart(curve)
-        forms = {}
-        for c in support:
-            forms[c] = c.form.dehomogenize(chart, field)
+        forms = {c: c.form.dehomogenize(chart, field) for c in support}
         numerator = _wedge_numerator(symbol, forms, chart, field)
         if not numerator:
             continue
@@ -1093,11 +1089,8 @@ def dlog2_pole_check(symbol):
 
 
 def _visible_chart(curve):
-    for chart in (2, 1, 0):
-        line = HomForm(curve.form.p, {tuple(1 if i == chart else 0 for i in range(3)): 1})
-        if curve.form != line:
-            return chart
-    raise AssertionError("unreachable")
+    """The first of X2, X1, X0 that is not the curve's own equation."""
+    return next(c for c in (2, 1, 0) if curve.form.terms != {tuple(int(i == c) for i in range(3)): 1})
 
 
 def _wedge_numerator(symbol, forms, chart, field):

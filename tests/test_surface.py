@@ -1,8 +1,11 @@
+import ast
+import json
+import math
+import time
 from collections import Counter
 from itertools import chain
+from pathlib import Path
 from random import Random
-
-import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -666,7 +669,7 @@ def test_resultant_matches_cofactor_expansion(forms):
     r, degree = _resultant_x2(F, G)
     field = r.spec
     # R(w, 1): the coefficient of w^i sums the terms u^i v^j
-    coeffs = [field.zero()] * (R.deg_u() + 1)
+    coeffs = [field.zero()] * (max((row.degree for row in R.rows), default=-1) + 1)
     for (i, _), c in R.terms.items():
         coeffs[i] = coeffs[i] + c
     assert r == Polynomial.from_elements(field, coeffs)
@@ -842,3 +845,249 @@ def test_fulton_multiplicity_off_the_curves():
     assert fulton_multiplicity(F, G, (F7.one(), F7.one())) == 0  # off both
     assert fulton_multiplicity(F, G, (F7.zero(), F7.one())) == 0  # on F only
     assert fulton_multiplicity(F, BiPoly.zero(F7), (F7.one(), F7.zero())) == 0
+
+
+# ---------------------------------------------------------------------------
+# flag valuations from the branch of the flag curve, against Fulton
+
+
+def _form_mul(a, b, p):
+    out = {}
+    for x, c in a.items():
+        for y, d in b.items():
+            m = (x[0] + y[0], x[1] + y[1], x[2] + y[2])
+            out[m] = (out.get(m, 0) + c * d) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def _unchecked_curve(p, terms):
+    """A PlaneCurve on a form that may be reducible, accepted without the
+    linear-factor check, as forms of degree > 3 are."""
+    curve = PlaneCurve.__new__(PlaneCurve)
+    curve.form = HomForm(p, terms)
+    return curve
+
+
+def _fulton_valuation(func, curve, point, chart):
+    """sum e * I_x(F, curve) by Fulton's recursion; INFINITE on a shared
+    component."""
+    C = curve.form.dehomogenize(chart, point.field)
+    return sum(
+        e * fulton_multiplicity(F.form.dehomogenize(chart, point.field), C, point.affine(chart))
+        for F, e in func.powers.items()
+    )
+
+
+def _smooth_at_reference(form, point):
+    """Some partial of the form, as a form of its own, is nonzero at the
+    point."""
+    for var in range(3):
+        terms = {}
+        for ijk, c in form.terms.items():
+            if ijk[var]:
+                terms[tuple(e - (n == var) for n, e in enumerate(ijk))] = c * ijk[var] % form.p
+        if any(terms.values()) and HomForm(form.p, terms).evaluate(point.coords):
+            return True
+    return False
+
+
+@st.composite
+def _branch_cases(draw):
+    """C of degree 1-3, a line L and F = C*A + L^r*B of degree <= 5 over
+    GF(p), p in {2, 3, 5, 7}: F meets C to order >= r at the points of C and
+    L (of degree up to 3), and A = L*A' makes F singular there when r >= 2.
+    Forms may be reducible."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    coeff = st.integers(0, p - 1)
+
+    def form(d, nonzero=True):
+        terms = {m: draw(coeff) for m in _monomials(d)}
+        if nonzero and not any(terms.values()):
+            terms[(0, 0, d)] = 1
+        return {m: c for m, c in terms.items() if c}
+
+    dC, r = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    dF = draw(st.integers(max(dC, r), 5))
+    C, L = form(dC), form(1)
+    singular = dF > dC and draw(st.booleans())
+    A = _form_mul(L, form(dF - dC - 1, False), p) if singular else form(dF - dC, False)
+    B = form(dF - r)
+    for _ in range(r):
+        B = _form_mul(B, L, p)
+    F = _form_mul(C, A, p)
+    for m, c in B.items():
+        F[m] = (F.get(m, 0) + c) % p
+    F = {m: c for m, c in F.items() if c}
+    assume(F and HomForm(p, F) != HomForm(p, C) and HomForm(p, L) != HomForm(p, C))
+    curves = [_unchecked_curve(p, t) for t in (C, L, F)]
+    return curves, draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_branch_cases(), st.data())
+def test_valuation_on_curve_matches_fulton(case, data):
+    (C, L, F), eF, eL = case
+    try:
+        points = curve_intersection_points(C, L)
+    except DomainError:
+        assume(False)  # C contains L
+    func = FactoredFunction(C.form.p, 1, {F: eF, L: eL})
+    for pt in points:
+        chart = data.draw(st.sampled_from([i for i in range(3) if pt.coords[i]]))
+        assert C.smooth_at(pt) == _smooth_at_reference(C.form, pt)
+        if not C.smooth_at(pt):
+            with pytest.raises(DomainError, match="singular"):
+                valuation_on_curve(func, C, pt, chart)
+            continue
+        expected = _fulton_valuation(func, C, pt, chart)
+        if not math.isfinite(expected):  # a shared component
+            with pytest.raises(DomainError, match="common component"):
+                valuation_on_curve(func, C, pt, chart)
+        else:
+            assert valuation_on_curve(func, C, pt, chart) == expected
+
+
+# (C, F, I_x(F, C)) at (0:0:1), in u = X0/X2 and v = X1/X2
+_CONTACT_CASES = {
+    # the tangent to C is vertical there, so the branch is u = phi(v)
+    "vertical tangent": ({(1, 0, 1): 1, (0, 2, 0): -1}, {(1, 0, 0): 1}, 2),
+    # F = v^2 - u^2 - u^3 has a node: a line through it, then one along a branch
+    "node, transversal line": ({(0, 1, 0): 1, (1, 0, 0): 3}, {(0, 2, 1): 1, (2, 0, 1): -1, (3, 0, 0): -1}, 2),
+    "node, branch tangent": ({(0, 1, 0): 1, (1, 0, 0): -1}, {(0, 2, 1): 1, (2, 0, 1): -1, (3, 0, 0): -1}, 3),
+    # F = v^2 - u^3 has a cusp
+    "cusp, line v = 0": ({(0, 1, 0): 1}, {(0, 2, 1): 1, (3, 0, 0): -1}, 3),
+    "cusp, line u = 0": ({(1, 0, 0): 1}, {(0, 2, 1): 1, (3, 0, 0): -1}, 2),
+    # C: v = u^3 has a flex
+    "flex": ({(0, 1, 2): 1, (3, 0, 0): -1}, {(0, 1, 0): 1}, 3),
+    # v = u^2 and v - u^2 + v^2 = 0 meet to order 4
+    "tangent conics": ({(0, 1, 1): 1, (2, 0, 0): -1}, {(0, 1, 1): 1, (2, 0, 0): -1, (0, 2, 0): 1}, 4),
+}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("name", sorted(_CONTACT_CASES))
+def test_valuation_on_curve_contact_orders(name, p):
+    C, F, order = _CONTACT_CASES[name]
+    C, F = PlaneCurve(HomForm(p, C)), PlaneCurve(HomForm(p, F))
+    K = prime_field(p)
+    origin = ProjPoint((K.zero(), K.zero(), K.one()))
+    func = FactoredFunction(p, 1, {F: 1})
+    assert valuation_on_curve(func, C, origin) == order == _fulton_valuation(func, C, origin, 2)
+
+
+def test_valuation_at_points_of_degree_two_and_three():
+    # X1 meets X0^2 + X1^2 - 3X2^2 in a point of degree 2 over GF(7), and
+    # X0^3 - 2X2^3 + X1X2^2 + X0X1^2 in one of degree 3 (2 is not a cube mod
+    # 7); F = C + X1^2 (times X2 for the cubic) meets C to order 2 there
+    for C, degree in (({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -3}, 2),
+                      ({(3, 0, 0): 1, (0, 0, 3): -2, (0, 1, 2): 1, (1, 2, 0): 1}, 3)):
+        F = dict(C)
+        square = (0, 2, degree - 2)
+        F[square] = F.get(square, 0) + 1
+        C, F = PlaneCurve(HomForm(P, C)), _unchecked_curve(P, F)
+        (pt,) = curve_intersection_points(C, X1)
+        assert pt.degree == degree
+        func = FactoredFunction(P, 1, {F: 1, X1: -2})
+        assert valuation_on_curve(func, C, pt) == 0 == _fulton_valuation(func, C, pt, pt.chart())
+        assert valuation_on_curve(FactoredFunction(P, 1, {F: 1}), C, pt) == 2
+
+
+def test_valuation_on_a_shared_component_is_bounded():
+    # two trusted degree-8 forms sharing v^2 - u^3 - u through the origin,
+    # where dC/dv = 0: the expansion stops past deg F * deg C = 64
+    rng = Random(0)
+    cubic = {(0, 2, 1): 1, (3, 0, 0): -1, (1, 0, 2): -1}
+
+    def cofactor():
+        while True:
+            terms = {(i, j, 5 - i - j): rng.randrange(P) for i in range(6) for j in range(6 - i)}
+            if terms[(0, 0, 5)] and not _has_linear_factor(HomForm(P, terms)):
+                return terms
+
+    C, F = (PlaneCurve(HomForm(P, _form_mul(cubic, cofactor(), P))) for _ in range(2))
+    func = FactoredFunction(P, 1, {F: 1, X2: -8})
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="common component"):
+        valuation_on_curve(func, C, ORIGIN)
+    assert time.perf_counter() - t0 < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the construction does not call the Fulton oracle
+
+
+def _selfcheck_surface_values():
+    """intersection_number and surface_product_cycle on the pairs of the
+    surface-intersection check, and flag_residue and
+    parshin_point_reciprocity on the symbols and points of the Parshin check."""
+    from adele_forge import selfcheck
+
+    X0, X1, X2, L1, L2, conic, conic2 = selfcheck._surface_pool(P)
+    pairs = [({X0: 1}, {X1: 1}), ({X1: 1}, {conic: 1}), ({conic: 1}, {conic2: 1}), ({L1: 1, X0: 1}, {conic: 1})]
+    out = []
+    for a, b in pairs:
+        D1, D2 = SurfaceDivisor(a), SurfaceDivisor(b)
+        cycle = surface_product_cycle(D1, D2)
+        out.append((intersection_number(D1, D2), sorted((repr(pt), m) for pt, m in cycle.items())))
+    points = [ORIGIN, ProjPoint((F7.one(), F7.zero(), F7.one())), ProjPoint((F7.zero(), F7.one(), F7.one()))]
+    residues, sums = [], []
+    for s in selfcheck._random_surface_symbols(Random(113), P, 8):
+        for pt in points:
+            sums.append(_outcome(parshin_point_reciprocity, s, pt))
+            residues += [flag_residue(s, Flag2(C, pt)) for C in s.support_curves() if C.contains(pt)]
+    return out, residues, sums
+
+
+def test_construction_runs_without_the_fulton_oracle(monkeypatch):
+    def oracle_only(*args):
+        raise AssertionError("the construction called fulton_multiplicity")
+
+    monkeypatch.setattr(surface, "fulton_multiplicity", oracle_only)
+    intersections, residues, sums = _selfcheck_surface_values()
+    assert intersections == [
+        (1, [("(0:0:1)", 1)]),
+        (2, [("(0:0:1)", 2)]),
+        (4, [("((5,5,6,2):(4,5,1,6):(1,0,0,0))", 1)]),
+        (4, [("(0:0:1)", 1), ("(0:1:0)", 1), ("(2:4:1)", 1), ("(4:2:1)", 1)]),
+    ]
+    assert residues == [0, 0, 0, 0, -4, 4, 0, 0, 4, -4] + [0] * 11
+    assert sums == [0] * 24
+
+
+def test_an_oracle_off_by_one_is_a_mismatch(monkeypatch):
+    doc = {
+        "field": {"p": 7},
+        "task": "intersect",
+        "divisor1": [{"form": [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 1]], "multiplicity": 2}],
+        "divisor2": [{"form": [[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, -1]], "multiplicity": 1}],
+    }
+    before = run_config(doc)
+    fulton = surface.fulton_multiplicity
+
+    def off_by_one(F, G, point):
+        m = fulton(F, G, point)
+        return m + 1 if m >= 1 else m
+
+    monkeypatch.setattr(surface, "fulton_multiplicity", off_by_one)
+    after = run_config(doc)
+    assert before["oracle"]["oracles"] == "match" and after["oracle"]["oracles"] == "MISMATCH"
+    for key in ("intersection_number", "cycle"):
+        assert json.dumps(after["result"][key]) == json.dumps(before["result"][key])
+
+
+def test_fulton_multiplicity_has_one_caller():
+    """Under src/adele_forge only the oracle fulton_intersection_cycle names
+    fulton_multiplicity, apart from its definition."""
+    package = Path(surface.__file__).resolve().parent
+    users = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(None, tree)]
+        while scopes:
+            scope, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+                if getattr(child, "id", getattr(child, "attr", None)) == "fulton_multiplicity":
+                    users.add((path.name, inner))
+                scopes.append((inner, child))
+    assert users == {("surface.py", "fulton_intersection_cycle")}
