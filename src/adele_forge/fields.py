@@ -17,14 +17,18 @@ backend's (see ``_kernels``).  Over GF(p^k), k > 1:
   reduction step of ``powmod``, is long division on k-tuples
   (``_schoolbook_divmod``), one scalar inverse each.
 
+The Frobenius map a -> a^p is GF(p)-linear (Lidl and Niederreiter, *Finite
+Fields*, 2.1): FieldSpec holds its matrix, column j the class of x^(p*j).
+
 Factorization is Cantor-Zassenhaus (``factor_polynomial``, ``poly_roots``);
 the one root of an irreducible prime-field polynomial that a place or point
 needs comes from the trace map instead (``root_in_field``), which takes no
 extension-field power above (p - 1)/2.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
+from operator import add, mul
 from random import Random
 
 from . import _kernels as K
@@ -69,9 +73,10 @@ def is_prime(n):
 
 
 class FieldSpec:
-    """A finite field GF(p^k), with k > 1 presented as GF(p)[x]/(modulus)."""
+    """A finite field GF(p^k), with k > 1 presented as GF(p)[x]/(modulus);
+    ``_frobenius`` holds the rows of the matrix of a -> a^p (None at k = 1)."""
 
-    __slots__ = ("p", "k", "modulus", "_hash")
+    __slots__ = ("p", "k", "modulus", "_frobenius", "_hash")
 
     def __init__(self, p, k=1, modulus=None):
         if not is_prime(p):
@@ -81,7 +86,7 @@ class FieldSpec:
         if k == 1:
             if modulus is not None:
                 raise DomainError("modulus must be absent for a prime field")
-            self.modulus = None
+            self.modulus = self._frobenius = None
         else:
             if modulus is None:
                 raise DomainError("extension field needs a modulus")
@@ -93,6 +98,8 @@ class FieldSpec:
             if not _irreducible_int_poly(mod, p):
                 raise DomainError("modulus is reducible over GF(%d)" % p)
             self.modulus = tuple(mod)
+            cols = [K.poly_powmod([0, 1], p * j, mod, p) for j in range(k)]
+            self._frobenius = tuple(zip(*[c + [0] * (k - len(c)) for c in cols]))
         self.p = p
         self.k = k
         self._hash = hash((p, k, self.modulus))
@@ -154,12 +161,7 @@ class FieldSpec:
 
     def elements(self):
         for n in range(self.order):
-            vals = []
-            m = n
-            for _ in range(self.k):
-                m, r = divmod(m, self.p)
-                vals.append(r)
-            yield self._elt(tuple(vals))
+            yield self.from_encoding(n)
 
     def from_encoding(self, n):
         vals = []
@@ -216,12 +218,7 @@ def canonical_field(p, k):
     if k == 1:
         return prime_field(p)
     for n in range(0 if _binomial_can_be_irreducible(p, k) else p, p**k):
-        coeffs = []
-        m = n
-        for _ in range(k):
-            m, r = divmod(m, p)
-            coeffs.append(r)
-        mod = coeffs + [1]
+        mod = [n // p**i % p for i in range(k)] + [1]
         if _irreducible_int_poly(mod, p):
             return FieldSpec(p, k, mod)
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -243,6 +240,38 @@ def _mulmod(a, b, modulus, p):
             for j in range(k):
                 prod[d - k + j] -= t * modulus[j]
     return tuple([c % p for c in prod[:k]])
+
+
+def _form_values(coords, terms, n, d):
+    """The values at ``coords`` = (x, y, z) of n ternary forms over GF(p), by
+    ``terms``: triples (m, c, (i, j, l)) adding c * x^i y^j z^l to form m, no
+    exponent above d.  The work is on the coordinates' ``val`` tuples: c is
+    an int scalar, a power of a coordinate equal to 1 costs no ``_mulmod``,
+    and only the n values become FieldElements."""
+    spec = coords[0].spec
+    if any(x.spec != spec for x in coords):
+        raise DomainError("coordinates in different fields")
+    p, k, modulus = spec.p, spec.k, spec.modulus
+    if k == 1:
+        t0, t1, t2 = ([pow(x.val[0], e, p) for e in range(d + 1)] for x in coords)
+        sums = [0] * n
+        for m, c, (i, j, l) in terms:
+            sums[m] += c * t0[i] * t1[j] * t2[l]
+        return [spec._elt((s % p,)) for s in sums]
+    one = spec.one().val
+    tables = [[one] * (d + 1) for _ in coords]
+    for x, table in zip(coords, tables):
+        for e in range(d if x.val != one else 0):
+            table[e + 1] = _mulmod(table[e], x.val, modulus, p)
+    sums = [[0] * k for _ in range(n)]
+    for m, c, exps in terms:
+        mono = one
+        for table, e in zip(tables, exps):
+            y = table[e]
+            if y is not one:
+                mono = y if mono is one else _mulmod(mono, y, modulus, p)
+        sums[m] = [s + c * y for s, y in zip(sums[m], mono)]
+    return [spec._elt(tuple([s % p for s in row])) for row in sums]
 
 
 class FieldElement:
@@ -383,7 +412,11 @@ class FieldElement:
         return result
 
     def frobenius(self):
-        return self**self.spec.p
+        """The p-th power: ``self`` at k = 1, else the Frobenius matrix times ``val``."""
+        spec = self.spec
+        if spec.k == 1:
+            return self
+        return spec._elt(tuple([sum(map(mul, row, self.val)) % spec.p for row in spec._frobenius]))
 
     def minimal_degree(self):
         """Degree of the subfield GF(p^d) generated by this element."""
@@ -402,25 +435,21 @@ def frobenius_orbit(coords):
         orbit.append(cur)
 
 
+def _conjugates(a):
+    """The k Frobenius conjugates a, a^p, ..., a^(p^(k-1)), k = a.spec.k."""
+    out = [a]
+    for _ in range(a.spec.k - 1):
+        out.append(out[-1].frobenius())
+    return out
+
+
 def norm_to_prime_field(a):
     """Product of the Frobenius conjugates a * a^p * ... * a^(p^(k-1))."""
-    spec = a.spec
-    result = a
-    conj = a
-    for _ in range(spec.k - 1):
-        conj = conj.frobenius()
-        result = result * conj
-    return prime_field(spec.p)._elt((result.lift_int(),))
+    return prime_field(a.spec.p)._elt((reduce(mul, _conjugates(a)).lift_int(),))
 
 
 def trace_to_prime_field(a):
-    spec = a.spec
-    result = a
-    conj = a
-    for _ in range(spec.k - 1):
-        conj = conj.frobenius()
-        result = result + conj
-    return prime_field(spec.p)._elt((result.lift_int(),))
+    return prime_field(a.spec.p)._elt((reduce(add, _conjugates(a)).lift_int(),))
 
 
 def field_sqrt(a):
@@ -886,11 +915,9 @@ def poly_gcd(a, b):
 
 
 def _pth_root(f):
-    """For f with f' = 0, the polynomial g with g(x)^p = f(x)."""
-    spec = f.spec
-    p = spec.p
-    e = spec.order // p
-    return Polynomial.from_elements(spec, [c**e if e > 1 else c for c in f.coeffs[::p]])
+    """For f with f' = 0, the polynomial g with g(x)^p = f(x): the inverse
+    of Frobenius, sigma^(k-1), on every p-th coefficient."""
+    return Polynomial.from_elements(f.spec, [_conjugates(c)[-1] for c in f.coeffs[:: f.spec.p]])
 
 
 def _squarefree_decomposition(f):
@@ -1066,11 +1093,8 @@ def root_in_field(g, field):
     rng = Random(0)
     one = Polynomial.one(field)
     while f.degree > 1:
-        beta = field.from_encoding(rng.randrange(1, field.order))
-        conj = [beta]
-        for _ in range(k - 1):
-            conj.append(conj[-1].frobenius())
-        # coefficient j of T is sum_i X_i[j] * sigma^i(beta), k ints each
+        conj = _conjugates(field.from_encoding(rng.randrange(1, field.order)))
+        # conj[i] = sigma^i(beta), beta random; T_j = sum_i X_i[j] * conj[i], k ints each
         t = [
             sum(cols[i % d][j] * conj[i].val[s] for i in range(k)) % p
             for j in range(d)

@@ -5,7 +5,8 @@ resultant in X2, a Sylvester determinant over GF(p)[X0] taken by Bareiss
 elimination.
 
 Affine curves in a chart are BiPolys: one ``fields.Polynomial`` in u per
-power of v, so that this module does no coefficient arithmetic of its own.
+power of v.  A form's value, chart partials and fibre at a point are sums
+taken by ``fields._form_values`` on the coordinates' GF(p) tuples.
 
 Surface functions stay in factored form (products of irreducible forms with
 integer exponents); the valuation along a curve is an exponent lookup, and
@@ -26,8 +27,8 @@ from . import signs
 from .curves import _newton_root
 from .errors import DomainError
 from .fields import (
-    DEFAULT_EXT_BOUND, Polynomial, canonical_field, factor_polynomial, frobenius_orbit, poly_gcd, poly_roots,
-    prime_field, root_in_field,
+    DEFAULT_EXT_BOUND, Polynomial, _form_values, canonical_field, factor_polynomial, frobenius_orbit,
+    poly_gcd, poly_roots, prime_field, root_in_field,
 )
 from .series import LaurentSeries
 
@@ -36,15 +37,6 @@ log = logging.getLogger(__name__)
 INFINITE = math.inf
 
 _CHART_VARS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-
-
-def _powers(x, n):
-    """[1, x, ..., x^n]: one multiplication per step, so that evaluating a
-    form reads each monomial's powers instead of raising x once per term."""
-    out = [x.spec.one()]
-    for _ in range(n):
-        out.append(out[-1] * x)
-    return out
 
 
 class BiPoly:
@@ -302,12 +294,7 @@ class HomForm:
         return " + ".join(bits)
 
     def evaluate(self, coords):
-        field = coords[0].spec
-        p0, p1, p2 = (_powers(x, self.degree) for x in coords)
-        total = field.zero()
-        for (i, j, k), c in self.terms.items():
-            total = total + field.element(c) * p0[i] * p1[j] * p2[k]
-        return total
+        return _form_values(coords, ((0, c, ijk) for ijk, c in self.terms.items()), 1, self.degree)[0]
 
     def dehomogenize(self, chart, field, swap=False):
         """Set X_chart = 1; the remaining coordinates become (u, v) in index
@@ -324,17 +311,10 @@ class HomForm:
         coordinates, in one pass over the terms: the affine partials times
         X_chart^(deg F - 1), so ratios and minors of them are the affine
         ones up to a unit."""
-        field, d = coords[0].spec, self.degree
         a, b = _CHART_VARS[chart]
-        pa, pb, pc = _powers(coords[a], d), _powers(coords[b], d), _powers(coords[chart], d)
-        da = db = field.zero()
-        for ijk, c in self.terms.items():
-            i, j, k = ijk[a], ijk[b], ijk[chart]
-            if i:
-                da = da + field.element(c * i) * pa[i - 1] * pb[j] * pc[k]
-            if j:
-                db = db + field.element(c * j) * pa[i] * pb[j - 1] * pc[k]
-        return da, db
+        terms = [(0, c * e[a], (e[a] - 1, e[b], e[chart])) for e, c in self.terms.items() if e[a]]
+        terms += [(1, c * e[b], (e[a], e[b] - 1, e[chart])) for e, c in self.terms.items() if e[b]]
+        return tuple(_form_values((coords[a], coords[b], coords[chart]), terms, 2, self.degree - 1))
 
 
 class PlaneCurve:
@@ -466,6 +446,8 @@ class ProjPoint:
     __slots__ = ("field", "coords", "orbit", "_hash")
 
     def __init__(self, coords):
+        if not any(coords):
+            raise DomainError("the zero vector is not a point of P^2")
         field = coords[0].spec
         last = max(i for i in range(3) if coords[i])
         inv = coords[last].inverse()
@@ -541,11 +523,8 @@ class FactoredFunction:
             raise DomainError("factored functions are nonzero")
         self.powers = {c: e for c, e in (powers or {}).items() if e}
 
-    def weighted_degree(self):
-        return sum(e * c.degree for c, e in self.powers.items())
-
     def require_degree_zero(self):
-        if self.weighted_degree() != 0:
+        if sum(e * c.degree for c, e in self.powers.items()):
             raise DomainError("entry function is not homogeneous of degree zero")
         return self
 
@@ -862,11 +841,8 @@ def _fiber_gcd(F, G, x0, x1, field):
 def _fiber_poly(F, x0, x1, field):
     """F(x0, x1, Z) as a univariate polynomial in Z over ``field``."""
     n = max(k for (_, _, k) in F.terms)
-    p0, p1 = _powers(x0, F.degree), _powers(x1, F.degree)
-    coeffs = [field.zero()] * (n + 1)
-    for (i, j, k), c in F.terms.items():
-        coeffs[k] = coeffs[k] + field.element(c) * p0[i] * p1[j]
-    return Polynomial.from_elements(field, coeffs)
+    terms = ((k, c, (i, j, 0)) for (i, j, k), c in F.terms.items())
+    return Polynomial.from_elements(field, _form_values((x0, x1, field.one()), terms, n + 1, F.degree))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from adele_forge.fields import (
     canonical_field,
     factor_polynomial,
     field_sqrt,
+    frobenius_orbit,
     is_prime,
     norm_to_prime_field,
     normalize_rational,
@@ -23,6 +24,7 @@ from adele_forge.fields import (
     prime_field,
     root_in_field,
     roots_in_field,
+    trace_to_prime_field,
 )
 
 F3 = prime_field(3)
@@ -868,3 +870,43 @@ def test_polynomial_representation_contract(case):
     for f in results:
         _assert_contract(f)
     assert a + b - b == a and -(-a) == a
+
+
+# ---------------------------------------------------------------------------
+# Frobenius as a GF(p)-linear map, against powers
+
+
+@st.composite
+def _frobenius_case(draw):
+    spec = canonical_field(draw(st.sampled_from([2, 3, 5, 7, 11, M61])), draw(st.integers(1, 6)))
+    coeff = st.one_of(st.just(0), st.just(1), st.integers(0, spec.p - 1))
+    x, y = (spec.element(draw(st.lists(coeff, min_size=spec.k, max_size=spec.k))) for _ in range(2))
+    return spec, x, y
+
+
+def _power_orbit(coords):
+    """The Frobenius orbit of ``frobenius_orbit``, from ``**``."""
+    p = coords[0].spec.p
+    orbit = [tuple(coords)]
+    while True:
+        cur = tuple(c**p for c in orbit[-1])
+        if cur == orbit[0]:
+            return orbit
+        orbit.append(cur)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_frobenius_case())
+def test_frobenius_matches_powers(case):
+    spec, x, y = case
+    p, k = spec.p, spec.k
+    assert x.frobenius() == x**p
+    assert frobenius_orbit((x, y)) == _power_orbit((x, y))
+    assert x.minimal_degree() == len(_power_orbit((x,)))
+    assert spec.k % x.minimal_degree() == 0
+    norm = x ** sum(p**i for i in range(k))
+    trace = sum((x ** (p**i) for i in range(k)), spec.zero())
+    assert norm_to_prime_field(x) == prime_field(p).element(norm.lift_int())
+    assert trace_to_prime_field(x) == prime_field(p).element(trace.lift_int())
+    if k == 1:
+        assert x.frobenius() is x

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from adele_forge import surface
 from adele_forge.cli import run_config
 from adele_forge.errors import DomainError
-from adele_forge.fields import Polynomial, canonical_field, prime_field
+from adele_forge.fields import FieldElement, Polynomial, canonical_field, prime_field
 from adele_forge.surface import (
     BiPoly,
     FactoredFunction,
@@ -833,6 +833,67 @@ def test_homform_evaluate_and_fiber_match_powers(pf, k, data):
     for (i, j, l), c in form.terms.items():
         fiber[l] = fiber[l] + K.element(c) * x0**i * x1**j
     assert _fiber_poly(form, x0, x1, K) == Polynomial.from_elements(K, fiber)
+
+
+def _ref_powers(x, n):
+    out = [x.spec.one()]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
+def _ref_chart_partials(form, coords, chart):
+    """The chart partials by the per-term FieldElement formula: power
+    tables, then one element product per monomial."""
+    field, d = coords[0].spec, form.degree
+    a, b = {0: (1, 2), 1: (0, 2), 2: (0, 1)}[chart]
+    pa, pb, pc = _ref_powers(coords[a], d), _ref_powers(coords[b], d), _ref_powers(coords[chart], d)
+    da = db = field.zero()
+    for ijk, c in form.terms.items():
+        i, j, k = ijk[a], ijk[b], ijk[chart]
+        if i:
+            da = da + field.element(c * i) * pa[i - 1] * pb[j] * pc[k]
+        if j:
+            db = db + field.element(c * j) * pa[i] * pb[j - 1] * pc[k]
+    return da, db
+
+
+@settings(deadline=None, max_examples=200)
+@given(_forms(degrees=(1, 5)), st.integers(1, 3), st.data())
+def test_chart_partials_match_per_term_formula(pf, k, data):
+    form = HomForm(*pf)
+    K = canonical_field(form.p, k)
+    code = st.one_of(st.just(0), st.just(1), st.integers(0, K.order - 1))
+    coords = tuple(K.from_encoding(data.draw(code)) for _ in range(3))
+    for chart in range(3):
+        assert form.chart_partials(coords, chart) == _ref_chart_partials(form, coords, chart)
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 3)])
+def test_forms_at_points_take_no_element_arithmetic(monkeypatch, p, k):
+    K = canonical_field(p, k)
+    rng = Random(p * 10 + k)
+    forms = [HomForm(p, {(i, j, d - i - j): rng.randrange(p) for i in range(d + 1) for j in range(d + 1 - i)})
+             for d in (1, 2, 3, 4) for _ in range(3)]
+    points = [(K.zero(), K.one(), K.one()), (K.one(), K.zero(), K.zero()), (K.gen(), K.one(), K.zero())]
+    points += [tuple(K.from_encoding(rng.randrange(K.order)) for _ in range(3)) for _ in range(4)]
+    expected = [(f.evaluate(x), [f.chart_partials(x, c) for c in range(3)], _fiber_poly(f, x[0], x[1], K))
+                for f in forms for x in points]
+
+    def no_arithmetic(*args):
+        raise AssertionError("a form at a point used FieldElement arithmetic")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(FieldElement, name, no_arithmetic)
+    got = [(f.evaluate(x), [f.chart_partials(x, c) for c in range(3)], _fiber_poly(f, x[0], x[1], K))
+           for f in forms for x in points]
+    assert got == expected
+
+
+def test_zero_vector_is_not_a_point():
+    for K in (F7, canonical_field(7, 2)):
+        with pytest.raises(DomainError, match="zero vector is not a point of P\\^2"):
+            ProjPoint((K.zero(), K.zero(), K.zero()))
 
 
 def test_fulton_multiplicity_off_the_curves():
