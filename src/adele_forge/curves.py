@@ -63,6 +63,8 @@ class CurveModel:
         return 0 if self.kind == "p1" else 1
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, CurveModel)
             and self.kind == other.kind
@@ -492,6 +494,11 @@ def ec_neg(curve, point):
 
 
 def ec_add(curve, P, Q):
+    """P + Q by the chord-tangent formula, with O as None.  Both operands
+    are checked to lie on the curve.  Over the base field (k = 1) the
+    formula runs on the coordinates' ints with one inversion by
+    pow(., p - 2, p); points over GF(p^k), k > 1, and points of two
+    different fields go through FieldElement arithmetic."""
     if not on_curve(curve, P) or not on_curve(curve, Q):
         raise DomainError("point is not on the curve")
     if P is None:
@@ -501,6 +508,17 @@ def ec_add(curve, P, Q):
     x1, y1 = P
     x2, y2 = Q
     field = x1.spec
+    if field.k == 1 and x2.spec == field:
+        p = field.p
+        u1, v1, u2, v2 = x1.val[0], y1.val[0], x2.val[0], y2.val[0]
+        if u1 == u2:
+            if (v1 + v2) % p == 0:
+                return None
+            lam = (3 * u1 * u1 + curve.a.val[0]) * pow(2 * v1, p - 2, p) % p
+        else:
+            lam = (v2 - v1) * pow(u2 - u1, p - 2, p) % p
+        u3 = (lam * lam - u1 - u2) % p
+        return (field._elt((u3,)), field._elt(((lam * (u1 - u3) - v1) % p,)))
     if x1 == x2:
         if y1 == -y2:
             return None
@@ -587,7 +605,12 @@ def leading_term(f, place):
     this choice.
 
     One pass over the reduced triple (A + B*y)/C, with no series: strip the
-    place's factor from A, B and C and read u off what is left.
+    place's factor from A, B and C and read u off what is left.  At an
+    affine point (x0, y0) the triple is first evaluated there: when C(x0)
+    and A(x0) + B(x0)*y0 are both nonzero, f is a unit at the point and the
+    result is (0, (A(x0) + B(x0)*y0)/C(x0)) with nothing stripped;
+    otherwise only those of A, B and C that vanish at x0 are divided by
+    x - x0.
     """
     if not isinstance(f, FunctionFieldElement):
         raise DomainError("valuation expects a function field element")
@@ -612,26 +635,36 @@ def leading_term(f, place):
         return 2 * c.degree - 2 * b.degree - 3, b.lc()
     x0, y0 = place.representative()
     field = x0.spec
-    lin = Polynomial.from_elements(field, [-x0, field.one()])
     a, b, c = (g.lift_to(field) for g in f.abc)
-    mc, _, rc = _strip(c, lin)
-    rc = rc.constant_term()
-    # (m, g/(x - x0)^m, its value at x0) for A and B; None for a zero one
-    sa, sb = (_strip(g, lin) if g else None for g in (a, b))
+    a0, b0, c0 = a.evaluate(x0), b.evaluate(x0), c.evaluate(x0)
+    if c0 and a0 + b0 * y0:
+        return 0, (a0 + b0 * y0) / c0
+    lin = Polynomial.from_elements(field, [-x0, field.one()])
+
+    def strip(g, g0):
+        # (m, g/(x - x0)^m, its value at x0), given g0 = g(x0): only a g
+        # that vanishes at x0 is divided
+        if g0:
+            return 0, g, g0
+        m, q, r = _strip(g, lin)
+        return m, q, r.constant_term()
+
+    mc, _, rc = strip(c, c0)
+    # None for a zero A or B
+    sa, sb = (strip(g, g0) if g else None for g, g0 in ((a, a0), (b, b0)))
     a_leads = sb is None or (sa is not None and sa[0] <= sb[0])
     if not y0:
         # t = y and x - x0 = t^2/rhs'(x0) + ...: A has even valuation and B*y
         # odd, so the smaller one leads
         m, _, r = sa if a_leads else sb
         d = 3 * x0 * x0 + f.curve.a.val[0]
-        return 2 * (m - mc) + (not a_leads), r.constant_term() * d ** (mc - m) / rc
+        return 2 * (m - mc) + (not a_leads), r * d ** (mc - m) / rc
     # t = x - x0: a unit at x0 is left once the common power of t is stripped
     if a_leads and (sb is None or sa[0] < sb[0]):
-        return sa[0] - mc, sa[2].constant_term() / rc
+        return sa[0] - mc, sa[2] / rc
     if not a_leads:
-        return sb[0] - mc, sb[2].constant_term() * y0 / rc
+        return sb[0] - mc, sb[2] * y0 / rc
     (m, a1, ra), (_, b1, rb) = sa, sb
-    ra, rb = ra.constant_term(), rb.constant_term()
     if ra + rb * y0:
         return m - mc, (ra + rb * y0) / rc
     # A1 + B1*y vanishes at the point and A1 - B1*y does not (its value

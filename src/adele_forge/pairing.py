@@ -23,7 +23,7 @@ from .curves import (
     torsion_points,
 )
 from .errors import AuditError, DomainError
-from .fields import Polynomial, RationalFunction, norm_to_prime_field, prime_field
+from .fields import Polynomial, norm_to_prime_field, prime_field
 
 
 class _Degenerate(Exception):
@@ -32,14 +32,21 @@ class _Degenerate(Exception):
 
 
 def _vertical(curve, P):
-    """x - x_P, with divisor (P) + (-P) - 2(O)."""
-    x = FunctionFieldElement.x_function(curve)
-    return x - FunctionFieldElement.constant(curve, P[0])
+    """x - x_P, with divisor (P) + (-P) - 2(O), for P over the base field.
+
+    Built as its reduced triple (x - x_P, 0, 1), with no function-field
+    arithmetic."""
+    spec = curve.spec
+    lin = Polynomial.from_elements(spec, [-spec.element(P[0]), spec.one()])
+    return FunctionFieldElement._raw(curve, lin, Polynomial.zero(spec), Polynomial.one(spec))
 
 
 def _line_through(curve, A, B):
     """The line through A and B (tangent when A = B), as a function with
-    divisor (A) + (B) + (-(A+B)) - 3(O); a vertical when A + B = O."""
+    divisor (A) + (B) + (-(A+B)) - 3(O); a vertical when A + B = O.
+
+    The line y - lam*x - nu, nu = y_A - lam*x_A, is built as its reduced
+    triple (-lam*x - nu, 1, 1), with no function-field arithmetic."""
     if A is None or B is None:
         raise DomainError("line through O is a vertical; handled by callers")
     if A == ec_neg(curve, B):
@@ -49,11 +56,9 @@ def _line_through(curve, A, B):
         lam = (field.element(3) * A[0] * A[0] + curve.a) / (A[1] + A[1])
     else:
         lam = (B[1] - A[1]) / (B[0] - A[0])
-    # y - (lam*(x - xA) + yA)
     lin = Polynomial.from_elements(field, [lam * A[0] - A[1], -lam])
-    return FunctionFieldElement(
-        curve, RationalFunction(lin), RationalFunction.one(field)
-    )
+    one = Polynomial.one(field)
+    return FunctionFieldElement._raw(curve, lin, one, one)
 
 
 class MillerFunction:
@@ -271,11 +276,11 @@ def weil_pairing_idelic(curve, P, Q, l, divisors=None):
 
 
 def _scale_div(div, l):
-    out = Divisor(div.curve)
-    for v, m in div.items():
-        assert m % l == 0
-        out = out + Divisor.of_place(v, m // l)
-    return out
+    """div / l, for a divisor whose every multiplicity l divides."""
+    items = div.items()
+    if any(m % l for _, m in items):
+        raise DomainError("divisor %r is not divisible by %d" % (div, l))
+    return Divisor(div.curve, {v: m // l for v, m in items})
 
 
 def _shifted_support(curve, P, R):
@@ -547,7 +552,8 @@ def sign_audit(overrides=None):
                 break
         if pair:
             break
-    assert pair is not None
+    if pair is None:
+        raise AuditError("no pair of order 3 on the full 3-torsion fixture")
     P, Q, psi = pair
     image = massey_triple_curve(E, P, Q, 3).image
     sols = [e for e in (1, -1) if psi.value**e == image]

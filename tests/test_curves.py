@@ -702,3 +702,90 @@ def test_places_above_x_factor_match_all_roots_reference(data):
     assert got == want
     for place in got:
         assert all(not g.lift_to(place.residue_field()).evaluate(x) for x, _ in place.data[0])
+
+
+# ---------------------------------------------------------------------------
+# the group law on ints at k = 1 against the chord-tangent formula on
+# FieldElements, as ec_add computed it for every k before
+
+
+def ref_ec_add(curve, P, Q):
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    field = x1.spec
+    if x1 == x2:
+        if y1 == -y2:
+            return None
+        lam = (field.element(3) * x1 * x1 + field.element(curve.a.val[0])) / (y1 + y1)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam - x1 - x2
+    y3 = lam * (x1 - x3) - y1
+    return (x3, y3)
+
+
+GROUP_LAW_PRIMES = [3, 5, 7, 11, 2**61 - 1]
+
+
+def _curve_with_two_torsion(p, a, x0):
+    """y^2 = x^3 + a*x + b through (x0, 0), or None when that is singular."""
+    try:
+        return CurveModel.elliptic(prime_field(p), a, -(x0**3 + a * x0))
+    except DomainError:
+        return None
+
+
+def _point_at_or_after(curve, field, n):
+    """The first affine point over ``field`` whose x has encoding n, n + 1, ..."""
+    rhs = curve.rhs_poly(field)
+    for i in range(field.order):
+        x = field.from_encoding((n + i) % field.order)
+        y = field_sqrt(rhs.evaluate(x))
+        if y is not None:
+            return (x, y)
+    raise AssertionError("no affine point")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(GROUP_LAW_PRIMES),
+    st.sampled_from([1, 2, 3]),
+    st.data(),
+)
+def test_ec_add_matches_the_field_element_formula(p, k, data):
+    x0 = data.draw(st.integers(0, p - 1))
+    curve = _curve_with_two_torsion(p, data.draw(st.integers(0, p - 1)), x0)
+    assume(curve is not None)
+    field = canonical_field(p, k)
+    two = (field.element(x0), field.zero())
+    assert curve.contains_affine(*two)
+    codes = data.draw(st.lists(st.integers(0, field.order - 1), min_size=1, max_size=3))
+    pts = [two] + [_point_at_or_after(curve, field, n) for n in codes]
+    for P in pts + [None]:
+        for Q in pts + [None, ec_neg(curve, P)]:
+            assert ec_add(curve, P, Q) == ref_ec_add(curve, P, Q), (P, Q)
+    assert ec_add(curve, two, two) is None
+
+
+@pytest.mark.parametrize("p", GROUP_LAW_PRIMES)
+def test_ec_add_at_k1_makes_no_field_element_operation(p, monkeypatch):
+    from adele_forge.fields import FieldElement
+
+    curve = next(c for a in range(1, p) for c in [_curve_with_two_torsion(p, a, 1)] if c)
+    field = curve.spec
+    two = (field.one(), field.zero())
+    pts = [two] + [_point_at_or_after(curve, field, n) for n in (0, 2, p // 2, p - 1)]
+    cases = [(P, Q) for P in pts + [None] for Q in pts + [None, ec_neg(curve, P)]]
+    want = [ref_ec_add(curve, P, Q) for P, Q in cases]
+
+    def no_op(*args):
+        raise AssertionError("a FieldElement operator ran")
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "inverse", "__pow__"):
+        monkeypatch.setattr(FieldElement, name, no_op)
+    assert [ec_add(curve, P, Q) for P, Q in cases] == want
+    assert ec_add(curve, two, two) is None

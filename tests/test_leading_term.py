@@ -1,13 +1,15 @@
 """``curves.leading_term`` against the series-based valuation and leading
 value it replaced, tame symbols against the f^v(g)/g^v(f) formula, the
 Newton expansions at O and at points with y0 = 0 against the iterations
-they replaced, and a guard that the Weil pairing, Massey and reciprocity
-checks read no series."""
+they replaced, a guard that the Weil pairing, Massey and reciprocity
+checks read no series, and leading terms at affine places against the
+strip-first routine that ran before the triple was evaluated at the point."""
 
 from itertools import chain
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adele_forge import curves, milnor, selfcheck
@@ -24,6 +26,7 @@ from adele_forge.curves import (
     valuation,
 )
 from adele_forge.errors import DomainError
+from adele_forge.linalg import kernel_basis
 from adele_forge.fields import (
     Polynomial,
     RationalFunction,
@@ -323,3 +326,144 @@ def test_two_torsion_expansion_matches_full_precision_loop():
             assert (x.start, x.coeffs, x.prec) == (want.start, want.coeffs, want.prec), (place, prec)
             t = LaurentSeries.var(field, prec)
             assert (y.start, y.coeffs, y.prec) == (t.start, t.coeffs, t.prec), (place, prec)
+
+
+# ---------------------------------------------------------------------------
+# leading_term at affine places against the strip-first routine it ran
+# before it evaluated the triple at the point, copied here as the oracle
+
+
+def _strip_ref(poly, factor):
+    m = 0
+    q, r = divmod(poly, factor)
+    while not r:
+        poly, m = q, m + 1
+        q, r = divmod(poly, factor)
+    return m, poly, r
+
+
+def ref_leading_term_affine(f, place):
+    """(v, u, branches): leading_term at an ec-affine place by stripping
+    x - x0 from A, B and C first, and the set of branches taken."""
+    x0, y0 = place.representative()
+    field = x0.spec
+    lin = Polynomial.from_elements(field, [-x0, field.one()])
+    a, b, c = (g.lift_to(field) for g in f.abc)
+    mc, _, rc = _strip_ref(c, lin)
+    rc = rc.constant_term()
+    branches = {"deg%d" % field.k} | ({"c-zero"} if mc else set())
+    sa, sb = (_strip_ref(g, lin) if g else None for g in (a, b))
+    if sa and sb and sa[0] and sb[0]:
+        branches.add("a-b-zero")
+    a_leads = sb is None or (sa is not None and sa[0] <= sb[0])
+    if not y0:
+        m, _, r = sa if a_leads else sb
+        d = 3 * x0 * x0 + f.curve.a.val[0]
+        return 2 * (m - mc) + (not a_leads), r.constant_term() * d ** (mc - m) / rc, branches | {"y0-zero"}
+    if a_leads and (sb is None or sa[0] < sb[0]):
+        return sa[0] - mc, sa[2].constant_term() / rc, branches
+    if not a_leads:
+        return sb[0] - mc, sb[2].constant_term() * y0 / rc, branches
+    (m, a1, ra), (_, b1, rb) = sa, sb
+    ra, rb = ra.constant_term(), rb.constant_term()
+    if ra + rb * y0:
+        return m - mc, (ra + rb * y0) / rc, branches
+    if not m:
+        branches.add("norm")
+    mn, _, rn = _strip_ref(a1 * a1 - b1 * b1 * f.curve.rhs_poly(field), lin)
+    return m + mn - mc, rn.constant_term() / ((ra - rb * y0) * rc), branches
+
+
+def _y_as_poly_in_x(place):
+    """q over GF(p) of degree < d with q(x0) = y0, when x0 generates the
+    residue field GF(p^d) of the place; None when it does not."""
+    x0, y0 = place.representative()
+    field = x0.spec
+    if x0.minimal_degree() != field.k:
+        return None
+    cols = [field.one()]
+    for _ in range(field.k - 1):
+        cols.append(cols[-1] * x0)
+    rows = [[c.val[i] for c in cols + [-y0]] for i in range(field.k)]
+    (v,) = kernel_basis(rows, field.p)
+    inv = pow(v[-1], -1, field.p)
+    return Polynomial.from_ints(place.curve.spec, [c * inv for c in v[:-1]])
+
+
+def _affine_branch_functions(curve, place, poly):
+    """Functions (A + B*y)/C aimed at each branch at ``place``, with
+    ``poly(deg)`` drawing a polynomial of degree <= deg over GF(p):
+    A and B both vanishing at x0, A + B*y vanishing while A(x0) and B(x0)
+    do not (over C or over the minimal polynomial m of x0, which vanishes
+    at x0), and C vanishing to a higher order."""
+    m = curves.x_minimal_poly(place)
+    q = _y_as_poly_in_x(place)
+    one = Polynomial.one(curve.spec)
+    b = poly(2)
+    if not b % m:
+        b = b + one
+    c = poly(2) * Polynomial.x(curve.spec) + one
+    triples = [
+        (m * poly(2), m * poly(1), c),
+        (m * m * poly(1), m * b, m),
+        (m * poly(2) + one, m * b, m * m),
+    ]
+    if q is not None:
+        a = m * poly(2) - b * q  # A + B*y vanishes at the point, A(x0) = -B(x0)*y0
+        triples += [(a, b, c), (a, b, m), (a * m, b * m, m * c)]
+    out = []
+    for a, b, c in triples:
+        if a or b:
+            out.append(FunctionFieldElement(curve, RationalFunction(a, c), RationalFunction(b, c)))
+    return out
+
+
+def _affine_places(data, curve):
+    return [v for v in _ec_places(data, curve) if v.kind == "ec-affine"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_leading_term_at_affine_places_matches_strip_first(data):
+    spec = prime_field(data.draw(st.sampled_from([5, 7, 11])))
+    a, b = data.draw(st.integers(0, spec.p - 1)), data.draw(st.integers(0, spec.p - 1))
+    assume((4 * a**3 + 27 * b * b) % spec.p)
+    curve = CurveModel.elliptic(spec, a, b)
+    for place in _affine_places(data, curve):
+        fs = _affine_branch_functions(curve, place, lambda deg: _poly(data, spec, deg))
+        fs.append(_function(data, curve))
+        for f in fs:
+            v, u, _ = ref_leading_term_affine(f, place)
+            assert leading_term(f, place) == (v, u), (f, place)
+
+
+def test_affine_branch_functions_reach_every_branch():
+    """The generators above reach each branch of the oracle, and there
+    leading_term agrees with it."""
+    rng = Random(20)
+    seen = set()
+    for p, a, b in ((5, 1, 1), (7, 3, 2), (11, 2, 7), (5, 4, 0), (7, 0, 2)):
+        curve = CurveModel.elliptic(prime_field(p), a, b)
+        spec = curve.spec
+        places = []
+        for g, _ in factor_polynomial(curve.rhs_poly())[1]:
+            places += _places_above_x_factor(curve, g, 6)
+        for d in (1, 2, 3):
+            field = canonical_field(p, d)
+            rhs = curve.rhs_poly(field)
+            for n in range(field.order):
+                x0 = field.from_encoding(n)
+                y0 = field_sqrt(rhs.evaluate(x0))
+                if y0 and x0.minimal_degree() == d:
+                    places.append(Place.affine_orbit(curve, x0, y0))
+                    break
+        for place in places:
+            for _ in range(4):
+                poly = lambda deg: Polynomial.from_ints(spec, [rng.randrange(p) for _ in range(deg + 1)])
+                for f in _affine_branch_functions(curve, place, poly):
+                    v, u, branches = ref_leading_term_affine(f, place)
+                    assert leading_term(f, place) == (v, u), (f, place)
+                    seen |= branches
+                    if "c-zero" in branches and v == 0:
+                        seen.add("c-zero-unit")
+    assert seen >= {"deg1", "deg2", "deg3", "c-zero-unit", "a-b-zero", "norm", "y0-zero"}, seen

@@ -2,19 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adele_forge import pairing, selfcheck, signs
+from adele_forge import curves, pairing, selfcheck, signs
 from adele_forge.curves import (
     CurveModel,
     Divisor,
     FunctionFieldElement,
     Place,
     ec_add,
+    ec_neg,
     principal_divisor,
     rational_points,
     torsion_points,
 )
+from adele_forge.curves import _places_above_x_factor
 from adele_forge.errors import AuditError, DomainError
-from adele_forge.fields import prime_field
+from adele_forge.fields import Polynomial, factor_polynomial, prime_field
 from adele_forge.pairing import (
     MillerFunction,
     direct_image,
@@ -327,3 +329,126 @@ def test_sign_audit_perturbation(key):
     }
     with pytest.raises(AuditError):
         sign_audit(overrides={key: -shipped[key]})
+
+
+# ---------------------------------------------------------------------------
+# explicit checks that hold under python -O
+
+
+def test_scale_div_divides_or_raises():
+    vP, vQ, vO = (Place.rational_point(E2, T) for T in (P00, P10, None))
+    D = Divisor(E2, {vP: 4, vQ: -2, vO: -2})
+    assert pairing._scale_div(D, 2) == Divisor(E2, {vP: 2, vQ: -1, vO: -1})
+    assert pairing._scale_div(D, 1) == D
+    assert pairing._scale_div(Divisor(E2), 3) == Divisor(E2)
+    with pytest.raises(DomainError, match="not divisible by 4"):
+        pairing._scale_div(D, 4)
+
+
+def test_sign_audit_without_an_order_3_pair_raises(monkeypatch):
+    # every pairing value 1: fixture 4 finds no pair of order 3
+    monkeypatch.setattr(
+        pairing, "weil_pairing_miller", lambda curve, P, Q, l: pairing.PairingValue(curve.spec.one(), l)
+    )
+    with pytest.raises(AuditError, match="no pair of order 3"):
+        sign_audit()
+
+
+# ---------------------------------------------------------------------------
+# Miller factors built as reduced triples
+
+
+LINE_CURVES = [E2, E3, CurveModel.elliptic(F7, 3, 2), CurveModel.elliptic(prime_field(11), 1, 4)]
+LINE_CURVE_IDS = ["gf5-a4-b0", "gf7-a0-b2", "gf7-a3-b2", "gf11-a1-b4"]
+
+
+def _line_by_arithmetic(curve, A, B):
+    """The same factor through FunctionFieldElement arithmetic: x - x_A for
+    A + B = O, else y - lam*x - (y_A - lam*x_A)."""
+    x = FunctionFieldElement.x_function(curve)
+    if A[0] == B[0] and A[1] == -B[1]:
+        return x - A[0]
+    if A == B:
+        lam = (3 * A[0] * A[0] + curve.a) / (A[1] + A[1])
+    else:
+        lam = (B[1] - A[1]) / (B[0] - A[0])
+    return FunctionFieldElement.y_function(curve) - x * lam - (A[1] - lam * A[0])
+
+
+@pytest.mark.parametrize("curve", LINE_CURVES, ids=LINE_CURVE_IDS)
+def test_reduced_factors_match_function_arithmetic(curve):
+    pts = [T for T in rational_points(curve) if T is not None]
+    kinds = set()
+    for A in pts:
+        want = _line_by_arithmetic(curve, A, ec_neg(curve, A))
+        got = pairing._vertical(curve, A)
+        assert got == want and hash(got) == hash(want)
+        for B in pts:
+            want = _line_by_arithmetic(curve, A, B)
+            got = pairing._line_through(curve, A, B)
+            assert got == want and hash(got) == hash(want), (A, B)
+            kinds.add("vertical" if ec_add(curve, A, B) is None else "tangent" if A == B else "chord")
+            if A == B and not A[1]:
+                kinds.add("two-torsion tangent")
+    assert kinds >= {"chord", "tangent", "vertical"}
+    assert ("two-torsion tangent" in kinds) == any(not T[1] for T in pts)
+
+
+@pytest.mark.parametrize("curve", LINE_CURVES, ids=LINE_CURVE_IDS)
+def test_reduced_factor_divisors(curve):
+    pts = [T for T in rational_points(curve) if T is not None]
+
+    def point(T):
+        return Divisor.of_place(Place.rational_point(curve, T))
+
+    O = Divisor.of_place(Place.origin(curve))
+    for A in pts:
+        assert principal_divisor(pairing._vertical(curve, A)) == point(A) + point(ec_neg(curve, A)) - O * 2
+        for B in pts:
+            C = ec_add(curve, A, B)
+            want = point(A) + point(B) + (point(ec_neg(curve, C)) if C is not None else O) - O * 3
+            assert principal_divisor(pairing._line_through(curve, A, B)) == want, (A, B)
+
+
+def test_vertical_rejects_a_point_of_another_field():
+    with pytest.raises(DomainError):
+        pairing._vertical(E2, (F7.element(0), F7.element(0)))
+
+
+def test_miller_values_off_the_support_strip_nothing(monkeypatch):
+    """Every factor of these chains is a unit at the places evaluated, so
+    each leading term is read off by evaluation: _strip never runs."""
+    cases = []
+    for curve, l, R in ((E2, 2, (F5.element(2), F5.element(1))), (E3, 3, (F7.element(5), F7.element(1)))):
+        tor = [T for T in torsion_points(curve, l) if T is not None]
+        for P in tor:
+            for offset in (None, R):
+                if offset is not None and ec_add(curve, P, offset) in (None, offset):
+                    continue
+                mf = miller_function(curve, P, l, offset)
+                support = set()
+                for f in mf.factors:
+                    support |= set(principal_divisor(f).support())
+                places = [Place.rational_point(curve, T) for T in rational_points(curve)]
+                x = Polynomial.x(curve.spec)
+                for c in range(curve.spec.p):  # places of degree 2 and 4 above x^2 - c
+                    for g, _ in factor_polynomial(x * x - Polynomial.from_ints(curve.spec, [c]))[1]:
+                        if g.degree == 2:
+                            places += _places_above_x_factor(curve, g, 4)
+                places = [v for v in places if v not in support]
+                assert any(v.residue_degree > 1 for v in places)
+                D = Divisor(curve, {v: i + 1 for i, v in enumerate(places)})
+                cases.append((mf, D, mf.evaluate_at_divisor(D)))
+    assert len(cases) == 21
+
+    def no_strip(*args):
+        raise AssertionError("a leading term stripped a factor")
+
+    # a zero of a factor, where a leading term does strip
+    mf = cases[0][0]
+    zero = next(v for v in principal_divisor(next(iter(mf.factors))).support() if v.kind == "ec-affine")
+    monkeypatch.setattr(curves, "_strip", no_strip)
+    for mf, D, want in cases:
+        assert mf.evaluate_at_divisor(D) == want
+    with pytest.raises(AssertionError, match="stripped"):
+        cases[0][0].value_at_place(zero)
