@@ -39,11 +39,14 @@ class AdeleCochain:
     default local component with finitely many exceptions.
     degree 1 payload: a tail component used at all unlisted places plus
     finitely many exceptions.
+
+    ``tail`` is required in both degrees: the caller states the component
+    at every unlisted place.
     """
 
     __slots__ = ("curve", "degree", "weight", "global_part", "tail", "exceptions")
 
-    def __init__(self, curve, degree, weight, global_part=None, tail=None, exceptions=None):
+    def __init__(self, curve, degree, weight, global_part=None, *, tail, exceptions=None):
         if degree not in (0, 1):
             raise DomainError("curve adelic degrees are 0 and 1")
         kind = weight[0]
@@ -55,16 +58,12 @@ class AdeleCochain:
         self.degree = degree
         self.weight = weight
         self.exceptions = dict(exceptions or {})
-        if degree == 0:
-            if global_part is None:
-                raise DomainError("degree-0 cochain needs a global component")
-            self.global_part = global_part
-            self.tail = tail if tail is not None else _zero_value(curve, weight)
-        else:
-            if global_part is not None:
-                raise DomainError("degree-1 cochain has no global component")
-            self.global_part = None
-            self.tail = tail if tail is not None else _unit_value(curve, weight)
+        if degree == 0 and global_part is None:
+            raise DomainError("degree-0 cochain needs a global component")
+        if degree == 1 and global_part is not None:
+            raise DomainError("degree-1 cochain has no global component")
+        self.global_part = global_part
+        self.tail = tail
         if kind == "coh":
             self._check_coherent_integrality()
 
@@ -108,24 +107,6 @@ class AdeleCochain:
             and self.tail == other.tail
             and self.exceptions == other.exceptions
         )
-
-
-def _zero_value(curve, weight):
-    if weight[0] == "coh" or weight == ("k", 1):
-        return FunctionFieldElement.zero(curve)
-    if weight == ("k", 2):
-        return MilnorSymbol(curve, [])
-    return 0
-
-
-def _unit_value(curve, weight):
-    if weight[0] == "coh":
-        return FunctionFieldElement.zero(curve)
-    if weight == ("k", 1):
-        return FunctionFieldElement.one(curve)
-    if weight == ("k", 2):
-        return MilnorSymbol(curve, [])
-    return 0
 
 
 class CohomologyReport:

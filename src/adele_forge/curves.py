@@ -868,12 +868,6 @@ def expand_at(f, place, prec):
     raise AssertionError("series precision did not stabilize")
 
 
-def leading_value_at(f, place):
-    """Leading coefficient of f at the place (a residue-field unit), in the
-    local parameter of ``leading_term``."""
-    return leading_term(f, place)[1]
-
-
 # ---------------------------------------------------------------------------
 # Riemann-Roch spaces
 #

@@ -38,37 +38,38 @@ DEFAULT_EXT_BOUND = 6  # largest degree of a place or point searched for by defa
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the 13 bases of _WITNESSES is exact below this bound
+# (OEIS A014233)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n):
+    """Whether n is prime, decided exactly.  DomainError for an n at or
+    above _MILLER_RABIN_BOUND that has no factor in _WITNESSES."""
     if n < 2:
         return False
     if n in _WITNESSES:
         return True
     if any(n % a == 0 for a in _WITNESSES):
         return False
-    if n < 3317044064679887385961981:
-        # Miller-Rabin with the first 13 prime bases (2..41) is exact below this
-        # bound (OEIS A014233)
-        d, s = n - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        for a in _WITNESSES:
-            x = pow(a, d, n)
-            if x == 1 or x == n - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    if n >= _MILLER_RABIN_BOUND:
+        raise DomainError(
+            "characteristic %d is above %d, the largest the exact primality test decides"
+            % (n, _MILLER_RABIN_BOUND - 1)
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 
@@ -278,20 +279,18 @@ class FieldElement:
     """An element of a FieldSpec: ``val`` is its reduced coefficient tuple
     of length k over GF(p), low degree first.
 
+    Every element comes from ``FieldSpec._elt`` or ``FieldSpec.element``.
     Operands of the same FieldSpec object take a fast path; an int operand
-    is coerced into the field, and an element of an equal but distinct spec
-    (compared by value) is accepted too.  Elements of different fields raise
-    DomainError.  At k = 1 the operators compute on ``val[0]`` with one
-    reduction mod p; at k > 1 a product is a schoolbook product of the two
-    tuples reduced by the monic modulus in the same routine (``_mulmod``).
+    is coerced into the field when it is the right operand, or either
+    operand of + and * (``1 - x`` and ``1 / x`` raise TypeError), and an
+    element of an equal but distinct spec (compared by value) is accepted
+    too.  Elements of different fields raise DomainError.  At k = 1 the
+    operators compute on ``val[0]`` with one reduction mod p; at k > 1 a
+    product is a schoolbook product of the two tuples reduced by the monic
+    modulus in the same routine (``_mulmod``).
     """
 
     __slots__ = ("spec", "val")
-
-    def __init__(self, spec, value):
-        e = spec.element(value)
-        self.spec = spec
-        self.val = e.val
 
     def __bool__(self):
         return any(self.val)
@@ -359,9 +358,6 @@ class FieldElement:
             return spec._elt(((self.val[0] - other.val[0]) % p,))
         return spec._elt(tuple([(a - b) % p for a, b in zip(self.val, other.val)]))
 
-    def __rsub__(self, other):
-        return self.spec.element(other) - self
-
     def __neg__(self):
         spec = self.spec
         p = spec.p
@@ -396,9 +392,6 @@ class FieldElement:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return self.spec.element(other) / self
-
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
@@ -417,10 +410,6 @@ class FieldElement:
         if spec.k == 1:
             return self
         return spec._elt(tuple([sum(map(mul, row, self.val)) % spec.p for row in spec._frobenius]))
-
-    def minimal_degree(self):
-        """Degree of the subfield GF(p^d) generated by this element."""
-        return len(frobenius_orbit((self,)))
 
 
 def frobenius_orbit(coords):
@@ -780,9 +769,6 @@ class Polynomial:
             q, r = _schoolbook_divmod(spec, self.vec, other.vec)
         return Polynomial._raw(spec, q), Polynomial._raw(spec, r)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -1116,7 +1102,12 @@ def root_in_field(g, field):
 
 
 class RationalFunction:
-    """num/den in canonical form: coprime, den monic, den = 1 when num = 0."""
+    """num/den in canonical form: coprime, den monic, den = 1 when num = 0.
+
+    This is a constructor format: the function field's elements are reduced
+    triples (``curves.FunctionFieldElement``), and a RationalFunction only
+    carries a numerator and denominator into them.  Its one operation is the
+    quotient of ``milnor.dlog_k1`` (with ``derivative``)."""
 
     __slots__ = ("num", "den")
 
@@ -1151,18 +1142,6 @@ class RationalFunction:
         rf.den = den
         return rf
 
-    @classmethod
-    def zero(cls, spec):
-        return cls(Polynomial.zero(spec))
-
-    @classmethod
-    def one(cls, spec):
-        return cls(Polynomial.one(spec))
-
-    @property
-    def spec(self):
-        return self.num.spec
-
     def __bool__(self):
         return bool(self.num)
 
@@ -1181,62 +1160,14 @@ class RationalFunction:
             return repr(self.num)
         return "(%r)/(%r)" % (self.num, self.den)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        if isinstance(other, (FieldElement, int)):
-            return RationalFunction(Polynomial.constant(self.spec.element(other)))
-        raise DomainError("cannot combine rational function with %r" % (other,))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
     def __truediv__(self, other):
-        other = self._coerce(other)
         if not other:
             raise DomainError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __pow__(self, e):
-        if e >= 0:
-            return RationalFunction(self.num**e, self.den**e)
-        if not self:
-            raise DomainError("zero to a negative power")
-        return RationalFunction(self.den ** (-e), self.num ** (-e))
-
-    def inverse(self):
-        return self ** (-1)
-
-    def evaluate(self, x):
-        d = self.den.evaluate(x)
-        if not d:
-            raise DomainError("pole at evaluation point")
-        return self.num.evaluate(x) / d
-
     def derivative(self):
         n = self.num.derivative() * self.den - self.num * self.den.derivative()
         return RationalFunction(n, self.den * self.den)
-
-    def lift_to(self, spec):
-        return RationalFunction(self.num.lift_to(spec), self.den.lift_to(spec))
 
 
 def normalize_rational(num, den):

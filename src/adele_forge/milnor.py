@@ -38,14 +38,6 @@ class MilnorSymbol:
     def pair(cls, f, g, e=1):
         return cls(f.curve, [(f, g, e)])
 
-    def __mul__(self, other):
-        if self.curve != other.curve:
-            raise DomainError("symbols on different curves")
-        return MilnorSymbol(self.curve, self.entries + other.entries)
-
-    def inverse(self):
-        return MilnorSymbol(self.curve, [(f, g, -e) for f, g, e in self.entries])
-
     def __repr__(self):
         if not self.entries:
             return "{1}"
@@ -181,14 +173,6 @@ class RationalOneForm:
 
     def __repr__(self):
         return "(%r) dt" % (self.omega,)
-
-    def __add__(self, other):
-        if self.curve != other.curve:
-            raise DomainError("forms on different curves")
-        return RationalOneForm(self.curve, self.omega + other.omega)
-
-    def scale(self, c):
-        return RationalOneForm(self.curve, self.omega * c)
 
 
 def dlog_k1(f):

@@ -62,9 +62,10 @@ def _line_through(curve, A, B):
 
 
 class MillerFunction:
-    """A function on the elliptic model kept as a factored product of lines
-    and verticals, together with its declared divisor (checked on
-    construction).
+    """A function on the elliptic model kept as a factored product of lines,
+    verticals and constants, together with its declared divisor.  Every
+    construction checks the declared divisor against the sum of the
+    factors' principal divisors and raises DomainError when they differ.
 
     ``divisors`` maps a factor to its ``principal_divisor``.  Pass one dict
     to every chain built from the same curve and points and each distinct
@@ -74,30 +75,20 @@ class MillerFunction:
 
     __slots__ = ("curve", "factors", "divisor")
 
-    def __init__(self, curve, factors, divisor, check=True, divisors=None):
+    def __init__(self, curve, factors, divisor, divisors=None):
         self.curve = curve
         self.factors = {f: e for f, e in factors.items() if e}
         self.divisor = divisor
-        if check:
-            if divisors is None:
-                divisors = {}
-            total = Divisor(curve)
-            for f, e in self.factors.items():
-                div = divisors.get(f)
-                if div is None:
-                    div = divisors[f] = principal_divisor(f)
-                total = total + div * e
-            if total != divisor:
-                raise DomainError("declared divisor does not match the product")
-
-    def scaled(self, c):
-        """Multiply the chain by a nonzero constant (divisor unchanged)."""
-        const = FunctionFieldElement.constant(self.curve, c)
-        if not const:
-            raise DomainError("scaling by zero")
-        factors = dict(self.factors)
-        factors[const] = factors.get(const, 0) + 1
-        return MillerFunction(self.curve, factors, self.divisor, check=False)
+        if divisors is None:
+            divisors = {}
+        total = Divisor(curve)
+        for f, e in self.factors.items():
+            div = divisors.get(f)
+            if div is None:
+                div = divisors[f] = principal_divisor(f)
+            total = total + div * e
+        if total != divisor:
+            raise DomainError("declared divisor does not match the product")
 
     def value_at_place(self, place):
         """Leading value at a place where the product has valuation zero."""
@@ -461,25 +452,15 @@ class SignAuditReport:
         return "SignAuditReport(%r, consistent=%r)" % (self.resolved, self.consistent)
 
 
-def sign_audit(overrides=None):
+def sign_audit():
     """Fix the three global sign constants from canonical fixtures.
 
     Solves each constant from {+1, -1} against its fixture (the weight-2
     residue of a unit-times-divisor-cocycle product on P^1, line.line = +1
     on the plane, and the Massey/Weil comparison on full 3-torsion), then
-    checks the effective constants against the solution.  Raises AuditError
-    when no consistent assignment exists.
+    checks the shipped constants, read from ``signs`` at call time, against
+    the solution.  Raises AuditError when any fixture fails.
     """
-    effective = {
-        "nu_weight2_exponent": signs.NU_WEIGHT2_EXPONENT,
-        "surface_cycle_sign": signs.SURFACE_CYCLE_SIGN,
-        "massey_pairing_exponent": signs.MASSEY_PAIRING_EXPONENT,
-    }
-    if overrides:
-        for key, val in overrides.items():
-            if key not in effective:
-                raise DomainError("unknown sign constant %r" % (key,))
-            effective[key] = val
     fixtures = []
     resolved = {}
 
@@ -507,7 +488,7 @@ def sign_audit(overrides=None):
     raw = tame_symbol(prod.local_component(vt1), vt1)
     expected = F7.element(4)
     sols = [e for e in (1, -1) if raw**e == expected]
-    ok2 = len(sols) == 1 and sols[0] == effective["nu_weight2_exponent"]
+    ok2 = len(sols) == 1 and sols[0] == signs.NU_WEIGHT2_EXPONENT
     if sols:
         resolved["nu_weight2_exponent"] = sols[0]
     fixtures.append(("nu_weight2_unit_times_cocycle", ok2))
@@ -531,7 +512,7 @@ def sign_audit(overrides=None):
     sols = [s for s in (1, -1) if all(s * m == 1 for m in raw_cycle.values())]
     ok3 = (
         len(sols) == 1
-        and sols[0] == effective["surface_cycle_sign"]
+        and sols[0] == signs.SURFACE_CYCLE_SIGN
         and intersection_number(D1, D2, points=points) == 1
         and cycle_degree(cycle) == 1
     )
@@ -557,7 +538,7 @@ def sign_audit(overrides=None):
     P, Q, psi = pair
     image = massey_triple_curve(E, P, Q, 3).image
     sols = [e for e in (1, -1) if psi.value**e == image]
-    ok4 = len(sols) == 1 and sols[0] == effective["massey_pairing_exponent"]
+    ok4 = len(sols) == 1 and sols[0] == signs.MASSEY_PAIRING_EXPONENT
     if sols:
         resolved["massey_pairing_exponent"] = sols[0]
     fixtures.append(("massey_vs_weil_exponent", ok4))

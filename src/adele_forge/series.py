@@ -193,9 +193,6 @@ class LaurentSeries:
         rel = self.prec - v  # number of known unit-part coefficients
         return LaurentSeries(self.spec, -v, _inverse(self.spec, self.coeffs, rel), self.prec - 2 * v)
 
-    def __truediv__(self, other):
-        return self * other.inverse()
-
     def sqrt(self, branch):
         """Square root whose leading coefficient is ``branch``.
 

@@ -75,12 +75,6 @@ class BiPoly:
     def constant(cls, c):
         return cls.from_rows(c.spec, (Polynomial.constant(c),))
 
-    @classmethod
-    def variable(cls, spec, which):
-        if which == "u":
-            return cls.from_rows(spec, (Polynomial.x(spec),))
-        return cls.from_rows(spec, (Polynomial.zero(spec), Polynomial.one(spec)))
-
     @property
     def terms(self):
         """{(i, j): nonzero coefficient of u^i v^j}, a fresh dict."""
@@ -113,9 +107,6 @@ class BiPoly:
                 if a and b:
                     out[j + k] = out[j + k] + a * b
         return BiPoly.from_rows(self.spec, out)
-
-    def scale(self, c):
-        return BiPoly.from_rows(self.spec, [row.scale(c) for row in self.rows])
 
     def submul(self, q, other, shift=0):
         """self - q * v^shift * other for a Polynomial q in u, in one pass

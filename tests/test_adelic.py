@@ -10,6 +10,7 @@ from adele_forge.adelic import (
     cohomology_dims,
     divisor_cocycle,
     nu_curve,
+    uniformizer,
 )
 from adele_forge.curves import (
     CurveModel,
@@ -18,6 +19,7 @@ from adele_forge.curves import (
     Place,
     principal_divisor,
     rational_points,
+    valuation,
 )
 from adele_forge.errors import DomainError
 from adele_forge.fields import Polynomial, RationalFunction, prime_field
@@ -216,3 +218,32 @@ def test_stabilization_beyond_bound():
     rep = cohomology_dims(E, D)
     for extra in (rep.bound, 2 * rep.bound, 3 * rep.bound):
         assert _h1_estimate(E, D, v_o, extra, rep.h0, 6) == rep.h1
+
+
+def test_uniformizer_has_valuation_one_at_every_place_kind():
+    # the places of x^3 - 5, x^2 + 3, x^3 + 5 and y on y^2 = x^3 + 2, and of
+    # y on y^2 = x^3 + x, over GF(7); then P^1 at t - 2, t^2 + 1 and infinity
+    E = CurveModel.elliptic(F7, 0, 2)
+    x, y = FunctionFieldElement.x_function(E), FunctionFieldElement.y_function(E)
+    E1 = CurveModel.elliptic(F7, 1, 0)
+    functions = (x**3 - 5, x * x + 3, x**3 + 5, y, FunctionFieldElement.y_function(E1))
+    places = {v for f in functions for v, _ in principal_divisor(f).items()}
+    places |= {
+        Place.finite(P17, Polynomial.from_ints(F7, [5, 1])),
+        Place.finite(P17, Polynomial.from_ints(F7, [1, 0, 1])),
+        Place.infinity(P17),
+    }
+    kinds = set()
+    for v in places:
+        assert valuation(uniformizer(v), v) == 1, v
+        if v.kind == "ec-affine":
+            kinds.add((v.kind, v.residue_degree, not v.representative()[1]))
+        else:
+            kinds.add((v.kind, v.residue_degree))
+    assert kinds == {
+        ("ec-origin", 1),
+        *(("ec-affine", d, y0_is_zero) for d in (1, 2, 3) for y0_is_zero in (False, True)),
+        ("p1-finite", 1),
+        ("p1-finite", 2),
+        ("p1-infinity", 1),
+    }

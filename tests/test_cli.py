@@ -2,7 +2,10 @@ import copy
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adele_forge
 from adele_forge.cli import main, run_config
 from adele_forge.errors import DomainError, SchemaError
 from adele_forge.surface import HomForm, _has_linear_factor
@@ -422,6 +426,22 @@ def test_rr_table_degree_bounds(tmp_path, capsys):
     assert "lo = 3 > hi = -2" in capsys.readouterr().err
 
 
+# 2^89 - 1 is prime and (2^61 - 1)(2^31 - 1) has no factor <= 41: both are
+# above the bound below which is_prime decides exactly
+@pytest.mark.parametrize("p", [2**89 - 1, (2**61 - 1) * (2**31 - 1)])
+def test_characteristic_above_the_primality_bound_is_a_schema_error(tmp_path, capsys, p):
+    doc = dict(RR_DOC, field={"p": p}, degrees=[0, 0])
+    start = time.monotonic()
+    with pytest.raises(SchemaError, match="characteristic %d is above" % p) as exc:
+        run_config(doc)
+    assert exc.value.exit_status == 2
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("schema error [schema]: field: characteristic %d" % p)
+    assert time.monotonic() - start < 1
+
+
 @pytest.mark.parametrize("task", ["weil", "massey"])
 @pytest.mark.parametrize("l", [0, -3])
 def test_l_must_be_positive(task, l):
@@ -667,3 +687,20 @@ def test_cli_fuzz_exits_cleanly():
                 assert err.getvalue() == "" and json.loads(out.getvalue())
 
         check()
+
+
+def test_optimized_interpreter_changes_no_selfcheck_byte():
+    """``python -O`` strips every assert; the selfcheck report must keep
+    every byte."""
+    src = str(Path(adele_forge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "adele_forge.cli", "selfcheck", "--json"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        for flags in ([], ["-O"])
+    ]
+    assert json.loads(outs[0])["failed"] == "0"
+    assert outs[0] == outs[1]

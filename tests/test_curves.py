@@ -15,7 +15,7 @@ from adele_forge.curves import (
     ec_add,
     ec_neg,
     expand_at,
-    leading_value_at,
+    leading_term,
     principal_divisor,
     rational_points,
     riemann_roch_dimension,
@@ -32,6 +32,7 @@ from adele_forge.fields import (
     RationalFunction,
     canonical_field,
     field_sqrt,
+    frobenius_orbit,
     poly_gcd,
     prime_field,
     roots_in_field,
@@ -268,12 +269,12 @@ def test_torsion_examples():
 def test_leading_values():
     t = t_of(P15)
     v2 = Place.finite(P15, Polynomial.from_ints(F5, [3, 1]))  # t - 2
-    assert leading_value_at(t, v2) == F5.element(2)
+    assert leading_term(t, v2) == (0, F5.element(2))
     # at a degree-2 place the value lives in GF(25)
     P17 = CurveModel.projective_line(F7)
     t7 = t_of(P17)
     quad = Place.finite(P17, Polynomial.from_ints(F7, [1, 0, 1]))
-    val = leading_value_at(t7 * t7 + t7 + 1, quad)
+    val = leading_term(t7 * t7 + t7 + 1, quad)[1]
     assert val.spec.k == 2 and val == val.spec.gen()
 
 
@@ -287,7 +288,7 @@ def _affine_places(curve, k, count):
         if y0 is None:
             continue
         for y in (y0, -y0):
-            if max(x0.minimal_degree(), y.minimal_degree()) == k:
+            if len(frobenius_orbit((x0, y))) == k:
                 place = Place.affine_orbit(curve, x0, y)
                 if place not in places:
                     places.append(place)
@@ -309,7 +310,7 @@ def test_leading_value_matches_series():
                 if valuation(f, place) != 0:
                     continue
                 want = expand_at(f, place, 1).coefficient(0)
-                assert leading_value_at(f, place) == want, (f, place)
+                assert leading_term(f, place)[1] == want, (f, place)
 
 
 def test_leading_value_of_unit_with_vanishing_denominator():
@@ -325,7 +326,7 @@ def test_leading_value_of_unit_with_vanishing_denominator():
     want = (F5.element(3) * x0 * x0 + E.a) / (y0 + y0)
     assert want == F5.element(3)
     assert expand_at(f, place, 1).coefficient(0) == want
-    assert leading_value_at(f, place) == want
+    assert leading_term(f, place)[1] == want
 
 
 def test_nonprime_base_rejected():
@@ -571,18 +572,40 @@ def _curves(draw):
     return CurveModel.elliptic(spec, a, b)
 
 
+class _Rat(RationalFunction):
+    """The reference for function-field arithmetic: field operations on
+    canonical num/den pairs, which RationalFunction itself does not carry."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Rat(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return _Rat(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        return _Rat(self.num * other.num, self.den * other.den)
+
+    def inverse(self):
+        return _Rat(self.den, self.num)  # DomainError for zero
+
+
 @st.composite
 def _rational_functions(draw, spec):
     coeffs = st.lists(st.integers(0, spec.p - 1), max_size=4)
     num = Polynomial.from_ints(spec, draw(coeffs))
     den = Polynomial.from_ints(spec, draw(coeffs.filter(any)))
-    return RationalFunction(num, den)
+    return _Rat(num, den)
 
 
 def _ref_pair(draw, curve):
     a = draw(_rational_functions(curve.spec))
     if curve.kind == "p1":
-        return a, RationalFunction.zero(curve.spec)
+        return a, _Rat(Polynomial.zero(curve.spec))
     return a, draw(_rational_functions(curve.spec))
 
 
@@ -590,7 +613,7 @@ def _ref_mul(curve, f, g):
     (a1, b1), (a2, b2) = f, g
     if curve.kind == "p1":
         return a1 * a2, b1
-    rhs = RationalFunction(curve.rhs_poly())
+    rhs = _Rat(curve.rhs_poly())
     return a1 * a2 + b1 * b2 * rhs, a1 * b2 + b1 * a2
 
 
@@ -598,14 +621,14 @@ def _ref_inverse(curve, f):
     a, b = f
     if curve.kind == "p1":
         return a.inverse(), b
-    n = (a * a - b * b * RationalFunction(curve.rhs_poly())).inverse()
+    n = (a * a - b * b * _Rat(curve.rhs_poly())).inverse()
     return a * n, -b * n
 
 
 def _ref_pow(curve, f, e):
     if e < 0:
         f, e = _ref_inverse(curve, f), -e
-    out = (RationalFunction.one(curve.spec), RationalFunction.zero(curve.spec))
+    out = (_Rat(Polynomial.one(curve.spec)), _Rat(Polynomial.zero(curve.spec)))
     for _ in range(e):
         out = _ref_mul(curve, out, f)
     return out
