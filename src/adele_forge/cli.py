@@ -313,13 +313,17 @@ def _task_intersect(config, spec, ext_bound):
     )
 
 
-def _task_weil(config, curve, ext_bound):
+def _pairing_payload(config, curve, task):
+    """The l, P and Q of a weil or massey config."""
     for key in ("l", "P", "Q"):
         if key not in config:
-            raise SchemaError("weil needs l, P and Q")
+            raise SchemaError("%s needs l, P and Q" % task)
     l = _as_int(config["l"], "l")
-    P = _parse_point(config["P"], curve)
-    Q = _parse_point(config["Q"], curve)
+    return l, _parse_point(config["P"], curve), _parse_point(config["Q"], curve)
+
+
+def _task_weil(config, curve, ext_bound):
+    l, P, Q = _pairing_payload(config, curve, "weil")
     idelic = weil_pairing_idelic(curve, P, Q, l)
     miller = weil_pairing_miller(curve, P, Q, l)
     return (
@@ -332,12 +336,7 @@ def _task_weil(config, curve, ext_bound):
 
 
 def _task_massey(config, curve, ext_bound):
-    for key in ("l", "P", "Q"):
-        if key not in config:
-            raise SchemaError("massey needs l, P and Q")
-    l = _as_int(config["l"], "l")
-    P = _parse_point(config["P"], curve)
-    Q = _parse_point(config["Q"], curve)
+    l, P, Q = _pairing_payload(config, curve, "massey")
     out = massey_triple_curve(curve, P, Q, l)
     miller = weil_pairing_miller(curve, P, Q, l)
     expected = miller.value ** signs.MASSEY_PAIRING_EXPONENT

@@ -1,6 +1,8 @@
 """Milnor K1/K2 symbols over a curve's function field: tame-symbol boundary
-maps, the curve-level Gersten complex, Weil reciprocity, and the dlog
-comparison map with rational 1-forms on the projective line.
+maps, the curve-level Gersten complex, its direct image to the prime field
+(the one pushforward by norms, which Weil reciprocity and the Massey triple
+product share), and the dlog comparison map with rational 1-forms on the
+projective line.
 
 A symbol is a formal product of pairs {f, g} with integer exponents; it is
 never reduced modulo the Steinberg relation.  Only its residues are
@@ -139,14 +141,22 @@ def gersten_boundary(cochain, ext_bound=DEFAULT_EXT_BOUND):
     raise DomainError("no boundary at weight 0")
 
 
-def weil_reciprocity_check(symbol, ext_bound=DEFAULT_EXT_BOUND):
-    """Product over all places of the norms of the tame symbols; equals 1 on
-    a proper curve."""
-    spec = symbol.curve.spec
-    result = spec.one()
-    for v in symbol_support(symbol, ext_bound):
-        result = result * norm_to_prime_field(tame_symbol(symbol, v))
+def direct_image(cochain):
+    """The pushforward K_1(k(v)) -> GF(p)* of a level-1 weight-2 cochain:
+    the product of the norms of its values down to the prime field, 1 for
+    the empty cochain."""
+    result = cochain.curve.spec.one()
+    for x in cochain.payload.values():
+        result = result * norm_to_prime_field(x)
     return result
+
+
+def weil_reciprocity_check(symbol, ext_bound=DEFAULT_EXT_BOUND):
+    """The direct image of the Gersten boundary of a symbol: the product over
+    all places of the norms of its tame symbols, which is 1 on a proper
+    curve."""
+    boundary = gersten_boundary(GerstenCochain(symbol.curve, 0, 2, symbol), ext_bound)
+    return direct_image(boundary)
 
 
 # ---------------------------------------------------------------------------

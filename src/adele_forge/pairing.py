@@ -1,7 +1,7 @@
-"""Miller functions in factored form, the Weil pairing on elliptic l-torsion
-computed two independent ways (evaluation of divisor chains at divisors, and
-the textbook point-evaluated Miller loop), the curve-level Massey triple
-product, direct images by norms, and the sign audit that pins the package's
+"""Miller functions in factored form, the curve-level Massey triple product,
+the Weil pairing on elliptic l-torsion computed two independent ways (as the
+inverse of the Massey product's direct image, and by the textbook
+point-evaluated Miller loop), and the sign audit that pins the package's
 global sign constants.
 """
 
@@ -23,7 +23,16 @@ from .curves import (
     torsion_points,
 )
 from .errors import AuditError, DomainError
-from .fields import Polynomial, norm_to_prime_field, prime_field
+from .fields import Polynomial, prime_field
+from .milnor import GerstenCochain, direct_image, tame_symbol
+from .surface import (
+    HomForm,
+    PlaneCurve,
+    SurfaceDivisor,
+    cycle_degree,
+    intersection_number,
+    surface_product_cycle,
+)
 
 
 class _Degenerate(Exception):
@@ -101,13 +110,6 @@ class MillerFunction:
         if total != 0:
             raise DomainError("chain has a zero or pole at %r" % (place,))
         return value
-
-    def evaluate_at_divisor(self, D):
-        """prod over places of N(k(v)/k)(value at v)^multiplicity."""
-        result = self.curve.spec.one()
-        for v, m in D.items():
-            result = result * norm_to_prime_field(self.value_at_place(v)) ** m
-        return result
 
     def __repr__(self):
         return "Miller[%s; div=%r]" % (
@@ -249,21 +251,18 @@ def _disjoint_offsets(curve, P, Q, r_index=0, s_index=0):
 
 def weil_pairing_idelic(curve, P, Q, l, divisors=None):
     """Weil pairing via divisor chains: f(D_Q)/g(D_P) with div f = l*D_P,
-    div g = l*D_Q, computed on disjoint-support representatives built by
-    translation offsets.  ``divisors`` is the Miller-factor divisor memo
-    (see ``MillerFunction``); None starts a fresh one for this call."""
-    _check_torsion(curve, P, Q, l)
+    div g = l*D_Q, which is the inverse of the direct image of the Massey
+    triple product on the same representatives.  The inverse is that
+    definition, not ``signs.MASSEY_PAIRING_EXPONENT``: the sign audit checks
+    the constant, and reading it here would let a perturbed constant change
+    the pairing instead of failing the audit.  ``divisors`` is the
+    Miller-factor divisor memo (see ``MillerFunction``); None starts a fresh
+    one for this call."""
     if P is None or Q is None:
+        _check_torsion(curve, P, Q, l)
         return PairingValue(curve.spec.one(), l)
-    if divisors is None:
-        divisors = {}
-    for R, S in _disjoint_offsets(curve, P, Q):
-        f = miller_function(curve, P, l, R, divisors)
-        g = miller_function(curve, Q, l, S, divisors)
-        num = f.evaluate_at_divisor(_scale_div(g.divisor, l))
-        den = g.evaluate_at_divisor(_scale_div(f.divisor, l))
-        return PairingValue(num / den, l)
-    raise DomainError("no disjoint-support representatives found")
+    image = massey_triple_curve(curve, P, Q, l, divisors=divisors).image
+    return PairingValue(image.inverse(), l)
 
 
 def _scale_div(div, l):
@@ -383,17 +382,6 @@ class MasseyOutput:
         return "MasseyOutput(image=%r)" % (self.image,)
 
 
-def direct_image(cocycle):
-    """Product over the support of the norms down to the prime field."""
-    result = None
-    for v, val in cocycle.items():
-        n = norm_to_prime_field(val)
-        result = n if result is None else result * n
-    if result is None:
-        raise DomainError("empty cocycle has no well-defined base field")
-    return result
-
-
 def massey_triple(curve, Y, f, Z, g):
     """The triple product cocycle (-1)^(pq) (sum f(z)^Z(z) z + sum g(y)^(-Y(y)) y)
     for chains f, g with div f = l*Y, div g = l*Z and disjoint supports."""
@@ -406,7 +394,7 @@ def massey_triple(curve, Y, f, Z, g):
         cocycle[v] = f.value_at_place(v) ** (-m)  # (-1)^{pq} = -1 inverts
     for v, m in Y.items():
         cocycle[v] = g.value_at_place(v) ** m
-    image = direct_image(cocycle)
+    image = direct_image(GerstenCochain(curve, 1, 2, cocycle))
     return MasseyOutput(cocycle, image)
 
 
@@ -465,12 +453,10 @@ def sign_audit():
     resolved = {}
 
     # fixture 1: nu on weight 1 sends the divisor cocycle back to D
-    from .fields import Polynomial as Poly
-
     F5 = prime_field(5)
     P1 = CurveModel.projective_line(F5)
-    v_t = Place.finite(P1, Poly.x(F5))
-    v_t1 = Place.finite(P1, Poly.from_ints(F5, [4, 1]))
+    v_t = Place.finite(P1, Polynomial.x(F5))
+    v_t1 = Place.finite(P1, Polynomial.from_ints(F5, [4, 1]))
     D = Divisor(P1, {v_t: 2, v_t1: -1, Place.infinity(P1): 3})
     got = nu_curve(divisor_cocycle(D)).payload
     ok1 = got == dict(D.items())
@@ -481,10 +467,8 @@ def sign_audit():
     P17 = CurveModel.projective_line(F7)
     two = FunctionFieldElement.constant(P17, 2)
     unit = AdeleCochain(P17, 0, ("k", 1), global_part=two, tail=two)
-    vt1 = Place.finite(P17, Poly.from_ints(F7, [6, 1]))
+    vt1 = Place.finite(P17, Polynomial.from_ints(F7, [6, 1]))
     prod = cochain_product(unit, divisor_cocycle(Divisor.of_place(vt1)))
-    from .milnor import tame_symbol
-
     raw = tame_symbol(prod.local_component(vt1), vt1)
     expected = F7.element(4)
     sols = [e for e in (1, -1) if raw**e == expected]
@@ -494,15 +478,6 @@ def sign_audit():
     fixtures.append(("nu_weight2_unit_times_cocycle", ok2))
 
     # fixture 3: surface orientation from line.line = +1
-    from .surface import (
-        HomForm,
-        PlaneCurve,
-        SurfaceDivisor,
-        cycle_degree,
-        intersection_number,
-        surface_product_cycle,
-    )
-
     X0 = PlaneCurve(HomForm.line(7, 1, 0, 0))
     X1 = PlaneCurve(HomForm.line(7, 0, 1, 0))
     D1, D2 = SurfaceDivisor({X0: 1}), SurfaceDivisor({X1: 1})
@@ -521,8 +496,7 @@ def sign_audit():
     fixtures.append(("surface_line_line_positive", ok3))
 
     # fixture 4: Massey vs Weil pairing exponent on full 3-torsion
-    F7b = prime_field(7)
-    E = CurveModel.elliptic(F7b, 0, 2)
+    E = CurveModel.elliptic(F7, 0, 2)
     tor = [T for T in torsion_points(E, 3) if T is not None]
     pair = None
     for P in tor:

@@ -1,3 +1,4 @@
+import copy
 from random import Random
 
 import pytest
@@ -183,6 +184,29 @@ def test_product_unit_tail():
     unit = AdeleCochain(P17, 0, ("k", 1), global_part=t7, tail=t7)
     prod = cochain_product(unit, c)
     assert nu_curve(prod).payload == {}
+
+
+def test_adele_cochain_equality():
+    t = t_of(P15)
+    v_t = Place.finite(P15, Polynomial.x(F5))
+
+    def build():
+        return AdeleCochain(P15, 0, ("k", 1), global_part=t, tail=t + 1, exceptions={v_t: t * t})
+
+    c = build()
+    assert c == build()
+    changes = {
+        "curve": CurveModel.elliptic(F5, -1, 0),
+        "degree": 1,
+        "weight": ("k", 2),
+        "global_part": t + 2,
+        "tail": t,
+        "exceptions": {v_t: t * t + 1},
+    }
+    for name, value in changes.items():
+        other = copy.copy(c)
+        setattr(other, name, value)
+        assert other != c and c != other, name
 
 
 def test_degree_overflow():

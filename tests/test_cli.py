@@ -365,6 +365,11 @@ def test_schema_rejections():
         run_config(dict(WEIL_DOC, extra=1))
     with pytest.raises(SchemaError):
         run_config({"task": "weil"})
+    for task in ("weil", "massey"):
+        for key in ("l", "P", "Q"):
+            doc = {k: v for k, v in dict(WEIL_DOC, task=task).items() if k != key}
+            with pytest.raises(SchemaError, match="^%s needs l, P and Q$" % task):
+                run_config(doc)
     bad_field = dict(WEIL_DOC)
     bad_field["field"] = {"p": 4}
     with pytest.raises(SchemaError):

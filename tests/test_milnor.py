@@ -1,10 +1,14 @@
+import ast
+import copy
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from adele_forge import milnor
 from adele_forge.curves import CurveModel, FunctionFieldElement, Place, principal_divisor
 from adele_forge.errors import DomainError
 from adele_forge.fields import Polynomial, RationalFunction, prime_field
@@ -67,6 +71,53 @@ def test_gersten_boundary_examples():
     f = (t7 * t7 + 3) / (t7 - 1)
     b3 = gersten_boundary(GerstenCochain(P17, 0, 2, MilnorSymbol.pair(f, -f)))
     assert b3.payload == {}
+
+
+def test_gersten_cochain_equality():
+    t7 = t_of(P17)
+    v_t = Place.finite(P17, Polynomial.x(F7))
+    v_t1 = Place.finite(P17, Polynomial.from_ints(F7, [6, 1]))
+    v_inf = Place.infinity(P17)
+
+    def level1(extra=None):
+        return GerstenCochain(P17, 1, 2, {v_t: F7.element(3), v_inf: F7.element(5), **(extra or {})})
+
+    c = level1()
+    assert c == level1()
+    assert GerstenCochain(P17, 0, 1, t7 - 1) == GerstenCochain(P17, 0, 1, t7 - 1)
+    # the level-1 filter drops an entry of value 1
+    assert level1({v_t1: F7.one()}) == c
+    assert level1({v_t1: F7.element(2)}) != c
+    changes = {
+        "curve": CurveModel.elliptic(F7, 0, 2),
+        "level": 0,
+        "weight": 1,
+        "payload": {v_t: F7.element(3), v_inf: F7.element(6)},
+    }
+    for name, value in changes.items():
+        other = copy.copy(c)
+        setattr(other, name, value)
+        assert other != c and c != other, name
+    assert c != c.payload
+
+
+def test_direct_image_has_the_only_norm_loop():
+    """Under src/adele_forge only milnor.direct_image and the selfcheck
+    invariant check_norm_multiplicativity name norm_to_prime_field, apart
+    from its definition and imports."""
+    package = Path(milnor.__file__).resolve().parent
+    users = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(None, tree)]
+        while scopes:
+            scope, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+                if getattr(child, "id", getattr(child, "attr", None)) == "norm_to_prime_field":
+                    users.add((path.name, inner))
+                scopes.append((inner, child))
+    assert users == {("milnor.py", "direct_image"), ("selfcheck.py", "check_norm_multiplicativity")}
 
 
 def test_weight1_boundary_is_divisor():

@@ -16,10 +16,10 @@ from adele_forge.curves import (
 )
 from adele_forge.curves import _places_above_x_factor
 from adele_forge.errors import AuditError, DomainError
-from adele_forge.fields import Polynomial, factor_polynomial, prime_field
+from adele_forge.fields import Polynomial, factor_polynomial, norm_to_prime_field, prime_field
+from adele_forge.milnor import GerstenCochain, direct_image
 from adele_forge.pairing import (
     MillerFunction,
-    direct_image,
     massey_triple,
     massey_triple_curve,
     miller_function,
@@ -137,6 +137,37 @@ def test_weil_pairing_laws(data):
     assert e(ec_add(curve, P1, P2), Q1) == e(P1, Q1) * e(P2, Q1)
     assert e(P1, ec_add(curve, Q1, Q2)) == e(P1, Q1) * e(P1, Q2)
     assert e(P1, Q1) * e(Q1, P1) == curve.spec.one()
+
+
+def _norm_product(mf, D):
+    """prod over the places of D of N(k(v)/k)(value of mf at v)^D(v): the
+    chain evaluated at a divisor, as a reference for the Massey image."""
+    result = mf.curve.spec.one()
+    for v, m in D.items():
+        result = result * norm_to_prime_field(mf.value_at_place(v)) ** m
+    return result
+
+
+def _idelic_reference(curve, P, Q, l):
+    """f(D_Q)/g(D_P) with div f = l*D_P and div g = l*D_Q, on the first
+    disjoint-support representatives."""
+    if P is None or Q is None:
+        return curve.spec.one()
+    R, S = next(pairing._disjoint_offsets(curve, P, Q))
+    f = miller_function(curve, P, l, R)
+    g = miller_function(curve, Q, l, S)
+    D_P = pairing._scale_div(f.divisor, l)
+    D_Q = pairing._scale_div(g.divisor, l)
+    return _norm_product(f, D_Q) / _norm_product(g, D_P)
+
+
+@pytest.mark.parametrize("curve, l", [(E2, 2), (E2, 4), (E3, 3)], ids=["E2-l2", "E2-l4", "E3-l3"])
+def test_idelic_pairing_is_the_inverse_massey_image(curve, l):
+    tor = torsion_points(curve, l)
+    memo = {}
+    for P in tor:
+        for Q in tor:
+            assert weil_pairing_idelic(curve, P, Q, l, memo).value == _idelic_reference(curve, P, Q, l)
 
 
 def test_miller_function_with_offset():
@@ -291,17 +322,17 @@ def _div_of(mf):
 
 
 def test_direct_image_examples():
-    v1 = Place.rational_point(E2, P00)
-    assert direct_image({v1: F5.element(3)}) == F5.element(3)
-    # a degree-2 place: x^2 + x + 1 is irreducible over GF(5)
-    from adele_forge.curves import _places_above_x_factor
-    from adele_forge.fields import Polynomial
+    def image(payload):
+        return direct_image(GerstenCochain(E2, 1, 2, payload))
 
+    v1 = Place.rational_point(E2, P00)
+    assert image({v1: F5.element(3)}) == F5.element(3)
+    # a degree-2 place: x^2 + x + 1 is irreducible over GF(5)
     g = Polynomial.from_ints(F5, [1, 1, 1])
     place = _places_above_x_factor(E2, g, 6)[0]
     field = place.residue_field()
     alpha = field.gen() + field.one()
-    got = direct_image({place: alpha})
+    got = image({place: alpha})
     # the norm is the product of the Frobenius conjugates of alpha
     norm = alpha
     conj = alpha
@@ -309,7 +340,12 @@ def test_direct_image_examples():
         conj = conj.frobenius()
         norm = norm * conj
     assert norm == field.element(got.val[0])
-    assert direct_image({v1: F5.one()}) == F5.one()
+    assert image({v1: F5.one()}) == F5.one()
+    assert image({}) == F5.one()
+    # an entry of value 1 leaves the product unchanged
+    v2 = Place.rational_point(E2, P10)
+    assert image({v1: F5.element(3), v2: F5.one(), place: alpha}) == image({v1: F5.element(3), place: alpha})
+    assert image({v1: F5.element(3), place: alpha}) == F5.element(3) * got
 
 
 def test_sign_audit():
@@ -441,7 +477,7 @@ def test_miller_values_off_the_support_strip_nothing(monkeypatch):
                 places = [v for v in places if v not in support]
                 assert any(v.residue_degree > 1 for v in places)
                 D = Divisor(curve, {v: i + 1 for i, v in enumerate(places)})
-                cases.append((mf, D, mf.evaluate_at_divisor(D)))
+                cases.append((mf, D, _norm_product(mf, D)))
     assert len(cases) == 21
 
     def no_strip(*args):
@@ -452,6 +488,6 @@ def test_miller_values_off_the_support_strip_nothing(monkeypatch):
     zero = next(v for v in principal_divisor(next(iter(mf.factors))).support() if v.kind == "ec-affine")
     monkeypatch.setattr(curves, "_strip", no_strip)
     for mf, D, want in cases:
-        assert mf.evaluate_at_divisor(D) == want
+        assert _norm_product(mf, D) == want
     with pytest.raises(AssertionError, match="stripped"):
         cases[0][0].value_at_place(zero)
