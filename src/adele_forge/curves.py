@@ -27,7 +27,15 @@ from .series import LaurentSeries
 
 
 class CurveModel:
-    __slots__ = ("kind", "spec", "a", "b", "_hash")
+    """The projective line or y^2 = x^3 + a*x + b over a prime field.
+
+    Equal models compare and hash equal.  Each instance also keeps a
+    ``_CurveMemo`` of what it derives (its affine points, the places above
+    x-factors and principal divisors), so that work is done once per curve
+    object; the memo takes no part in equality.
+    """
+
+    __slots__ = ("kind", "spec", "a", "b", "_hash", "_memo")
 
     def __init__(self, kind, spec, a=None, b=None):
         if spec.k != 1:
@@ -49,6 +57,7 @@ class CurveModel:
         else:
             raise DomainError("unknown curve model %r" % (kind,))
         self._hash = hash((kind, spec, self.a, self.b))
+        self._memo = _CurveMemo()
 
     @classmethod
     def projective_line(cls, spec):
@@ -104,6 +113,25 @@ class CurveModel:
             xv, yv = x.val[0], y.val[0]
             return (yv * yv - (xv * xv + a) * xv - b) % spec.p == 0
         return y * y == (x * x + a) * x + b
+
+
+class _CurveMemo:
+    """What one curve object derives once.
+
+    points: the affine points over the base field in ``affine_points``
+    order, found lazily; next_x is the first x not yet examined.
+    places: ``_places_above_x_factor``'s places, by the irreducible factor.
+    divisors: ``principal_divisor``'s divisors, by (f, ext_bound).
+    Nothing that raised is stored.
+    """
+
+    __slots__ = ("points", "next_x", "places", "divisors")
+
+    def __init__(self):
+        self.points = []
+        self.next_x = 0
+        self.places = {}
+        self.divisors = {}
 
 
 class Place:
@@ -180,9 +208,13 @@ class Place:
         return self.curve.spec
 
     def representative(self):
-        """Deterministic representative point of an ec-affine orbit."""
-        orbit = sorted(self.data[0], key=lambda q: (q[0].encoding(), q[1].encoding()))
-        return orbit[0]
+        """Deterministic representative point of an ec-affine orbit: the
+        orbit's only point, or its least by encoding."""
+        orbit = self.data[0]
+        if len(orbit) == 1:
+            (point,) = orbit
+            return point
+        return min(orbit, key=lambda q: (q[0].encoding(), q[1].encoding()))
 
     def sort_key(self):
         if self.kind == "p1-infinity":
@@ -545,19 +577,36 @@ def scalar_multiple(curve, n, P):
 
 
 def affine_points(curve):
-    """The affine points of the elliptic model over the base field, by x."""
+    """The affine points of the elliptic model over the base field, by x.
+
+    Every iterator reads the curve's one memoized list and examines a new x
+    only past its end, so each x is examined once per curve object, nested
+    and interleaved iterators see the same sequence, and one that stops
+    early leaves the rest of E(GF(p)) unexamined."""
+    if curve.kind != "elliptic":
+        raise DomainError("rhs only defined for the elliptic model")
     spec = curve.spec
-    rhs = curve.rhs_poly()
-    for n in range(spec.p):
-        x = spec.element(n)
-        c = rhs.evaluate(x)
-        if not c:
-            yield (x, spec.zero())
+    p, a, b = spec.p, curve.a.val[0], curve.b.val[0]
+    memo = curve._memo
+    points = memo.points
+    i = 0
+    while True:
+        if i < len(points):
+            yield points[i]
+            i += 1
             continue
-        r = field_sqrt(c)
-        if r is not None:
-            yield (x, r)
-            yield (x, -r)
+        n = memo.next_x
+        if n == p:
+            return
+        x = spec.element(n)
+        c = ((n * n + a) * n + b) % p
+        if not c:
+            points.append((x, spec.zero()))
+        else:
+            r = field_sqrt(spec._elt((c,)))
+            if r is not None:
+                points += [(x, r), (x, -r)]
+        memo.next_x = n + 1
 
 
 def rational_points(curve):
@@ -606,11 +655,11 @@ def leading_term(f, place):
 
     One pass over the reduced triple (A + B*y)/C, with no series: strip the
     place's factor from A, B and C and read u off what is left.  At an
-    affine point (x0, y0) the triple is first evaluated there: when C(x0)
-    and A(x0) + B(x0)*y0 are both nonzero, f is a unit at the point and the
-    result is (0, (A(x0) + B(x0)*y0)/C(x0)) with nothing stripped;
-    otherwise only those of A, B and C that vanish at x0 are divided by
-    x - x0.
+    affine point (x0, y0) the triple is first evaluated there, on ints when
+    the point is rational: when C(x0) and A(x0) + B(x0)*y0 are both
+    nonzero, f is a unit at the point and the result is
+    (0, (A(x0) + B(x0)*y0)/C(x0)) with nothing stripped; otherwise only
+    those of A, B and C that vanish at x0 are divided by x - x0.
     """
     if not isinstance(f, FunctionFieldElement):
         raise DomainError("valuation expects a function field element")
@@ -635,10 +684,19 @@ def leading_term(f, place):
         return 2 * c.degree - 2 * b.degree - 3, b.lc()
     x0, y0 = place.representative()
     field = x0.spec
-    a, b, c = (g.lift_to(field) for g in f.abc)
-    a0, b0, c0 = a.evaluate(x0), b.evaluate(x0), c.evaluate(x0)
-    if c0 and a0 + b0 * y0:
-        return 0, (a0 + b0 * y0) / c0
+    if field.k == 1:
+        # over GF(p) the three values are Horner evaluations on ints
+        p, u = field.p, x0.val[0]
+        a0, b0, c0 = (_horner(g.vec, u, p) for g in (a, b, c))
+        n0 = (a0 + b0 * y0.val[0]) % p
+        if c0 and n0:
+            return 0, field._elt((n0 * pow(c0, p - 2, p) % p,))
+        a0, b0, c0 = (field._elt((v,)) for v in (a0, b0, c0))
+    else:
+        a, b, c = (g.lift_to(field) for g in f.abc)
+        a0, b0, c0 = a.evaluate(x0), b.evaluate(x0), c.evaluate(x0)
+        if c0 and a0 + b0 * y0:
+            return 0, (a0 + b0 * y0) / c0
     lin = Polynomial.from_elements(field, [-x0, field.one()])
 
     def strip(g, g0):
@@ -673,28 +731,54 @@ def leading_term(f, place):
     return m + mn - mc, rn.constant_term() / ((ra - rb * y0) * rc)
 
 
+def _horner(vec, u, p):
+    """The value at u of a GF(p) polynomial given by its int vector."""
+    y = 0
+    for c in reversed(vec):
+        y = (y * u + c) % p
+    return y
+
+
 def valuation(f, place):
     """The normalized discrete valuation of f at the place."""
     return leading_term(f, place)[0]
 
 
 def _places_above_x_factor(curve, g, ext_bound):
-    """Places of the elliptic model above the roots of an irreducible g(x)."""
+    """Places of the elliptic model above the roots of an irreducible g(x),
+    memoized on the curve by g.  A place of degree above ext_bound raises,
+    whether it is found now or was found before under a larger bound."""
     d = g.degree
     if d > ext_bound:
         raise DomainError(
             "place of degree %d exceeds the extension bound %d" % (d, ext_bound)
         )
+    memo = curve._memo.places
+    places = memo.get(g)
+    if places is None:
+        places = memo[g] = _find_places_above(curve, g, ext_bound)
+    elif places[0].residue_degree > ext_bound:
+        raise DomainError(
+            "place of degree %d exceeds the extension bound %d"
+            % (places[0].residue_degree, ext_bound)
+        )
+    return list(places)
+
+
+def _find_places_above(curve, g, ext_bound):
+    """The places above the roots of g, from one root and one square root;
+    raises when they need GF(p^2d) with 2d above ext_bound."""
+    d = g.degree
     field = canonical_field(curve.spec.p, d)
     x0 = root_in_field(g, field)
     rhs0 = curve.rhs_poly(field).evaluate(x0)
     if not rhs0:
-        return [Place.affine_orbit(curve, x0, field.zero())]
+        return (Place.affine_orbit(curve, x0, field.zero()),)
     y0 = field_sqrt(rhs0)
     if y0 is not None:
         p1 = Place.affine_orbit(curve, x0, y0)
         p2 = Place.affine_orbit(curve, x0, -y0)
-        return [p1] if p1 == p2 else [p1, p2]
+        return (p1,) if p1 == p2 else (p1, p2)
     if 2 * d > ext_bound:
         raise DomainError(
             "place of degree %d exceeds the extension bound %d" % (2 * d, ext_bound)
@@ -702,14 +786,25 @@ def _places_above_x_factor(curve, g, ext_bound):
     field2 = canonical_field(curve.spec.p, 2 * d)
     x1 = root_in_field(g, field2)
     y1 = field_sqrt(curve.rhs_poly(field2).evaluate(x1))
-    assert y1 is not None
-    return [Place.affine_orbit(curve, x1, y1)]
+    if y1 is None:
+        raise DomainError("no square root of x^3 + a*x + b over GF(p^%d)" % (2 * d))
+    return (Place.affine_orbit(curve, x1, y1),)
 
 
 def principal_divisor(f, ext_bound=DEFAULT_EXT_BOUND):
-    """div(f) as a Divisor; always of degree zero."""
+    """div(f) as a Divisor; always of degree zero.  Memoized on f's curve
+    by (f, ext_bound): each curve object computes each divisor once."""
     if not f:
         raise DomainError("divisor of zero undefined")
+    memo = f.curve._memo.divisors
+    key = (f, ext_bound)
+    div = memo.get(key)
+    if div is None:
+        div = memo[key] = _principal_divisor(f, ext_bound)
+    return div
+
+
+def _principal_divisor(f, ext_bound):
     curve = f.curve
     a, b, c = f.abc
     entries = []
@@ -746,7 +841,8 @@ def principal_divisor(f, ext_bound=DEFAULT_EXT_BOUND):
         if vo:
             entries.append((Place.origin(curve), vo))
         div = Divisor(curve, entries)
-    assert div.degree == 0, "principal divisor has nonzero degree"
+    if div.degree != 0:
+        raise DomainError("principal divisor has nonzero degree")
     return div
 
 

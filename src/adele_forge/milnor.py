@@ -40,6 +40,16 @@ class MilnorSymbol:
     def pair(cls, f, g, e=1):
         return cls(f.curve, [(f, g, e)])
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, MilnorSymbol)
+            and self.curve == other.curve
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        return hash((self.curve, self.entries))
+
     def __repr__(self):
         if not self.entries:
             return "{1}"

@@ -5,7 +5,7 @@ point-evaluated Miller loop), and the sign audit that pins the package's
 global sign constants.
 """
 
-from itertools import chain, count
+from itertools import chain, islice
 
 from . import signs
 from .adelic import cochain_product, divisor_cocycle, nu_curve, AdeleCochain
@@ -75,27 +75,20 @@ class MillerFunction:
     verticals and constants, together with its declared divisor.  Every
     construction checks the declared divisor against the sum of the
     factors' principal divisors and raises DomainError when they differ.
-
-    ``divisors`` maps a factor to its ``principal_divisor``.  Pass one dict
-    to every chain built from the same curve and points and each distinct
-    factor's divisor is computed once; the sum over the factors is still
-    compared with the declared divisor on every construction.
+    The curve memoizes ``principal_divisor``, so a factor shared by chains
+    on one curve object is factored once, while the sum over the factors
+    is still compared with the declared divisor on every construction.
     """
 
     __slots__ = ("curve", "factors", "divisor")
 
-    def __init__(self, curve, factors, divisor, divisors=None):
+    def __init__(self, curve, factors, divisor):
         self.curve = curve
         self.factors = {f: e for f, e in factors.items() if e}
         self.divisor = divisor
-        if divisors is None:
-            divisors = {}
         total = Divisor(curve)
         for f, e in self.factors.items():
-            div = divisors.get(f)
-            if div is None:
-                div = divisors[f] = principal_divisor(f)
-            total = total + div * e
+            total = total + principal_divisor(f) * e
         if total != divisor:
             raise DomainError("declared divisor does not match the product")
 
@@ -156,12 +149,11 @@ def _miller_chain_factors(curve, P, l):
     return factors
 
 
-def miller_function(curve, P, l, R=None, divisors=None):
+def miller_function(curve, P, l, R=None):
     """A factored function with divisor l(P+R) - l(R) for l-torsion P.
 
     With R absent (or O) the divisor is l(P) - l(O).  A P that is not
-    l-torsion is rejected at the end of the Miller chain.  ``divisors`` is
-    the factor-to-divisor memo of ``MillerFunction``.
+    l-torsion is rejected at the end of the Miller chain.
     """
     if l < 1:
         raise DomainError("l must be positive")
@@ -173,7 +165,7 @@ def miller_function(curve, P, l, R=None, divisors=None):
     pl_O = Place.origin(curve)
     divisor = Divisor(curve, {pl_P: l, pl_O: -l})
     if R is None:
-        return MillerFunction(curve, factors, divisor, divisors=divisors)
+        return MillerFunction(curve, factors, divisor)
     PR = ec_add(curve, P, R)
     # h with div(h) = (P) + (R) - (P+R) - (O); then f * h^(-l)
     if PR is None:
@@ -190,7 +182,7 @@ def miller_function(curve, P, l, R=None, divisors=None):
         curve,
         {Place.rational_point(curve, PR): l, Place.rational_point(curve, R): -l},
     )
-    return MillerFunction(curve, factors, divisor, divisors=divisors)
+    return MillerFunction(curve, factors, divisor)
 
 
 class PairingValue:
@@ -222,22 +214,11 @@ def _disjoint_offsets(curve, P, Q, r_index=0, s_index=0):
     """The offset pairs (R, S) whose translated representatives (P + R) - (R)
     and (Q + S) - (S) have disjoint supports, R outer and S inner, each over
     the affine points then O, skipping the first ``r_index`` and ``s_index``
-    of them.  The points are enumerated lazily, once: every pass draws on the
-    same memoized prefix, so a caller that stops early never walks all of
-    E(GF(p))."""
-    source = chain(affine_points(curve), [None])
-    seen = []
-    end = object()
+    of them.  The points come from the curve's memoized ``affine_points``,
+    so a caller that stops early never walks all of E(GF(p))."""
 
     def offsets(start):
-        for i in count():
-            if i == len(seen):
-                T = next(source, end)
-                if T is end:
-                    return
-                seen.append(T)
-            if i >= start:
-                yield seen[i]
+        return islice(chain(affine_points(curve), [None]), start, None)
 
     for R in offsets(r_index):
         PR = _shifted_support(curve, P, R)
@@ -249,19 +230,17 @@ def _disjoint_offsets(curve, P, Q, r_index=0, s_index=0):
                 yield R, S
 
 
-def weil_pairing_idelic(curve, P, Q, l, divisors=None):
+def weil_pairing_idelic(curve, P, Q, l):
     """Weil pairing via divisor chains: f(D_Q)/g(D_P) with div f = l*D_P,
     div g = l*D_Q, which is the inverse of the direct image of the Massey
     triple product on the same representatives.  The inverse is that
     definition, not ``signs.MASSEY_PAIRING_EXPONENT``: the sign audit checks
     the constant, and reading it here would let a perturbed constant change
-    the pairing instead of failing the audit.  ``divisors`` is the
-    Miller-factor divisor memo (see ``MillerFunction``); None starts a fresh
-    one for this call."""
+    the pairing instead of failing the audit."""
     if P is None or Q is None:
         _check_torsion(curve, P, Q, l)
         return PairingValue(curve.spec.one(), l)
-    image = massey_triple_curve(curve, P, Q, l, divisors=divisors).image
+    image = massey_triple_curve(curve, P, Q, l).image
     return PairingValue(image.inverse(), l)
 
 
@@ -398,19 +377,15 @@ def massey_triple(curve, Y, f, Z, g):
     return MasseyOutput(cocycle, image)
 
 
-def massey_triple_curve(curve, P, Q, l, r_index=0, s_index=0, divisors=None):
+def massey_triple_curve(curve, P, Q, l, r_index=0, s_index=0):
     """Massey triple product of the l-torsion classes of P and Q, with
-    representatives chosen by translating by auxiliary points.
-    ``divisors`` is the Miller-factor divisor memo (see ``MillerFunction``);
-    None starts a fresh one for this call."""
+    representatives chosen by translating by auxiliary points."""
     _check_torsion(curve, P, Q, l)
     if P is None or Q is None:
         raise DomainError("Massey product of the class of O is trivial: P and Q must differ from O")
-    if divisors is None:
-        divisors = {}
     for R, S in _disjoint_offsets(curve, P, Q, r_index, s_index):
-        f = miller_function(curve, P, l, R, divisors)
-        g = miller_function(curve, Q, l, S, divisors)
+        f = miller_function(curve, P, l, R)
+        g = miller_function(curve, Q, l, S)
         Y = _scale_div(f.divisor, l)
         Z = _scale_div(g.divisor, l)
         return massey_triple(curve, Y, f, Z, g)

@@ -425,10 +425,9 @@ def check_weil_pairing():
         tor = torsion_points(curve, l)
         if len(tor) != l * l:
             return False, "torsion not full on fixture"
-        divisors = {}  # Miller-factor divisors, computed once per curve
         for P in tor:
             for Q in tor:
-                a = weil_pairing_idelic(curve, P, Q, l, divisors)
+                a = weil_pairing_idelic(curve, P, Q, l)
                 b = weil_pairing_miller(curve, P, Q, l)
                 if a.value != b.value:
                     return False, "idelic/miller mismatch"
@@ -444,13 +443,12 @@ def check_massey():
     E = CurveModel.elliptic(F5, -1, 0)
     P = (F5.element(0), F5.element(0))
     Q = (F5.element(1), F5.element(0))
-    divisors = {}  # Miller-factor divisors shared by the four products
-    base = massey_triple_curve(E, P, Q, 2, divisors=divisors).image
+    base = massey_triple_curve(E, P, Q, 2).image
     psi = weil_pairing_miller(E, P, Q, 2).value
     if base != psi ** signs.MASSEY_PAIRING_EXPONENT:
         return False, "massey does not match the pairing"
     for r, s in ((1, 0), (0, 1), (2, 2)):
-        out = massey_triple_curve(E, P, Q, 2, r_index=r, s_index=s, divisors=divisors)
+        out = massey_triple_curve(E, P, Q, 2, r_index=r, s_index=s)
         if out.image != base:
             return False, "image changed under representative change"
     return True, "massey image matches pairing and ignores representatives"

@@ -12,6 +12,7 @@ from adele_forge.curves import (
     Divisor,
     FunctionFieldElement,
     Place,
+    affine_points,
     ec_add,
     ec_neg,
     expand_at,
@@ -31,6 +32,7 @@ from adele_forge.fields import (
     Polynomial,
     RationalFunction,
     canonical_field,
+    factor_polynomial,
     field_sqrt,
     frobenius_orbit,
     poly_gcd,
@@ -812,3 +814,126 @@ def test_ec_add_at_k1_makes_no_field_element_operation(p, monkeypatch):
         monkeypatch.setattr(FieldElement, name, no_op)
     assert [ec_add(curve, P, Q) for P, Q in cases] == want
     assert ec_add(curve, two, two) is None
+
+
+# ---------------------------------------------------------------------------
+# the per-curve memo
+
+
+def _fresh_copy(curve):
+    """An equal curve object, with nothing derived yet."""
+    if curve.kind == "p1":
+        return CurveModel.projective_line(curve.spec)
+    return CurveModel.elliptic(curve.spec, curve.a, curve.b)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except DomainError as exc:
+        return "raises", str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_principal_divisor_on_a_warm_curve_matches_a_fresh_one(data):
+    spec = prime_field(data.draw(st.sampled_from([5, 7, 11])))
+    if data.draw(st.booleans()):
+        curve, rand = CurveModel.projective_line(spec), rand_p1
+    else:
+        a, b = data.draw(st.integers(0, spec.p - 1)), data.draw(st.integers(0, spec.p - 1))
+        assume((4 * a**3 + 27 * b * b) % spec.p)
+        curve, rand = CurveModel.elliptic(spec, a, b), rand_elliptic
+    rng = Random(data.draw(st.integers(0, 2**32)))
+    fs = [rand(curve, rng) for _ in range(3)]
+    fs += [fs[0] * fs[1], fs[1] * fs[2]]
+    # the products share factors with the first three, and the second
+    # pass finds every divisor memoized
+    for f in fs + fs:
+        ext_bound = data.draw(st.sampled_from([2, 4, 6, 12]))
+        fresh = FunctionFieldElement._raw(_fresh_copy(curve), *f.abc)
+        assert _outcome(principal_divisor, f, ext_bound) == _outcome(principal_divisor, fresh, ext_bound)
+
+
+def test_smaller_ext_bound_after_a_hit_raises_as_on_a_fresh_curve():
+    E = CurveModel.elliptic(F5, 1, 1)  # y^2 = x^3 + x + 1
+    x = FunctionFieldElement.x_function(E)
+    # above x - 1 lies one place of degree 2, above x^2 + 2 one of degree 4,
+    # above x^2 + x + 2 two of degree 2 and above x two rational ones
+    fs = [x - 1, x * x + 2, x * x + x + 2, (x - 1) * (x * x + 2), x]
+    for f in fs:
+        assert _outcome(principal_divisor, f, 12)[0] == "value"
+    for ext_bound in (6, 4, 3, 2, 1):
+        for f in fs:
+            fresh = FunctionFieldElement._raw(_fresh_copy(E), *f.abc)
+            assert _outcome(principal_divisor, f, ext_bound) == _outcome(principal_divisor, fresh, ext_bound)
+            for g, _ in factor_polynomial(f.abc[0])[1]:
+                want = _outcome(_places_above_x_factor, _fresh_copy(E), g, ext_bound)
+                assert _outcome(_places_above_x_factor, E, g, ext_bound) == want
+    too_big = "place of degree %d exceeds the extension bound %d"
+    assert _outcome(principal_divisor, x - 1, 1) == ("raises", too_big % (2, 1))
+    assert _outcome(principal_divisor, x * x + 2, 3) == ("raises", too_big % (4, 3))
+    assert _outcome(principal_divisor, x * x + 2, 1) == ("raises", too_big % (2, 1))
+
+
+def test_memo_stores_nothing_that_raised():
+    E = CurveModel.elliptic(F5, 1, 1)
+    f = FunctionFieldElement.x_function(E) - 1
+    with pytest.raises(DomainError, match="place of degree 2 exceeds the extension bound 1"):
+        principal_divisor(f, 1)
+    assert not E._memo.places and not E._memo.divisors
+    fresh = FunctionFieldElement._raw(_fresh_copy(E), *f.abc)
+    assert principal_divisor(f, 2) == principal_divisor(fresh, 2)
+
+
+def _affine_points_reference(curve):
+    spec = curve.spec
+    rhs = curve.rhs_poly()
+    for n in range(spec.p):
+        x = spec.element(n)
+        c = rhs.evaluate(x)
+        if not c:
+            yield (x, spec.zero())
+            continue
+        r = field_sqrt(c)
+        if r is not None:
+            yield (x, r)
+            yield (x, -r)
+
+
+def test_affine_points_iterators_share_one_sequence():
+    E = CurveModel.elliptic(prime_field(11), 3, 1)
+    want = list(_affine_points_reference(E))
+    assert list(affine_points(_fresh_copy(E))) == want
+    abandoned = affine_points(E)
+    assert [next(abandoned) for _ in range(len(want) // 2)] == want[: len(want) // 2]
+    del abandoned
+    # one iterator two steps ahead of another, each extending the list in turn
+    fast, slow = affine_points(E), affine_points(E)
+    got_fast, got_slow = [], []
+    for pt in slow:
+        got_slow.append(pt)
+        got_fast += [T for T in (next(fast, None), next(fast, None)) if T is not None]
+    assert got_fast == want and got_slow == want
+    E2 = CurveModel.elliptic(prime_field(11), 3, 1)
+    nested = [(R, S) for R in affine_points(E2) for S in affine_points(E2)]
+    assert nested == [(R, S) for R in want for S in want]
+
+
+def test_principal_divisor_raises_on_nonzero_degree(monkeypatch):
+    E = CurveModel.elliptic(F5, -1, 0)
+    monkeypatch.setattr(curves, "valuation", lambda f, place: valuation(f, place) + 1)
+    with pytest.raises(DomainError, match="principal divisor has nonzero degree"):
+        principal_divisor(FunctionFieldElement.x_function(E))
+    assert not E._memo.divisors
+
+
+def test_missing_square_root_above_a_factor_raises(monkeypatch):
+    E = CurveModel.elliptic(F5, -1, 0)
+    g = Polynomial.from_ints(F5, [3, 1])  # x + 3: its root 2 has x^3 - x = 1
+    # with every square root missing, the point above x = 2 is looked for
+    # over GF(25) and not found there either
+    monkeypatch.setattr(curves, "field_sqrt", lambda c: None)
+    with pytest.raises(DomainError, match="no square root"):
+        _places_above_x_factor(E, g, 2)
+    assert not E._memo.places

@@ -467,3 +467,43 @@ def test_affine_branch_functions_reach_every_branch():
                     if "c-zero" in branches and v == 0:
                         seen.add("c-zero-unit")
     assert seen >= {"deg1", "deg2", "deg3", "c-zero-unit", "a-b-zero", "norm", "y0-zero"}, seen
+
+
+# ---------------------------------------------------------------------------
+# the int exit at rational affine points
+
+
+@pytest.mark.parametrize("p, a, b", [(5, 4, 0), (11, 3, 1)])
+def test_leading_term_at_rational_points_matches_element_path(p, a, b):
+    """At every rational affine place, y0 = 0 included, leading_term equals
+    (A(x0) + B(x0)*y0)/C(x0) in FieldElement arithmetic where both values
+    are nonzero, and the leading coefficient of expand_at elsewhere, for
+    random functions and for functions aimed at each stripping branch."""
+    curve = CurveModel.elliptic(prime_field(p), a, b)
+    spec = curve.spec
+    rng = Random(p)
+    places = [Place.rational_point(curve, P) for P in curves.rational_points(curve)[1:]]
+    assert {bool(v.representative()[1]) for v in places} == {False, True}
+    poly = lambda deg: Polynomial.from_ints(spec, [rng.randrange(p) for _ in range(deg + 1)])
+    x = FunctionFieldElement.x_function(curve)
+    exits = strips = 0
+    for place in places:
+        x0, y0 = place.representative()
+        fs = _affine_branch_functions(curve, place, poly)
+        for _ in range(8):
+            c = poly(2) * Polynomial.x(spec) + Polynomial.one(spec)
+            f = FunctionFieldElement(curve, RationalFunction(poly(3), c), RationalFunction(poly(2), c))
+            if f:
+                fs.append(f * (x - x0) ** rng.randrange(-1, 2))
+        for f in fs:
+            v, u = leading_term(f, place)
+            A, B, C = f.abc
+            c0, n0 = C.evaluate(x0), A.evaluate(x0) + B.evaluate(x0) * y0
+            if c0 and n0:
+                exits += 1
+                assert (v, u) == (0, n0 / c0), (f, place)
+            else:
+                strips += 1
+                ser = expand_at(f, place, v + 1)
+                assert (ser.valuation(), ser.coefficient(v)) == (v, u), (f, place)
+    assert exits and strips

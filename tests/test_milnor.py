@@ -85,6 +85,11 @@ def test_gersten_cochain_equality():
     c = level1()
     assert c == level1()
     assert GerstenCochain(P17, 0, 1, t7 - 1) == GerstenCochain(P17, 0, 1, t7 - 1)
+    # a weight-2 symbol compares by its curve and entries, not by identity
+    symbol = lambda g: MilnorSymbol.pair(t7, g)
+    assert GerstenCochain(P17, 0, 2, symbol(t7 - 1)) == GerstenCochain(P17, 0, 2, symbol(t7 - 1))
+    assert hash(symbol(t7 - 1)) == hash(symbol(t7 - 1))
+    assert GerstenCochain(P17, 0, 2, symbol(t7 - 1)) != GerstenCochain(P17, 0, 2, symbol(t7 - 2))
     # the level-1 filter drops an entry of value 1
     assert level1({v_t1: F7.one()}) == c
     assert level1({v_t1: F7.element(2)}) != c

@@ -84,35 +84,53 @@ def test_miller_chain_through_O():
                 assert a.value == F5.one()  # e_4(P, Q) = e_2(P, 2Q)
 
 
-def test_shared_divisor_memo_keeps_the_check():
+def _counting_computations(monkeypatch):
+    """The (f, ext_bound) of every principal divisor computed from here on,
+    memo hits left out."""
+    computed = []
+    compute = curves._principal_divisor
+
+    def counting(f, ext_bound):
+        computed.append((f, ext_bound))
+        return compute(f, ext_bound)
+
+    monkeypatch.setattr(curves, "_principal_divisor", counting)
+    return computed
+
+
+def test_shared_divisor_memo_keeps_the_check(monkeypatch):
+    curve = CurveModel.elliptic(F5, -1, 0)
+    fresh = CurveModel.elliptic(F5, -1, 0)
     R = (F5.element(2), F5.element(1))
-    memo = {}
-    mf = miller_function(E2, P00, 2, R, memo)
-    assert set(mf.factors) <= set(memo)
+    mf = miller_function(curve, P00, 2, R)
     for f in mf.factors:
-        assert memo[f] == principal_divisor(f)
+        assert principal_divisor(f) == principal_divisor(FunctionFieldElement._raw(fresh, *f.abc))
+    computed = _counting_computations(monkeypatch)
     # every factor is memoized: the sum is still compared with the declaration
-    MillerFunction(E2, mf.factors, mf.divisor, divisors=memo)
+    MillerFunction(curve, mf.factors, mf.divisor)
     with pytest.raises(DomainError):
-        MillerFunction(E2, mf.factors, Divisor(E2), divisors=memo)
+        MillerFunction(curve, mf.factors, Divisor(curve))
     with pytest.raises(DomainError):
-        MillerFunction(E2, mf.factors, mf.divisor * 2, divisors=memo)
+        MillerFunction(curve, mf.factors, mf.divisor * 2)
+    assert computed == []
 
 
 def test_weil_check_computes_each_miller_divisor_once(monkeypatch):
     calls = []
 
-    def counting(f, *args, **kwargs):
+    def calling(f, *args):
         calls.append(f)
-        return principal_divisor(f, *args, **kwargs)
+        return principal_divisor(f, *args)
 
-    monkeypatch.setattr(pairing, "principal_divisor", counting)
+    monkeypatch.setattr(pairing, "principal_divisor", calling)
+    computed = _counting_computations(monkeypatch)
     assert selfcheck.check_weil_pairing()[0]
-    assert len(calls) == 29  # 403 without the memo
-    assert len(set(calls)) == len(calls)
-    calls.clear()
+    assert len(calls) == 403
+    assert len(computed) == 29
+    assert len(set(computed)) == len(computed)
+    computed.clear()
     assert selfcheck.check_massey()[0]
-    assert len(set(calls)) == len(calls)
+    assert computed and len(set(computed)) == len(computed)
 
 
 PAIRING_FIXTURES = [(E2, 2, torsion_points(E2, 2)), (E3, 3, torsion_points(E3, 3))]
@@ -123,15 +141,15 @@ PAIRING_FIXTURES = [(E2, 2, torsion_points(E2, 2)), (E3, 3, torsion_points(E3, 3
 def test_weil_pairing_laws(data):
     curve, l, tor = data.draw(st.sampled_from(PAIRING_FIXTURES))
     P1, P2, Q1, Q2 = (data.draw(st.sampled_from(tor)) for _ in range(4))
-    memo = {}
+    fresh = CurveModel.elliptic(curve.spec, curve.a, curve.b)
     values = {}
 
     def e(P, Q):
         if (P, Q) not in values:
-            shared = weil_pairing_idelic(curve, P, Q, l, memo).value
-            assert shared == weil_pairing_idelic(curve, P, Q, l).value
-            assert shared == weil_pairing_miller(curve, P, Q, l).value
-            values[P, Q] = shared
+            warm = weil_pairing_idelic(curve, P, Q, l).value
+            assert warm == weil_pairing_idelic(fresh, P, Q, l).value
+            assert warm == weil_pairing_miller(curve, P, Q, l).value
+            values[P, Q] = warm
         return values[P, Q]
 
     assert e(ec_add(curve, P1, P2), Q1) == e(P1, Q1) * e(P2, Q1)
@@ -164,10 +182,9 @@ def _idelic_reference(curve, P, Q, l):
 @pytest.mark.parametrize("curve, l", [(E2, 2), (E2, 4), (E3, 3)], ids=["E2-l2", "E2-l4", "E3-l3"])
 def test_idelic_pairing_is_the_inverse_massey_image(curve, l):
     tor = torsion_points(curve, l)
-    memo = {}
     for P in tor:
         for Q in tor:
-            assert weil_pairing_idelic(curve, P, Q, l, memo).value == _idelic_reference(curve, P, Q, l)
+            assert weil_pairing_idelic(curve, P, Q, l).value == _idelic_reference(curve, P, Q, l)
 
 
 def test_miller_function_with_offset():
