@@ -10,6 +10,7 @@ on either model is (A + B*y)/C for polynomials A, B, C in x (B = 0 on P^1).
 
 from functools import lru_cache
 
+from . import _kernels as K
 from .errors import DomainError
 from .fields import (
     DEFAULT_EXT_BOUND,
@@ -687,7 +688,7 @@ def leading_term(f, place):
     if field.k == 1:
         # over GF(p) the three values are Horner evaluations on ints
         p, u = field.p, x0.val[0]
-        a0, b0, c0 = (_horner(g.vec, u, p) for g in (a, b, c))
+        a0, b0, c0 = (K.poly_eval(g.vec, u, p) for g in (a, b, c))
         n0 = (a0 + b0 * y0.val[0]) % p
         if c0 and n0:
             return 0, field._elt((n0 * pow(c0, p - 2, p) % p,))
@@ -731,14 +732,6 @@ def leading_term(f, place):
     return m + mn - mc, rn.constant_term() / ((ra - rb * y0) * rc)
 
 
-def _horner(vec, u, p):
-    """The value at u of a GF(p) polynomial given by its int vector."""
-    y = 0
-    for c in reversed(vec):
-        y = (y * u + c) % p
-    return y
-
-
 def valuation(f, place):
     """The normalized discrete valuation of f at the place."""
     return leading_term(f, place)[0]
@@ -748,21 +741,20 @@ def _places_above_x_factor(curve, g, ext_bound):
     """Places of the elliptic model above the roots of an irreducible g(x),
     memoized on the curve by g.  A place of degree above ext_bound raises,
     whether it is found now or was found before under a larger bound."""
-    d = g.degree
-    if d > ext_bound:
-        raise DomainError(
-            "place of degree %d exceeds the extension bound %d" % (d, ext_bound)
-        )
+    _check_degree(g.degree, ext_bound)
     memo = curve._memo.places
     places = memo.get(g)
     if places is None:
         places = memo[g] = _find_places_above(curve, g, ext_bound)
-    elif places[0].residue_degree > ext_bound:
-        raise DomainError(
-            "place of degree %d exceeds the extension bound %d"
-            % (places[0].residue_degree, ext_bound)
-        )
+    _check_degree(places[0].residue_degree, ext_bound)
     return list(places)
+
+
+def _check_degree(d, ext_bound):
+    if d > ext_bound:
+        raise DomainError(
+            "place of degree %d exceeds the extension bound %d" % (d, ext_bound)
+        )
 
 
 def _find_places_above(curve, g, ext_bound):
@@ -779,10 +771,7 @@ def _find_places_above(curve, g, ext_bound):
         p1 = Place.affine_orbit(curve, x0, y0)
         p2 = Place.affine_orbit(curve, x0, -y0)
         return (p1,) if p1 == p2 else (p1, p2)
-    if 2 * d > ext_bound:
-        raise DomainError(
-            "place of degree %d exceeds the extension bound %d" % (2 * d, ext_bound)
-        )
+    _check_degree(2 * d, ext_bound)
     field2 = canonical_field(curve.spec.p, 2 * d)
     x1 = root_in_field(g, field2)
     y1 = field_sqrt(curve.rhs_poly(field2).evaluate(x1))
