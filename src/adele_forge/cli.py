@@ -222,9 +222,8 @@ def _enc_point_orbit(pt):
 
 
 def _task_rr_table(config, curve, ext_bound):
-    payload = {k: config[k] for k in ("degrees", "divisors") if k in config}
-    if "degrees" in payload:
-        bounds = _int_list(payload["degrees"], "degrees")
+    if "degrees" in config:
+        bounds = _int_list(config["degrees"], "degrees")
         if len(bounds) != 2:
             raise SchemaError("degrees must be [lo, hi]")
         lo, hi = bounds
@@ -233,10 +232,10 @@ def _task_rr_table(config, curve, ext_bound):
         base = Place.infinity(curve) if curve.kind == "p1" else Place.origin(curve)
         # a generator: a wide window builds no divisor ahead of the first failure
         divisors = (Divisor(curve, {base: n}) for n in range(lo, hi + 1))
-    elif "divisors" in payload:
-        if not isinstance(payload["divisors"], list) or not payload["divisors"]:
+    elif "divisors" in config:
+        if not isinstance(config["divisors"], list) or not config["divisors"]:
             raise SchemaError("divisors must be a nonempty list of divisors")
-        divisors = [_parse_divisor(d, curve) for d in payload["divisors"]]
+        divisors = [_parse_divisor(d, curve) for d in config["divisors"]]
     else:
         raise SchemaError("rr-table needs degrees or divisors")
     rows = []
@@ -293,10 +292,9 @@ def _task_intersect(config, spec, ext_bound):
             raise SchemaError("intersect needs divisor1 and divisor2")
     D1 = _parse_surface_divisor(config["divisor1"], spec.p)
     D2 = _parse_surface_divisor(config["divisor2"], spec.p)
-    points = {}  # intersection points of each curve pair, found once
-    n = intersection_number(D1, D2, ext_bound, points)
-    cycle = surface_product_cycle(D1, D2, ext_bound, points)
-    fulton = fulton_intersection_cycle(D1, D2, ext_bound, points)
+    n = intersection_number(D1, D2, ext_bound)
+    cycle = surface_product_cycle(D1, D2, ext_bound)
+    fulton = fulton_intersection_cycle(D1, D2, ext_bound)
     bez = bezout_number(D1, D2)
     cycle_rows = [
         {"point": _enc_point_orbit(pt), "multiplicity": _enc_int(m)}
@@ -391,13 +389,9 @@ def run_config(doc, seed=0, ext_bound=DEFAULT_EXT_BOUND):
 
     ``seed`` (or the config's ``seed`` key) is validated and recorded in the
     report; no result depends on it."""
-    _expect_keys(
-        doc,
-        ("task",),
-        ("field", "curve", "degrees", "divisors", "symbols", "symbol", "place",
-         "divisor1", "divisor2", "l", "P", "Q", "seed"),
-        "config",
-    )
+    payload_keys = ("degrees", "divisors", "symbols", "symbol", "place", "divisor1", "divisor2",
+                    "l", "P", "Q")
+    _expect_keys(doc, ("task",), ("field", "curve", "seed") + payload_keys, "config")
     task = doc["task"]
     if task not in TASKS:
         raise SchemaError("unknown task %r" % (task,))
@@ -413,11 +407,7 @@ def run_config(doc, seed=0, ext_bound=DEFAULT_EXT_BOUND):
     if "field" not in doc:
         raise SchemaError("task %r needs a field" % task)
     spec = _parse_field(doc["field"])
-    payload = {
-        k: doc[k]
-        for k in ("degrees", "divisors", "symbols", "symbol", "place", "divisor1", "divisor2", "l", "P", "Q")
-        if k in doc
-    }
+    payload = {k: doc[k] for k in payload_keys if k in doc}
     if task == "intersect":
         result, oracle = _task_intersect(payload, spec, ext_bound)
     else:

@@ -456,14 +456,13 @@ def sign_audit():
     X0 = PlaneCurve(HomForm.line(7, 1, 0, 0))
     X1 = PlaneCurve(HomForm.line(7, 0, 1, 0))
     D1, D2 = SurfaceDivisor({X0: 1}), SurfaceDivisor({X1: 1})
-    points = {}  # the one intersection point, found once for both calls
-    cycle = surface_product_cycle(D1, D2, points=points)
+    cycle = surface_product_cycle(D1, D2)
     raw_cycle = {pt: m * signs.SURFACE_CYCLE_SIGN for pt, m in cycle.items()}
     sols = [s for s in (1, -1) if all(s * m == 1 for m in raw_cycle.values())]
     ok3 = (
         len(sols) == 1
         and sols[0] == signs.SURFACE_CYCLE_SIGN
-        and intersection_number(D1, D2, points=points) == 1
+        and intersection_number(D1, D2) == 1
         and cycle_degree(cycle) == 1
     )
     if sols:

@@ -402,16 +402,15 @@ def check_surface_intersections():
         (SurfaceDivisor({L1: 1, X0: 1}), SurfaceDivisor({conic: 1})),
     ]
     for D1, D2 in pairs:
-        points = {}  # shared by the three intersections of D1 with D2
-        n = intersection_number(D1, D2, points=points)
+        n = intersection_number(D1, D2)
         if n != bezout_number(D1, D2):
             return False, "Bezout mismatch: %r" % n
         if n != intersection_number(D2, D1):
             return False, "asymmetric intersection number"
-        cyc = surface_product_cycle(D1, D2, points=points)
+        cyc = surface_product_cycle(D1, D2)
         if cycle_degree(cyc) != n:
             return False, "product cycle degree mismatch"
-        if cyc != fulton_intersection_cycle(D1, D2, points=points):
+        if cyc != fulton_intersection_cycle(D1, D2):
             return False, "product cycle does not match Fulton multiplicities"
     return True, "intersection number == Bezout == Fulton; product cycle matches"
 

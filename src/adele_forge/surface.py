@@ -314,9 +314,13 @@ class PlaneCurve:
     A form of degree >= 2 with a linear factor over GF(p) is rejected, which
     settles irreducibility over GF(p) up to degree 3; a form of degree > 3
     without one is trusted irreducible, with a logged warning.
+
+    ``_meets`` holds the points the curve meets other curves in, keyed by
+    (their form, ext_bound), as ``_contributing_flags`` finds them; it takes
+    no part in equality or hashing.
     """
 
-    __slots__ = ("form",)
+    __slots__ = ("form", "_meets")
 
     def __init__(self, form):
         if form.degree < 1:
@@ -327,6 +331,7 @@ class PlaneCurve:
             # factors of degree >= 2 are not looked for
             log.warning("degree-%d form trusted irreducible without a check", form.degree)
         self.form = form
+        self._meets = {}
 
     @property
     def degree(self):
@@ -343,12 +348,6 @@ class PlaneCurve:
 
     def contains(self, point):
         return not self.form.evaluate(point.coords)
-
-    def smooth_at(self, point):
-        """Whether the curve is smooth at a point on it: whether the chart
-        partials are not both zero.  The third partial then vanishes too, by
-        Euler's relation x . grad F(x) = deg F * F(x) = 0."""
-        return any(self.form.chart_partials(point.coords, point.chart()))
 
 
 def _has_linear_factor(form):
@@ -483,18 +482,13 @@ class ProjPoint:
 class Flag2:
     """A (curve, point) flag on the projective plane."""
 
-    __slots__ = ("curve", "point", "chart")
+    __slots__ = ("curve", "point")
 
-    def __init__(self, curve, point, chart=None):
+    def __init__(self, curve, point):
         if not curve.contains(point):
             raise DomainError("flag point is not on the flag curve")
-        if chart is None:
-            chart = point.chart()
-        if not point.coords[chart]:
-            raise DomainError("chart coordinate vanishes at the point")
         self.curve = curve
         self.point = point
-        self.chart = chart
 
     def __repr__(self):
         return "Flag(%r, %r)" % (self.curve, self.point)
@@ -621,7 +615,11 @@ def valuation_on_curve(func, curve, point, chart=None):
     I_x the order of F along the branch of the curve at its smooth point x
     (Fulton, *Algebraic Curves*, 3.3).  I_x is 0 off F, and 1 when the
     Jacobian minor of the two chart partials is nonzero (distinct tangents);
-    only a tangency or a singular point of F takes ``_branch_order``."""
+    only a tangency or a singular point of F takes ``_branch_order``.
+
+    The one smoothness check of a flag: the curve is smooth at x when its
+    chart partials are not both zero, the third partial then vanishing by
+    Euler's relation x . grad C(x) = deg C * C(x) = 0."""
     if isinstance(func, RestrictedFunction):
         if func.curve != curve:
             raise DomainError("function restricted to a different curve")
@@ -633,7 +631,7 @@ def valuation_on_curve(func, curve, point, chart=None):
         chart = point.chart()
     ca, cb = curve.form.chart_partials(point.coords, chart)
     if not (ca or cb):
-        raise DomainError("flag-curve singular at point")
+        raise DomainError("flag-curve singular at %r" % (point,))
     total = 0
     for F, e in func.powers.items():
         if F == curve:
@@ -679,7 +677,7 @@ def _branch_order(F, C, point, chart, swap):
 def flag_residue(symbol, flag):
     """Two-step residue of a K2 symbol along a (curve, point) flag."""
     tame = curve_tame_symbol(symbol, flag.curve)
-    return valuation_on_curve(tame, flag.curve, flag.point, flag.chart)
+    return valuation_on_curve(tame, flag.curve, flag.point)
 
 
 def parshin_point_reciprocity(symbol, point):
@@ -689,8 +687,6 @@ def parshin_point_reciprocity(symbol, point):
     for curve in symbol.support_curves():
         if not curve.contains(point):
             continue
-        if not curve.smooth_at(point):
-            raise DomainError("support curve singular at the point")
         total += flag_residue(symbol, Flag2(curve, point))
     return total
 
@@ -882,16 +878,14 @@ def _local_equation(divisor, aux):
     return FactoredFunction(aux.form.p, 1, powers)
 
 
-def _contributing_flags(D1, D2, ext_bound, points):
+def _contributing_flags(D1, D2, ext_bound):
     """Flags (C in supp D1, x in C meet supp D2), with the points deduped per
     curve, plus the set of all contributing points.
 
-    ``points`` maps (C, F, ext_bound) to ``curve_intersection_points(C, F,
-    ext_bound)``; a missing pair is computed and stored, and None starts an
-    empty memo.
+    C keeps ``curve_intersection_points(C, F, ext_bound)`` in its ``_meets``
+    under (F.form, ext_bound), so every intersection of the same curves finds
+    an ordered pair's points once; a computation that raises stores nothing.
     """
-    if points is None:
-        points = {}
     flags = []
     all_points = {}
     for C, _m in D1.items():
@@ -899,10 +893,10 @@ def _contributing_flags(D1, D2, ext_bound, points):
         for F, _n in D2.items():
             if C == F:
                 raise DomainError("improper intersection: shared component")
-            key = (C, F, ext_bound)
-            found = points.get(key)
+            key = (F.form, ext_bound)
+            found = C._meets.get(key)
             if found is None:
-                found = points[key] = curve_intersection_points(C, F, ext_bound)
+                found = C._meets[key] = curve_intersection_points(C, F, ext_bound)
             for pt in found:
                 pts[pt] = None
                 all_points[pt] = None
@@ -910,35 +904,26 @@ def _contributing_flags(D1, D2, ext_bound, points):
     return flags, list(all_points)
 
 
-def _smooth_flags(D1, D2, ext_bound, points):
-    """The characteristic, the flags of ``_contributing_flags`` with each
-    curve checked smooth at its points, and an auxiliary line that avoids
-    every contributing point and every component of D1 and D2."""
+def _flags_and_aux(D1, D2, ext_bound):
+    """The characteristic, the flags of ``_contributing_flags`` and an
+    auxiliary line that avoids every contributing point and every component
+    of D1 and D2."""
     p = _surface_char(D1, D2)
-    flags, contributing = _contributing_flags(D1, D2, ext_bound, points)
-    for C, pts in flags:
-        for pt in pts:
-            if not C.smooth_at(pt):
-                raise DomainError("flag-curve singular at %r" % (pt,))
+    flags, contributing = _contributing_flags(D1, D2, ext_bound)
     aux = choose_aux_line(p, contributing, exclude_forms={C.form for C, _ in D1.items()}
                           | {C.form for C, _ in D2.items()})
     return p, flags, aux
 
 
-def intersection_number(D1, D2, ext_bound=DEFAULT_EXT_BOUND, points=None):
+def intersection_number(D1, D2, ext_bound=DEFAULT_EXT_BOUND):
     """The adelic intersection number -sum [k(x):k] nu_{XCx}{s1^-1, s2^-1}.
 
     s1 and s2 are single degree-zero ratios per divisor with poles on an
     auxiliary line chosen to avoid every contributing point; the flag sum
     runs over the curves of D1 and their intersection points with D2, the
     flags where the symbol has nontrivial residue.
-
-    ``points`` is the memo of intersection points keyed by (C, F,
-    ext_bound), C in supp D1 and F in supp D2; pass one dict to every
-    intersection of the same divisors and each ordered curve pair's points
-    are found once.  None computes them afresh.
     """
-    _, flags, aux = _smooth_flags(D1, D2, ext_bound, points)
+    _, flags, aux = _flags_and_aux(D1, D2, ext_bound)
     s1 = _local_equation(D1, aux)
     s2 = _local_equation(D2, aux)
     symbol = SurfaceSymbol.pair(s1.inverse(), s2.inverse())
@@ -961,14 +946,14 @@ def bezout_number(D1, D2):
     return D1.degree * D2.degree
 
 
-def fulton_intersection_cycle(D1, D2, ext_bound=DEFAULT_EXT_BOUND, points=None):
+def fulton_intersection_cycle(D1, D2, ext_bound=DEFAULT_EXT_BOUND):
     """Point-by-point Fulton multiplicities I_x(D1, D2) as an oracle cycle.
 
-    ``points`` is the intersection-point memo of ``intersection_number``.
-    Only the points are shared: the multiplicities are computed here, apart
-    from the flag residues they check.
+    Only the intersection points are shared with ``intersection_number``:
+    the multiplicities are computed here, apart from the flag residues they
+    check.
     """
-    _, contributing = _contributing_flags(D1, D2, ext_bound, points)
+    _, contributing = _contributing_flags(D1, D2, ext_bound)
     cycle = {}
     for pt in contributing:
         chart = pt.chart()
@@ -990,16 +975,15 @@ def fulton_intersection_cycle(D1, D2, ext_bound=DEFAULT_EXT_BOUND, points=None):
     return cycle
 
 
-def surface_product_cycle(D1, D2, ext_bound=DEFAULT_EXT_BOUND, points=None):
+def surface_product_cycle(D1, D2, ext_bound=DEFAULT_EXT_BOUND):
     """The zero-cycle nu_X([D1].[D2]) of the flag-wise product of the two
     divisor 1-cocycles with per-flag local equations (tail 1 outside the
     supports), as a finite map point -> integer.
 
     Its multiplicity at x matches the Fulton local multiplicity up to the
     audited global sign, and its degree equals intersection_number(D1, D2).
-    ``points`` is the intersection-point memo of ``intersection_number``.
     """
-    p, flags, aux = _smooth_flags(D1, D2, ext_bound, points)
+    p, flags, aux = _flags_and_aux(D1, D2, ext_bound)
     cycle = {}
     for C, pts in flags:
         # front component of the flag (X, C, x): the local equation of D1 at

@@ -601,6 +601,27 @@ def test_intersect_rejects_a_shared_line_pair_up_front(tmp_path, capsys):
     _assert_domain_error(tmp_path, capsys, doc, "improper intersection: common line component")
 
 
+NODAL_CUBIC = [[0, 2, 1, 1], [3, 0, 0, -1], [2, 0, 1, -1]]  # X1^2*X2 - X0^3 - X0^2*X2
+
+
+def test_intersect_on_a_singular_flag_curve(tmp_path, capsys):
+    # the nodal cubic meets X0 = 0 at its node (0:0:1), to order 2, and at
+    # (0:1:0); flags run along divisor1, so only the cubic as divisor1 puts
+    # a flag at the node
+    line = [{"form": [[1, 0, 0, 1]], "multiplicity": 1}]
+    cubic = [{"form": NODAL_CUBIC, "multiplicity": 1}]
+    doc = {"field": {"p": 7}, "task": "intersect", "divisor1": cubic, "divisor2": line}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error [domain]: flag-curve singular at (0:0:1)\n"
+    rep = run_config(dict(doc, divisor1=line, divisor2=cubic))
+    assert rep["result"]["intersection_number"] == "3"
+    assert rep["oracle"]["oracles"] == "match"
+
+
 # ---------------------------------------------------------------------------
 # CLI fuzz: mutated configs exit cleanly
 

@@ -1,8 +1,9 @@
 import ast
+import gc
+import inspect
 import json
 import math
 import time
-from collections import Counter
 from itertools import chain
 from pathlib import Path
 from random import Random
@@ -713,17 +714,32 @@ def test_dense_quintic_intersect_matches_oracles():
 # the intersection-point memo
 
 
-def test_intersect_finds_each_pair_once(monkeypatch):
-    # two components on each side: intersection_number, the product cycle
-    # and the Fulton oracle together ask for each of the four ordered pairs
-    calls = Counter()
+_MEMO_FUNCS = (intersection_number, surface_product_cycle, fulton_intersection_cycle)
+
+
+def _fresh(D):
+    """An equal divisor on newly built curves, with nothing memoized."""
+    return SurfaceDivisor({PlaneCurve(C.form): m for C, m in D.items()})
+
+
+def _counting_points(monkeypatch):
+    """Wrap the point finder; the returned list collects (C, F, ext_bound)
+    per computation."""
+    calls = []
     real = surface.curve_intersection_points
 
-    def counting(C, F, ext_bound=6):
-        calls[(C, F)] += 1
+    def counting(C, F, ext_bound):
+        calls.append((C.form, F.form, ext_bound))
         return real(C, F, ext_bound)
 
     monkeypatch.setattr(surface, "curve_intersection_points", counting)
+    return calls
+
+
+def test_intersect_finds_each_pair_once(monkeypatch):
+    # two components on each side: intersection_number, the product cycle
+    # and the Fulton oracle together ask for each of the four ordered pairs
+    calls = _counting_points(monkeypatch)
     doc = {
         "field": {"p": P},
         "task": "intersect",
@@ -738,7 +754,7 @@ def test_intersect_finds_each_pair_once(monkeypatch):
     }
     rep = run_config(doc)
     assert rep["oracle"]["oracles"] == "match"
-    assert len(calls) == 4 and set(calls.values()) == {1}
+    assert len(calls) == len(set(calls)) == 4
 
 
 @st.composite
@@ -778,14 +794,63 @@ _C2 = PlaneCurve(HomForm(P, {(2, 0, 0): 1, (0, 1, 1): 1, (0, 0, 2): -2}))
 @example(SurfaceDivisor({_C1: 1}), SurfaceDivisor({_C2: 1}), 8)  # one point of degree 4
 def test_shared_points_memo_matches_fresh(D1, D2, ext_bound):
     assume(not any(D2.multiplicity(C) for C in D1.support()))
-    funcs = (intersection_number, surface_product_cycle, fulton_intersection_cycle)
-    fresh = [_outcome(f, D1, D2, ext_bound) for f in funcs]
-    points = {}
-    shared = [_outcome(f, D1, D2, ext_bound, points) for f in funcs]
-    assert shared == fresh
-    for (C, F, bound), found in points.items():
-        assert bound == ext_bound and D1.multiplicity(C) and D2.multiplicity(F)
-        assert found == curve_intersection_points(C, F, ext_bound)
+    fresh = [_outcome(f, _fresh(D1), _fresh(D2), ext_bound) for f in _MEMO_FUNCS]
+    filling = [_outcome(f, D1, D2, ext_bound) for f in _MEMO_FUNCS]
+    filled = [_outcome(f, D1, D2, ext_bound) for f in _MEMO_FUNCS]
+    assert filling == fresh and filled == fresh
+    for C in D1.support():
+        for (form, bound), found in C._meets.items():
+            assert found == curve_intersection_points(C, PlaneCurve(form), bound)
+
+
+def test_memo_stores_nothing_when_a_point_exceeds_the_bound(monkeypatch):
+    calls = _counting_points(monkeypatch)
+    C1, C2 = PlaneCurve(_C1.form), PlaneCurve(_C2.form)
+    D1, D2 = SurfaceDivisor({C1: 1}), SurfaceDivisor({C2: 1})
+    for f in _MEMO_FUNCS:
+        with pytest.raises(DomainError, match="degree 4 exceeds the bound 3"):
+            f(D1, D2, 3)
+    assert len(calls) == 3 and C1._meets == {}
+
+
+def test_memo_is_kept_per_bound(monkeypatch):
+    C1, C2 = PlaneCurve(_C1.form), PlaneCurve(_C2.form)
+    D1, D2 = SurfaceDivisor({C1: 1}), SurfaceDivisor({C2: 1})
+    assert intersection_number(D1, D2, 8) == 4
+    assert list(C1._meets) == [(C2.form, 8)]
+    calls = _counting_points(monkeypatch)
+    with pytest.raises(DomainError, match="exceeds the bound 3"):
+        intersection_number(D1, D2, 3)
+    assert calls == [(C1.form, C2.form, 3)]
+
+
+def test_memo_leaves_no_cyclic_garbage():
+    # keys and values hold forms and points, never a curve, so reference
+    # counting frees every curve of a run without the cycle collector
+    doc = {
+        "field": {"p": P},
+        "task": "intersect",
+        "divisor1": [
+            {"form": [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 1]], "multiplicity": 2},
+            {"form": [[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, -1]], "multiplicity": 1},
+        ],
+        "divisor2": [{"form": [[0, 2, 1, 1], [3, 0, 0, -1], [1, 0, 2, -1]], "multiplicity": 1}],
+    }
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_config(doc)["oracle"]["oracles"] == "match"
+        gc.collect()
+        kept = [obj for obj in gc.garbage if isinstance(obj, (PlaneCurve, ProjPoint))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert kept == []
+
+
+def test_intersections_take_no_points_argument():
+    for f in _MEMO_FUNCS:
+        assert list(inspect.signature(f).parameters) == ["D1", "D2", "ext_bound"]
 
 
 # ---------------------------------------------------------------------------
@@ -992,10 +1057,10 @@ def test_valuation_on_curve_matches_fulton(case, data):
     func = FactoredFunction(C.form.p, 1, {F: eF, L: eL})
     for pt in points:
         chart = data.draw(st.sampled_from([i for i in range(3) if pt.coords[i]]))
-        assert C.smooth_at(pt) == _smooth_at_reference(C.form, pt)
-        if not C.smooth_at(pt):
-            with pytest.raises(DomainError, match="singular"):
+        if not _smooth_at_reference(C.form, pt):
+            with pytest.raises(DomainError) as exc:
                 valuation_on_curve(func, C, pt, chart)
+            assert str(exc.value) == "flag-curve singular at %r" % (pt,)
             continue
         expected = _fulton_valuation(func, C, pt, chart)
         if not math.isfinite(expected):  # a shared component
