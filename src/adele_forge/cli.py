@@ -19,7 +19,7 @@ from .curves import (
     Place,
 )
 from .errors import AdeleForgeError, DomainError, SchemaError
-from .fields import DEFAULT_EXT_BOUND, FieldSpec, Polynomial, RationalFunction
+from .fields import DEFAULT_EXT_BOUND, FieldSpec, Polynomial
 from .milnor import MilnorSymbol, tame_symbol, weil_reciprocity_check
 from .pairing import massey_triple_curve, sign_audit, weil_pairing_idelic, weil_pairing_miller
 from .selfcheck import run_selfcheck
@@ -119,16 +119,16 @@ def _parse_function(doc, curve):
     den = Polynomial.from_ints(curve.spec, _int_list(doc.get("den", [1]), "function.den"))
     if not den:
         raise SchemaError("function denominator is zero")
-    fx = RationalFunction(num, den)
     if curve.kind == "p1":
         if "ynum" in doc or "yden" in doc:
             raise SchemaError("no y component on the projective line")
-        return FunctionFieldElement(curve, fx)
+        return FunctionFieldElement(curve, num, None, den)
     ynum = Polynomial.from_ints(curve.spec, _int_list(doc.get("ynum", [0]), "function.ynum"))
     yden = Polynomial.from_ints(curve.spec, _int_list(doc.get("yden", [1]), "function.yden"))
     if not yden:
         raise SchemaError("function y-denominator is zero")
-    return FunctionFieldElement(curve, fx, RationalFunction(ynum, yden))
+    # num/den + (ynum/yden)*y over the common denominator den*yden
+    return FunctionFieldElement(curve, num * yden, ynum * den, den * yden)
 
 
 def _parse_symbol(entries, curve):

@@ -16,7 +16,6 @@ from .fields import (
     DEFAULT_EXT_BOUND,
     FieldElement,
     Polynomial,
-    RationalFunction,
     canonical_field,
     factor_polynomial,
     field_sqrt,
@@ -333,33 +332,51 @@ class Divisor:
         return " + ".join("%d*%r" % (m, v) for v, m in self.items())
 
 
+def _reduce(spec, a, b, c):
+    """The reduced triple of (a + b*y)/c: gcd(a, b, c) divided out and c
+    made monic, (0, 0, 1) for the zero function."""
+    if not c:
+        raise DomainError("zero denominator")
+    if not a and not b:
+        return a, b, Polynomial.one(spec)
+    if c.degree > 0:
+        g = poly_gcd(c, a)
+        if b and g.degree > 0:
+            g = poly_gcd(g, b)
+        if g.degree > 0:
+            a, b, c = a.exact_div(g), b.exact_div(g), c.exact_div(g)
+    lc = c.lc()
+    if lc != spec.one():
+        inv = lc.inverse()
+        a, b, c = a.scale(inv), b.scale(inv), c.scale(inv)
+    return a, b, c
+
+
 class FunctionFieldElement:
     """An element f = (A + B*y)/C of k(P^1) or k(E), stored as one reduced
     triple abc = (A, B, C) of polynomials in x: gcd(A, B, C) = 1, C monic,
     and B = 0 on the projective line, whose coordinate t is x.  The reduced
     triple of f is unique, so == and hash compare values.
 
-    The constructor takes f = a(x) + b(x)*y as two rational functions, and
-    ``fx`` reads a(x) back.
+    The constructor takes f = (a + b*y)/c as any triple of polynomials over
+    the curve's base field with c != 0 (b = 0 and c = 1 when absent) and
+    reduces it.
     """
 
     __slots__ = ("curve", "abc")
 
-    def __init__(self, curve, fx, fy=None):
-        if fy is not None and curve.kind == "p1":
+    def __init__(self, curve, a, b=None, c=None):
+        spec = curve.spec
+        if b is None:
+            b = Polynomial.zero(spec)
+        elif b and curve.kind == "p1":
             raise DomainError("no y component on the projective line")
-        a, c = fx.num, fx.den
-        if not fy:
-            b = Polynomial.zero(curve.spec)
-        elif fy.den == c:
-            b = fy.num
-        else:
-            # over C = lcm(den a, den b) the triple is already reduced
-            g = poly_gcd(c, fy.den)
-            ca = fy.den.exact_div(g)
-            a, b, c = a * ca, fy.num * c.exact_div(g), c * ca
+        if c is None:
+            c = Polynomial.one(spec)
+        if a.spec != spec or b.spec != spec or c.spec != spec:
+            raise DomainError("function coefficients outside the curve's base field")
         self.curve = curve
-        self.abc = (a, b, c)
+        self.abc = _reduce(spec, a, b, c)
 
     @classmethod
     def _raw(cls, curve, a, b, c):
@@ -371,21 +388,8 @@ class FunctionFieldElement:
 
     @classmethod
     def _reduced(cls, curve, a, b, c):
-        """(a + b*y)/c for any c != 0: divides out gcd(a, b, c) and makes c
-        monic."""
-        if not a and not b:
-            return cls.zero(curve)
-        if c.degree > 0:
-            g = poly_gcd(c, a)
-            if b and g.degree > 0:
-                g = poly_gcd(g, b)
-            if g.degree > 0:
-                a, b, c = a.exact_div(g), b.exact_div(g), c.exact_div(g)
-        lc = c.lc()
-        if lc != curve.spec.one():
-            inv = lc.inverse()
-            a, b, c = a.scale(inv), b.scale(inv), c.scale(inv)
-        return cls._raw(curve, a, b, c)
+        """(a + b*y)/c for any c != 0, from polynomials of the base field."""
+        return cls._raw(curve, *_reduce(curve.spec, a, b, c))
 
     @classmethod
     def constant(cls, curve, c):
@@ -413,12 +417,6 @@ class FunctionFieldElement:
             raise DomainError("y lives on the elliptic model")
         spec = curve.spec
         return cls._raw(curve, Polynomial.zero(spec), Polynomial.one(spec), Polynomial.one(spec))
-
-    @property
-    def fx(self):
-        """a(x) in f = a(x) + b(x)*y, as a rational function."""
-        a, _, c = self.abc
-        return RationalFunction(a, c)
 
     def is_constant(self):
         a, b, c = self.abc
@@ -1020,7 +1018,7 @@ def riemann_roch_expansions(D, place, prec, ext_bound=DEFAULT_EXT_BOUND):
         if not parts:
             return []
         num_fixed, den, top = parts
-        g = FunctionFieldElement(curve, RationalFunction._raw(num_fixed, den))
+        g = FunctionFieldElement._raw(curve, num_fixed, Polynomial.zero(curve.spec), den)
         ser = expand_at(g, place, prec + top)
         return [ser.shift(-j).truncate(prec) for j in range(top + 1)]
     parts = _rr_parts_elliptic(D, ext_bound)
@@ -1035,7 +1033,7 @@ def riemann_roch_expansions(D, place, prec, ext_bound=DEFAULT_EXT_BOUND):
     if not shift:
         return combos
     # a combination has valuation >= -bound at O, or is zero below prec - shift
-    inv = FunctionFieldElement(curve, RationalFunction._raw(Polynomial.one(curve.spec), mult))
+    inv = FunctionFieldElement(curve, Polynomial.one(curve.spec), None, mult)
     inv_ser = expand_at(inv, place, max(prec + bound, shift))
     out = [(g * inv_ser).truncate(prec) for g in combos]
     assert all(ser.prec == prec for ser in out)
@@ -1044,7 +1042,11 @@ def riemann_roch_expansions(D, place, prec, ext_bound=DEFAULT_EXT_BOUND):
 
 def _rr_parts_p1(D):
     """(num_fixed, den, top) with L(D) spanned by x^j * num_fixed/den for
-    j = 0..top (num_fixed/den in canonical form), or None when L(D) = 0."""
+    j = 0..top, or None when L(D) = 0.
+
+    num_fixed and den are products of powers of the monic irreducibles of
+    distinct places, so they are monic and coprime: num_fixed/den is reduced
+    as it stands."""
     spec = D.curve.spec
     if D.degree < 0:
         return None
@@ -1058,8 +1060,7 @@ def _rr_parts_p1(D):
             den = den * place.data**m
         else:
             num_fixed = num_fixed * place.data ** (-m)
-    base = RationalFunction(num_fixed, den)
-    return base.num, base.den, den.degree + d_inf - num_fixed.degree
+    return num_fixed, den, den.degree + d_inf - num_fixed.degree
 
 
 def _rr_basis_p1(curve, parts):
@@ -1071,12 +1072,12 @@ def _rr_basis_p1(curve, parts):
     e = 0
     while not den.vec[e]:
         e += 1
+    zero = Polynomial.zero(spec)
     basis = []
     for j in range(top + 1):
         c = min(j, e)
         num = Polynomial._raw(spec, [0] * (j - c) + num_fixed.vec)
-        rf = RationalFunction._raw(num, Polynomial._raw(spec, den.vec[c:]))
-        basis.append(FunctionFieldElement(curve, rf))
+        basis.append(FunctionFieldElement._raw(curve, num, zero, Polynomial._raw(spec, den.vec[c:])))
     return basis
 
 
@@ -1099,7 +1100,7 @@ def _rr_parts_elliptic(D, ext_bound):
         if place.kind == "ec-affine" and m > 0:
             mult = mult * x_minimal_poly(place) ** m
     if mult.degree > 0:
-        D2 = D - principal_divisor(FunctionFieldElement(curve, RationalFunction(mult)), ext_bound)
+        D2 = D - principal_divisor(FunctionFieldElement(curve, mult), ext_bound)
     else:
         D2 = D
     bound = D2.multiplicity(Place.origin(curve))
@@ -1137,7 +1138,7 @@ def _rr_basis_elliptic(curve, parts):
         for c, (i, j) in zip(vec, exponents):
             (b if j else a)[i] = c
         a, b = Polynomial.from_ints(spec, a), Polynomial.from_ints(spec, b)
-        basis.append(FunctionFieldElement._reduced(curve, a, b, mult))
+        basis.append(FunctionFieldElement(curve, a, b, mult))
     return basis
 
 

@@ -1,5 +1,5 @@
 """Exact arithmetic over GF(p) and GF(p^k), univariate polynomials over such
-fields, polynomial factorization, and rational functions in canonical form.
+fields, and polynomial factorization.
 
 Extension fields are realized as GF(p)[x]/(modulus); elements carry their
 FieldSpec and coefficient vector.  A polynomial stores one flat list of GF(p)
@@ -96,7 +96,7 @@ class FieldSpec:
                 mod.pop()
             if len(mod) != k + 1 or mod[-1] != 1:
                 raise DomainError("modulus must be monic of degree %d" % k)
-            if not _irreducible_int_poly(mod, p):
+            if not Polynomial.from_ints(prime_field(p), mod).is_irreducible():
                 raise DomainError("modulus is reducible over GF(%d)" % p)
             self.modulus = tuple(mod)
             cols = [K.poly_powmod([0, 1], p * j, mod, p) for j in range(k)]
@@ -172,21 +172,6 @@ class FieldSpec:
         return self._elt(tuple(vals))
 
 
-def _irreducible_int_poly(mod, p):
-    """Exhaustive small-degree factor search: sweep every factor degree
-    d <= k//2 at once through gcd with x^(p^d) - x."""
-    k = len(mod) - 1
-    if k == 1:
-        return True
-    h = [0, 1]
-    for _ in range(k // 2):
-        h = K.poly_powmod(h, p, mod, p)
-        g = K.poly_gcd(K.poly_sub(h, [0, 1], p), mod, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def prime_field(p):
     return FieldSpec(p)
@@ -220,7 +205,7 @@ def canonical_field(p, k):
         return prime_field(p)
     for n in range(0 if _binomial_can_be_irreducible(p, k) else p, p**k):
         mod = [n // p**i % p for i in range(k)] + [1]
-        if _irreducible_int_poly(mod, p):
+        if Polynomial.from_ints(prime_field(p), mod).is_irreducible():
             return FieldSpec(p, k, mod)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -829,10 +814,7 @@ class Polynomial:
             raise DomainError("evaluation point in a different field")
         p, k, vec = spec.p, spec.k, self.vec
         if k == 1:
-            t, y = x.val[0], 0
-            for c in reversed(vec):
-                y = (y * t + c) % p
-            return spec._elt((y,))
+            return spec._elt((K.poly_eval(vec, x.val[0], p),))
         y = (0,) * k
         for i in range(len(vec) - k, -1, -k):
             y = tuple([(a + c) % p for a, c in zip(_mulmod(y, x.val, spec.modulus, p), vec[i : i + k])])
@@ -1099,77 +1081,3 @@ def root_in_field(g, field):
     if len(orbit) != d:
         raise DomainError("root_in_field needs an irreducible polynomial")
     return min((r for (r,) in orbit), key=lambda r: r.encoding())
-
-
-class RationalFunction:
-    """num/den in canonical form: coprime, den monic, den = 1 when num = 0.
-
-    This is a constructor format: the function field's elements are reduced
-    triples (``curves.FunctionFieldElement``), and a RationalFunction only
-    carries a numerator and denominator into them.  Its one operation is the
-    quotient of ``milnor.dlog_k1`` (with ``derivative``)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = Polynomial.one(num.spec)
-        if num.spec != den.spec:
-            raise DomainError("rational function field mismatch")
-        if not den:
-            raise DomainError("zero denominator")
-        if not num:
-            self.num = num
-            self.den = Polynomial.one(num.spec)
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lc = den.lc()
-        if lc != den.spec.one():
-            c = lc.inverse()
-            num = num.scale(c)
-            den = den.scale(c)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def _raw(cls, num, den):
-        """num/den already in canonical form (coprime, den monic)."""
-        rf = cls.__new__(cls)
-        rf.num = num
-        rf.den = den
-        return rf
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        if self.den.degree == 0:
-            return repr(self.num)
-        return "(%r)/(%r)" % (self.num, self.den)
-
-    def __truediv__(self, other):
-        if not other:
-            raise DomainError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def derivative(self):
-        n = self.num.derivative() * self.den - self.num * self.den.derivative()
-        return RationalFunction(n, self.den * self.den)
-
-
-def normalize_rational(num, den):
-    """Canonical rational function num/den (coprime, monic denominator)."""
-    return RationalFunction(num, den)

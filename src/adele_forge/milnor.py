@@ -174,7 +174,7 @@ def weil_reciprocity_check(symbol, ext_bound=DEFAULT_EXT_BOUND):
 
 
 class RationalOneForm:
-    """omega * dt on the projective line."""
+    """omega * dt on the projective line, omega a function on it."""
 
     __slots__ = ("curve", "omega")
 
@@ -201,7 +201,11 @@ def dlog_k1(f):
         raise DomainError("dlog is implemented on P^1")
     if not f:
         raise DomainError("dlog of zero undefined")
-    return RationalOneForm(f.curve, f.fx.derivative() / f.fx)
+    # f = a/c, so f'/f = (a'c - ac')/(ac)
+    a, _, c = f.abc
+    return RationalOneForm(
+        f.curve, FunctionFieldElement(f.curve, a.derivative() * c - a * c.derivative(), None, a * c)
+    )
 
 
 def form_residue(form, place):
@@ -211,7 +215,7 @@ def form_residue(form, place):
         raise DomainError("place on a different curve")
     if not form.omega:
         return curve.spec.zero()
-    f = FunctionFieldElement(curve, form.omega)
+    f = form.omega
     if place.kind == "p1-finite":
         ser = expand_at(f, place, 0)
         return trace_to_prime_field(ser.coefficient(-1))
@@ -223,13 +227,12 @@ def form_residue(form, place):
 def dlog_pole_order_check(f):
     """Maximum pole order of dlog(f) over the places of P^1 (0 for constants)."""
     form = dlog_k1(f)
-    omega = form.omega
-    if not omega:
+    if not form.omega:
         return 0
+    num, _, den = form.omega.abc
     worst = 0
-    den = omega.den
     if den.degree > 0:
         _, factors = factor_polynomial(den)
         worst = max(mult for _, mult in factors)
-    pole_at_inf = 2 - (omega.den.degree - omega.num.degree)
+    pole_at_inf = 2 - (den.degree - num.degree)
     return max(worst, pole_at_inf, 0)

@@ -22,11 +22,9 @@ from .curves import (
 from .errors import AdeleForgeError
 from .fields import (
     Polynomial,
-    RationalFunction,
     canonical_field,
     factor_polynomial,
     norm_to_prime_field,
-    normalize_rational,
     prime_field,
 )
 from .milnor import (
@@ -70,14 +68,10 @@ def random_polynomial(spec, rng, max_deg, nonzero=False):
             return poly
 
 
-def random_rational(spec, rng, max_deg=3):
-    num = random_polynomial(spec, rng, max_deg, nonzero=True)
-    den = random_polynomial(spec, rng, max_deg, nonzero=True)
-    return RationalFunction(num, den)
-
-
 def random_p1_function(curve, rng, max_deg=3):
-    return FunctionFieldElement(curve, random_rational(curve.spec, rng, max_deg))
+    num = random_polynomial(curve.spec, rng, max_deg, nonzero=True)
+    den = random_polynomial(curve.spec, rng, max_deg, nonzero=True)
+    return FunctionFieldElement(curve, num, None, den)
 
 
 def random_elliptic_function(curve, rng, max_deg=2):
@@ -85,9 +79,7 @@ def random_elliptic_function(curve, rng, max_deg=2):
         a = random_polynomial(curve.spec, rng, max_deg)
         b = random_polynomial(curve.spec, rng, max_deg - 1)
         c = random_polynomial(curve.spec, rng, 1, nonzero=True)
-        f = FunctionFieldElement(
-            curve, RationalFunction(a, c), RationalFunction(b, c)
-        )
+        f = FunctionFieldElement(curve, a, b, c)
         if f:
             return f
 
@@ -168,11 +160,11 @@ def check_norm_multiplicativity():
 
 def check_normalize_idempotent():
     rng = Random(104)
-    spec = prime_field(7)
+    curve = CurveModel.projective_line(prime_field(7))
     for _ in range(20):
-        r = random_rational(spec, rng)
-        again = normalize_rational(r.num, r.den)
-        if again != r:
+        f = random_p1_function(curve, rng)
+        again = FunctionFieldElement(curve, *f.abc)
+        if again != f:
             return False, "normalization not idempotent"
     return True, "normalize_rational idempotent"
 
@@ -469,7 +461,7 @@ def check_adelic_structure():
     F5 = prime_field(5)
     curve = CurveModel.projective_line(F5)
     rng = Random(114)
-    t = FunctionFieldElement(curve, RationalFunction(Polynomial.x(F5)))
+    t = FunctionFieldElement.x_function(curve)
     v = Place.finite(curve, Polynomial.x(F5))
     D = Divisor(curve, {v: 1})
     one = FunctionFieldElement.one(curve)

@@ -23,7 +23,7 @@ from adele_forge.curves import (
     valuation,
 )
 from adele_forge.errors import DomainError
-from adele_forge.fields import Polynomial, RationalFunction, prime_field
+from adele_forge.fields import Polynomial, prime_field
 from adele_forge.milnor import tame_symbol
 
 F5 = prime_field(5)
@@ -33,7 +33,7 @@ P17 = CurveModel.projective_line(F7)
 
 
 def t_of(curve):
-    return FunctionFieldElement(curve, RationalFunction(Polynomial.x(curve.spec)))
+    return FunctionFieldElement(curve, Polynomial.x(curve.spec))
 
 
 def test_differential_examples():

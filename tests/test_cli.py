@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adele_forge
+from adele_forge import adelic
 from adele_forge.cli import main, run_config
 from adele_forge.errors import DomainError, SchemaError
 from adele_forge.surface import HomForm, _has_linear_factor
@@ -473,6 +474,22 @@ def test_rr_table_stabilization_cap_is_a_domain_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error [domain]: ")
     assert "degree -5000" in captured.err and "4096" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_rr_table_reports_a_riemann_roch_mismatch(tmp_path, capsys, monkeypatch):
+    # an h1 one too large breaks h0 - h1 = deg + 1 - g on every row: the
+    # report says MISMATCH and the run exits 1, instead of raising
+    h1_estimate = adelic._h1_estimate
+    monkeypatch.setattr(adelic, "_h1_estimate", lambda *args: h1_estimate(*args) + 1)
+    cfg = tmp_path / "rr.json"
+    cfg.write_text(json.dumps(dict(RR_DOC, degrees=[-1, 2])))
+    out = tmp_path / "report.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["oracle"]["riemann_roch_closed_form"] == "MISMATCH"
+    assert [row["riemann_roch"] for row in report["result"]["table"]] == ["MISMATCH"] * 4
+    captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
 
 

@@ -30,7 +30,6 @@ from adele_forge.curves import _places_above_x_factor
 from adele_forge.errors import DomainError
 from adele_forge.fields import (
     Polynomial,
-    RationalFunction,
     canonical_field,
     factor_polynomial,
     field_sqrt,
@@ -46,7 +45,7 @@ P15 = CurveModel.projective_line(F5)
 
 
 def t_of(curve):
-    return FunctionFieldElement(curve, RationalFunction(Polynomial.x(curve.spec)))
+    return FunctionFieldElement(curve, Polynomial.x(curve.spec))
 
 
 def rand_p1(curve, rng, deg=3):
@@ -55,7 +54,7 @@ def rand_p1(curve, rng, deg=3):
         num = Polynomial.from_ints(spec, [rng.randrange(spec.p) for _ in range(deg + 1)])
         den = Polynomial.from_ints(spec, [rng.randrange(spec.p) for _ in range(deg + 1)])
         if num and den:
-            return FunctionFieldElement(curve, RationalFunction(num, den))
+            return FunctionFieldElement(curve, num, None, den)
 
 
 def rand_elliptic(curve, rng, deg=2):
@@ -66,7 +65,7 @@ def rand_elliptic(curve, rng, deg=2):
         c = Polynomial.from_ints(spec, [rng.randrange(spec.p) for _ in range(2)])
         if not c:
             c = Polynomial.one(spec)
-        f = FunctionFieldElement(curve, RationalFunction(a, c), RationalFunction(b, c))
+        f = FunctionFieldElement(curve, a, b, c)
         if f:
             return f
 
@@ -370,7 +369,7 @@ def test_elliptic_over_gf3():
 def test_p1_over_gf2():
     F2 = prime_field(2)
     P12 = CurveModel.projective_line(F2)
-    t = FunctionFieldElement(P12, RationalFunction(Polynomial.x(F2)))
+    t = FunctionFieldElement(P12, Polynomial.x(F2))
     f = t * t + t + 1  # irreducible numerator
     D = principal_divisor(f)
     assert D.degree == 0
@@ -406,7 +405,7 @@ def _elliptic_places():
     # affine places of degree 1 (one of them 2-torsion, where y is the local
     # parameter) and of degree 2 on y^2 = x^3 - x over GF(5)
     E = CurveModel.elliptic(F5, -1, 0)
-    g = FunctionFieldElement(E, RationalFunction(Polynomial.from_ints(F5, [2, 1, 1])))
+    g = FunctionFieldElement(E, Polynomial.from_ints(F5, [2, 1, 1]))
     deg2 = [v for v, _ in principal_divisor(g).items() if v.residue_degree == 2]
     two_torsion = Place.affine_orbit(E, F5.element(0), F5.element(0))
     points = [Place.rational_point(E, P) for P in rational_points(E)[1:] if P[1]]
@@ -574,11 +573,21 @@ def _curves(draw):
     return CurveModel.elliptic(spec, a, b)
 
 
-class _Rat(RationalFunction):
-    """The reference for function-field arithmetic: field operations on
-    canonical num/den pairs, which RationalFunction itself does not carry."""
+class _Rat:
+    """The reference for function-field arithmetic: fractions num/den of
+    polynomials, never reduced; two fractions are equal when their
+    cross-products are."""
 
-    __slots__ = ()
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        self.num = num
+        self.den = Polynomial.one(num.spec) if den is None else den
+
+    def __eq__(self, other):
+        return self.num * other.den == other.num * self.den
+
+    __hash__ = None
 
     def __add__(self, other):
         return _Rat(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -593,7 +602,8 @@ class _Rat(RationalFunction):
         return _Rat(self.num * other.num, self.den * other.den)
 
     def inverse(self):
-        return _Rat(self.den, self.num)  # DomainError for zero
+        assert self.num, "inverting the zero fraction"
+        return _Rat(self.den, self.num)
 
 
 @st.composite
@@ -637,8 +647,10 @@ def _ref_pow(curve, f, e):
 
 
 def _element(curve, pair):
+    """(a + b*y) as the unreduced triple over the common denominator; b is
+    the zero fraction on P^1."""
     a, b = pair
-    return FunctionFieldElement(curve, a, None if curve.kind == "p1" else b)
+    return FunctionFieldElement(curve, a.num * b.den, b.num * a.den, a.den * b.den)
 
 
 def _assert_reduced(f):
@@ -671,15 +683,73 @@ def test_function_arithmetic_matches_rational_pairs(data):
     for got, (a, b) in cases:
         _assert_reduced(got)
         A, B, C = got.abc
-        assert (RationalFunction(A, C), RationalFunction(B, C)) == (a, b)
+        assert _Rat(A, C) == a and _Rat(B, C) == b
         # the same value built another way: equal, with an equal hash
         want = _element(curve, (a, b))
         assert got == want and hash(got) == hash(want)
     _assert_reduced(f)
     _assert_reduced(g)
-    assert f.fx == fr[0] and g.fx == gr[0]
+    for h, (a, b) in ((f, fr), (g, gr)):
+        A, B, C = h.abc
+        assert _Rat(A, C) == a and _Rat(B, C) == b
     assert f * g == g * f and hash(f * g) == hash(g * f)
     assert f + g == g + f and hash(f + g) == hash(g + f)
+
+
+def test_constructor_reduces_examples():
+    x = Polynomial.x(F5)
+    # (x^2 - 1)/(x - 1) = x + 1
+    f = FunctionFieldElement(P15, Polynomial.from_ints(F5, [4, 0, 1]), None, Polynomial.from_ints(F5, [4, 1]))
+    assert f.abc == (Polynomial.from_ints(F5, [1, 1]), Polynomial.zero(F5), Polynomial.one(F5))
+    f = FunctionFieldElement(P15, Polynomial.zero(F5), None, x)
+    assert not f and f.abc == (Polynomial.zero(F5), Polynomial.zero(F5), Polynomial.one(F5))
+    # 2x/4 = 3x over GF(5)
+    f = FunctionFieldElement(P15, Polynomial.from_ints(F5, [0, 2]), None, Polynomial.from_ints(F5, [4]))
+    assert f == FunctionFieldElement(P15, Polynomial.from_ints(F5, [0, 3]))
+    with pytest.raises(DomainError):
+        FunctionFieldElement(P15, Polynomial.one(F5), None, Polynomial.zero(F5))
+
+
+def test_constructor_idempotent_randomized():
+    rng = Random(5)
+    P17 = CurveModel.projective_line(F7)
+    for _ in range(25):
+        num = Polynomial.from_ints(F7, [rng.randrange(7) for _ in range(4)])
+        den = Polynomial.from_ints(F7, [rng.randrange(7) for _ in range(4)])
+        if not den:
+            continue
+        f = FunctionFieldElement(P17, num, None, den)
+        assert FunctionFieldElement(P17, *f.abc) == f
+        assert f.abc[2].lc() == F7.one()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_constructor_reduces_unreduced_triples(data):
+    curve = data.draw(_curves())
+    spec = curve.spec
+    coeffs = st.lists(st.integers(0, spec.p - 1), max_size=4)
+    a = Polynomial.from_ints(spec, data.draw(coeffs))
+    b = Polynomial.from_ints(spec, data.draw(coeffs)) if curve.kind == "elliptic" else Polynomial.zero(spec)
+    c = Polynomial.from_ints(spec, data.draw(coeffs.filter(any)))
+    # a common factor g and a unit u, which leaves c non-monic
+    g = Polynomial.from_ints(spec, data.draw(coeffs.filter(any)))
+    u = spec.element(data.draw(st.integers(1, spec.p - 1)))
+    a, b, c = (h.scale(u) * g for h in (a, b, c))
+    f = FunctionFieldElement(curve, a, b, c)
+    _assert_reduced(f)
+    want = FunctionFieldElement(curve, a)
+    if curve.kind == "elliptic":
+        want = want + FunctionFieldElement(curve, b) * FunctionFieldElement.y_function(curve)
+    want = want / FunctionFieldElement(curve, c)
+    assert f == want and hash(f) == hash(want)
+    assert FunctionFieldElement(curve, *f.abc).abc == f.abc
+    if curve.kind == "p1":
+        assert FunctionFieldElement(curve, a, None, c) == f  # the zero b above was accepted
+        with pytest.raises(DomainError):
+            FunctionFieldElement(curve, a, Polynomial.one(spec), c)
+    with pytest.raises(DomainError):
+        FunctionFieldElement(curve, a, b, Polynomial.zero(spec))
 
 
 # ---------------------------------------------------------------------------

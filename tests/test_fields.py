@@ -9,7 +9,6 @@ from adele_forge.errors import DomainError
 from adele_forge.fields import (
     FieldSpec,
     Polynomial,
-    RationalFunction,
     _inverse,
     _mul,
     canonical_field,
@@ -18,7 +17,6 @@ from adele_forge.fields import (
     frobenius_orbit,
     is_prime,
     norm_to_prime_field,
-    normalize_rational,
     poly_gcd,
     poly_roots,
     prime_field,
@@ -269,28 +267,6 @@ def test_root_in_field_rejects_what_does_not_split():
     F25 = canonical_field(5, 2)
     r = F25.gen() + F25.one()
     assert root_in_field(Polynomial.from_elements(F25, [-r * 3, F25.element(3)]), F25) == r
-
-
-def test_normalize_rational_examples():
-    r = normalize_rational(Polynomial.from_ints(F5, [4, 0, 1]), Polynomial.from_ints(F5, [4, 1]))
-    assert r == RationalFunction(Polynomial.from_ints(F5, [1, 1]))
-    assert not normalize_rational(Polynomial.zero(F5), Polynomial.x(F5))
-    r = normalize_rational(Polynomial.from_ints(F5, [0, 2]), Polynomial.from_ints(F5, [4]))
-    assert r == RationalFunction(Polynomial.from_ints(F5, [0, 3]))
-    with pytest.raises(DomainError):
-        normalize_rational(Polynomial.one(F5), Polynomial.zero(F5))
-
-
-def test_normalize_idempotent_randomized():
-    rng = Random(5)
-    for _ in range(25):
-        num = Polynomial.from_ints(F7, [rng.randrange(7) for _ in range(4)])
-        den = Polynomial.from_ints(F7, [rng.randrange(7) for _ in range(4)])
-        if not den:
-            continue
-        r = normalize_rational(num, den)
-        assert normalize_rational(r.num, r.den) == r
-        assert r.den.lc() == F7.one()
 
 
 def test_canonical_field_deterministic():

@@ -28,7 +28,6 @@ from adele_forge.errors import DomainError
 from adele_forge.linalg import kernel_basis
 from adele_forge.fields import (
     Polynomial,
-    RationalFunction,
     canonical_field,
     factor_polynomial,
     field_sqrt,
@@ -176,7 +175,7 @@ def _function(data, curve):
     b = _poly(data, spec, 2) if curve.kind == "elliptic" else None
     if not a and not b:
         a = Polynomial.one(spec)
-    f = FunctionFieldElement(curve, RationalFunction(a, c), RationalFunction(b) if b else None)
+    f = FunctionFieldElement(curve, a, b * c if b else None, c)
     x = FunctionFieldElement.x_function(curve)
     j = data.draw(st.integers(-2, 3))
     return f * (x - data.draw(st.integers(0, spec.p - 1))) ** j
@@ -273,7 +272,7 @@ def test_leading_term_parameter_is_pi_at_higher_degree_places():
     curve = CurveModel.projective_line(F7)
     pi = Polynomial.from_ints(F7, [1, 0, 1])
     place = Place.finite(curve, pi)
-    f = FunctionFieldElement(curve, RationalFunction(pi * Polynomial.from_ints(F7, [3, 1])))
+    f = FunctionFieldElement(curve, pi * Polynomial.from_ints(F7, [3, 1]))
     field = place.residue_field()
     assert leading_term(f, place) == (1, field.element([3, 1]))
     # expand_at's parameter t - theta differs from pi = (t - theta)(t + theta)
@@ -414,7 +413,7 @@ def _affine_branch_functions(curve, place, poly):
     out = []
     for a, b, c in triples:
         if a or b:
-            out.append(FunctionFieldElement(curve, RationalFunction(a, c), RationalFunction(b, c)))
+            out.append(FunctionFieldElement(curve, a, b, c))
     return out
 
 
@@ -492,7 +491,7 @@ def test_leading_term_at_rational_points_matches_element_path(p, a, b):
         fs = _affine_branch_functions(curve, place, poly)
         for _ in range(8):
             c = poly(2) * Polynomial.x(spec) + Polynomial.one(spec)
-            f = FunctionFieldElement(curve, RationalFunction(poly(3), c), RationalFunction(poly(2), c))
+            f = FunctionFieldElement(curve, poly(3), poly(2), c)
             if f:
                 fs.append(f * (x - x0) ** rng.randrange(-1, 2))
         for f in fs:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from adele_forge import milnor
 from adele_forge.curves import CurveModel, FunctionFieldElement, Place, principal_divisor
 from adele_forge.errors import DomainError
-from adele_forge.fields import Polynomial, RationalFunction, prime_field
+from adele_forge.fields import Polynomial, prime_field
 from adele_forge.milnor import (
     GerstenCochain,
     MilnorSymbol,
@@ -31,7 +31,7 @@ P17 = CurveModel.projective_line(F7)
 
 
 def t_of(curve):
-    return FunctionFieldElement(curve, RationalFunction(Polynomial.x(curve.spec)))
+    return FunctionFieldElement(curve, Polynomial.x(curve.spec))
 
 
 def rand_fn(curve, rng, deg=3):
@@ -40,7 +40,7 @@ def rand_fn(curve, rng, deg=3):
         num = Polynomial.from_ints(spec, [rng.randrange(spec.p) for _ in range(deg + 1)])
         den = Polynomial.from_ints(spec, [rng.randrange(spec.p) for _ in range(deg + 1)])
         if num and den:
-            return FunctionFieldElement(curve, RationalFunction(num, den))
+            return FunctionFieldElement(curve, num, None, den)
 
 
 def test_tame_symbol_examples():
@@ -238,7 +238,7 @@ def test_elliptic_reciprocity_extension_places():
             c = Polynomial.from_ints(F5, [rng.randrange(5) for _ in range(2)])
             if not c:
                 c = Polynomial.one(F5)
-            f = FunctionFieldElement(E, RationalFunction(a, c), RationalFunction(b, c))
+            f = FunctionFieldElement(E, a, b, c)
             if f:
                 return f
 
