@@ -8,7 +8,6 @@ from . import signs
 from .curves import (
     Divisor,
     FunctionFieldElement,
-    Place,
     principal_divisor,
     riemann_roch_dimension,
     riemann_roch_expansions,
@@ -23,10 +22,6 @@ from .milnor import GerstenCochain, MilnorSymbol, symbol_support, tame_symbol
 # The largest auxiliary multiplicity m that cohomology_dims tries: on P^1 a
 # degree below -(STABILIZATION_CAP / 2 + 1) needs a larger one to stabilize.
 STABILIZATION_CAP = 4096
-
-
-def _one(curve):
-    return FunctionFieldElement.one(curve)
 
 
 class AdeleCochain:
@@ -145,7 +140,7 @@ def divisor_cocycle(D):
     for v, m in D.items():
         u = uniformizer(v)
         exc[v] = u ** (-m)
-    return AdeleCochain(curve, 1, ("k", 1), tail=_one(curve), exceptions=exc)
+    return AdeleCochain(curve, 1, ("k", 1), tail=FunctionFieldElement.one(curve), exceptions=exc)
 
 
 def uniformizer(place):
@@ -271,10 +266,7 @@ def cohomology_dims(curve, D, ext_bound=DEFAULT_EXT_BOUND):
     ``rr-table`` task and the selfcheck compare h0 - h1 with deg D + 1 - g
     and report a mismatch.
     """
-    if curve.kind == "p1":
-        v1 = Place.infinity(curve)
-    else:
-        v1 = Place.origin(curve)
+    v1 = curve.base_place()
     h0 = riemann_roch_dimension(D, ext_bound)
     m = 2 * (curve.genus + 1)
     previous = None
@@ -313,5 +305,5 @@ def _h1_estimate(curve, D, v1, m, h0, ext_bound):
     else:
         rk = 0
     if rk != len(rows) - h0:
-        raise AssertionError("principal-parts kernel is not L(D)")
+        raise DomainError("principal-parts kernel is not L(D)")
     return m - rk

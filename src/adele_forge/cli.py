@@ -229,7 +229,7 @@ def _task_rr_table(config, curve, ext_bound):
         lo, hi = bounds
         if lo > hi:
             raise SchemaError("degrees [lo, hi] needs lo <= hi, got lo = %d > hi = %d" % (lo, hi))
-        base = Place.infinity(curve) if curve.kind == "p1" else Place.origin(curve)
+        base = curve.base_place()
         # a generator: a wide window builds no divisor ahead of the first failure
         divisors = (Divisor(curve, {base: n}) for n in range(lo, hi + 1))
     elif "divisors" in config:

@@ -15,6 +15,7 @@ from .errors import DomainError
 from .fields import (
     DEFAULT_EXT_BOUND,
     FieldElement,
+    FieldSpec,
     Polynomial,
     canonical_field,
     factor_polynomial,
@@ -23,7 +24,8 @@ from .fields import (
     poly_gcd,
     root_in_field,
 )
-from .series import LaurentSeries
+from .linalg import kernel_basis
+from .series import LaurentSeries, _newton_root
 
 
 class CurveModel:
@@ -70,6 +72,10 @@ class CurveModel:
     @property
     def genus(self):
         return 0 if self.kind == "p1" else 1
+
+    def base_place(self):
+        """The place at infinity on P^1, the origin O on the elliptic model."""
+        return Place.infinity(self) if self.kind == "p1" else Place.origin(self)
 
     def __eq__(self, other):
         if self is other:
@@ -250,8 +256,6 @@ class Place:
 
 @lru_cache(maxsize=None)
 def _place_field(p, modulus):
-    from .fields import FieldSpec
-
     return FieldSpec(p, len(modulus) - 1, list(modulus))
 
 
@@ -350,6 +354,12 @@ def _reduce(spec, a, b, c):
         inv = lc.inverse()
         a, b, c = a.scale(inv), b.scale(inv), c.scale(inv)
     return a, b, c
+
+
+def _norm(a, b, rhs):
+    """A^2 - B^2*rhs: the norm of A + B*y along x: E -> P^1, times its
+    conjugate A - B*y, with rhs = x^3 + a*x + b over the field of A and B."""
+    return a * a - b * b * rhs
 
 
 class FunctionFieldElement:
@@ -484,8 +494,7 @@ class FunctionFieldElement:
         a, b, c = self.abc
         if not b:
             return self._reduced(self.curve, c, b, a)
-        norm = a * a - b * b * self.curve.rhs_poly()
-        return self._reduced(self.curve, c * a, -(c * b), norm)
+        return self._reduced(self.curve, c * a, -(c * b), _norm(a, b, self.curve.rhs_poly()))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -726,7 +735,7 @@ def leading_term(f, place):
         return m - mc, (ra + rb * y0) / rc
     # A1 + B1*y vanishes at the point and A1 - B1*y does not (its value
     # -2*B1(x0)*y0 is a unit), so the order is the norm's
-    mn, _, rn = _strip(a1 * a1 - b1 * b1 * f.curve.rhs_poly(field), lin)
+    mn, _, rn = _strip(_norm(a1, b1, f.curve.rhs_poly(field)), lin)
     return m + mn - mc, rn.constant_term() / ((ra - rb * y0) * rc)
 
 
@@ -807,9 +816,8 @@ def _principal_divisor(f, ext_bound):
             entries.append((Place.infinity(curve), vinf))
         div = Divisor(curve, entries)
     else:
-        norm = a * a - b * b * curve.rhs_poly()
         candidates = {}
-        for poly in (norm, c):
+        for poly in (_norm(a, b, curve.rhs_poly()), c):
             if poly.degree < 1:
                 continue
             _, factors = factor_polynomial(poly)
@@ -835,19 +843,6 @@ def _principal_divisor(f, ext_bound):
 
 # ---------------------------------------------------------------------------
 # local expansions
-
-
-def _newton_root(z, m, n, step):
-    """Lift z, a root of some Phi(z) = 0 known below t^m, to the root below
-    t^n by Newton's iteration with precision doubling: ``step(z, t)``
-    returns Phi(z)/Phi'(z) at the precision of t, and Phi'(z) is a unit, so
-    each step doubles the number of correct coefficients."""
-    field = z.spec
-    while m < n:
-        m = min(2 * m, n)
-        z = LaurentSeries(field, z.start, z.coeffs, m)
-        z = z - step(z, LaurentSeries.var(field, m))
-    return z
 
 
 def _origin_z(curve, n):
@@ -1009,7 +1004,7 @@ def riemann_roch_expansions(D, place, prec, ext_bound=DEFAULT_EXT_BOUND):
     curve = D.curve
     if place.curve != curve:
         raise DomainError("divisor and place on different curves")
-    if place.kind not in ("p1-infinity", "ec-origin"):
+    if place != curve.base_place():
         raise DomainError(
             "Riemann-Roch expansions are taken at the base place, not at %r" % (place,)
         )
@@ -1118,8 +1113,6 @@ def _rr_parts_elliptic(D, ext_bound):
         for r in range(order):
             for coord in range(k):
                 conditions.append([ser.coefficient(r).val[coord] for ser in series])
-    from .linalg import kernel_basis
-
     if conditions:
         vectors = kernel_basis(conditions, spec.p)
     else:

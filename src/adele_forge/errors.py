@@ -9,11 +9,6 @@ class AdeleForgeError(Exception):
     code = "error"
     exit_status = 1
 
-    def __init__(self, message, code=None):
-        super().__init__(message)
-        if code is not None:
-            self.code = code
-
 
 class DomainError(AdeleForgeError):
     """Violated mathematical precondition (zero denominator, off-curve point, ...)."""

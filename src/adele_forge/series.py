@@ -212,3 +212,16 @@ class LaurentSeries:
             raise DomainError("sqrt branch does not match leading coefficient")
         rel = self.prec - v
         return LaurentSeries(spec, v // 2, _sqrt(spec, self.coeffs, rel, root), self.prec - v // 2)
+
+
+def _newton_root(z, m, n, step):
+    """Lift z, a root of some Phi(z) = 0 known below t^m, to the root below
+    t^n by Newton's iteration with precision doubling: ``step(z, t)``
+    returns Phi(z)/Phi'(z) at the precision of t, and Phi'(z) is a unit, so
+    each step doubles the number of correct coefficients."""
+    field = z.spec
+    while m < n:
+        m = min(2 * m, n)
+        z = LaurentSeries(field, z.start, z.coeffs, m)
+        z = z - step(z, LaurentSeries.var(field, m))
+    return z

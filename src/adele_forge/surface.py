@@ -24,13 +24,12 @@ import logging
 import math
 
 from . import signs
-from .curves import _newton_root
 from .errors import DomainError
 from .fields import (
     DEFAULT_EXT_BOUND, Polynomial, _form_values, canonical_field, factor_polynomial, frobenius_orbit,
     poly_gcd, poly_roots, prime_field, root_in_field,
 )
-from .series import LaurentSeries
+from .series import LaurentSeries, _newton_root
 
 log = logging.getLogger(__name__)
 
@@ -479,21 +478,6 @@ class ProjPoint:
         return "(%s)" % (":".join(repr(c) for c in self.coords))
 
 
-class Flag2:
-    """A (curve, point) flag on the projective plane."""
-
-    __slots__ = ("curve", "point")
-
-    def __init__(self, curve, point):
-        if not curve.contains(point):
-            raise DomainError("flag point is not on the flag curve")
-        self.curve = curve
-        self.point = point
-
-    def __repr__(self):
-        return "Flag(%r, %r)" % (self.curve, self.point)
-
-
 class FactoredFunction:
     """c * prod F_i^{e_i} with irreducible forms F_i; an element of the
     function field of the plane when the total degree is zero."""
@@ -674,10 +658,10 @@ def _branch_order(F, C, point, chart, swap):
         m, n = n, 2 * n
 
 
-def flag_residue(symbol, flag):
-    """Two-step residue of a K2 symbol along a (curve, point) flag."""
-    tame = curve_tame_symbol(symbol, flag.curve)
-    return valuation_on_curve(tame, flag.curve, flag.point)
+def flag_residue(symbol, curve, point):
+    """Two-step residue of a K2 symbol along the flag (curve, point), which
+    ``valuation_on_curve`` checks."""
+    return valuation_on_curve(curve_tame_symbol(symbol, curve), curve, point)
 
 
 def parshin_point_reciprocity(symbol, point):
@@ -687,7 +671,7 @@ def parshin_point_reciprocity(symbol, point):
     for curve in symbol.support_curves():
         if not curve.contains(point):
             continue
-        total += flag_residue(symbol, Flag2(curve, point))
+        total += flag_residue(symbol, curve, point)
     return total
 
 
@@ -879,17 +863,14 @@ def _local_equation(divisor, aux):
 
 
 def _contributing_flags(D1, D2, ext_bound):
-    """Flags (C in supp D1, x in C meet supp D2), with the points deduped per
-    curve, plus the set of all contributing points.
+    """The flags (C, x) with C in supp D1 and x in C meet supp D2, each once.
 
     C keeps ``curve_intersection_points(C, F, ext_bound)`` in its ``_meets``
     under (F.form, ext_bound), so every intersection of the same curves finds
     an ordered pair's points once; a computation that raises stores nothing.
     """
-    flags = []
-    all_points = {}
+    flags = {}
     for C, _m in D1.items():
-        pts = {}
         for F, _n in D2.items():
             if C == F:
                 raise DomainError("improper intersection: shared component")
@@ -898,21 +879,17 @@ def _contributing_flags(D1, D2, ext_bound):
             if found is None:
                 found = C._meets[key] = curve_intersection_points(C, F, ext_bound)
             for pt in found:
-                pts[pt] = None
-                all_points[pt] = None
-        flags.append((C, list(pts)))
-    return flags, list(all_points)
+                flags[C, pt] = None
+    return list(flags)
 
 
 def _flags_and_aux(D1, D2, ext_bound):
-    """The characteristic, the flags of ``_contributing_flags`` and an
-    auxiliary line that avoids every contributing point and every component
-    of D1 and D2."""
-    p = _surface_char(D1, D2)
-    flags, contributing = _contributing_flags(D1, D2, ext_bound)
-    aux = choose_aux_line(p, contributing, exclude_forms={C.form for C, _ in D1.items()}
-                          | {C.form for C, _ in D2.items()})
-    return p, flags, aux
+    """The flags of ``_contributing_flags`` and an auxiliary line that avoids
+    every contributing point and every component of D1 and D2."""
+    flags = _contributing_flags(D1, D2, ext_bound)
+    aux = choose_aux_line(_surface_char(D1, D2), dict.fromkeys(pt for _, pt in flags),
+                          exclude_forms={C.form for C, _ in D1.items()} | {C.form for C, _ in D2.items()})
+    return flags, aux
 
 
 def intersection_number(D1, D2, ext_bound=DEFAULT_EXT_BOUND):
@@ -923,15 +900,9 @@ def intersection_number(D1, D2, ext_bound=DEFAULT_EXT_BOUND):
     runs over the curves of D1 and their intersection points with D2, the
     flags where the symbol has nontrivial residue.
     """
-    _, flags, aux = _flags_and_aux(D1, D2, ext_bound)
-    s1 = _local_equation(D1, aux)
-    s2 = _local_equation(D2, aux)
-    symbol = SurfaceSymbol.pair(s1.inverse(), s2.inverse())
-    total = 0
-    for C, pts in flags:
-        for pt in pts:
-            total += pt.degree * flag_residue(symbol, Flag2(C, pt))
-    return -total
+    flags, aux = _flags_and_aux(D1, D2, ext_bound)
+    symbol = SurfaceSymbol.pair(_local_equation(D1, aux).inverse(), _local_equation(D2, aux).inverse())
+    return -sum(pt.degree * flag_residue(symbol, C, pt) for C, pt in flags)
 
 
 def _surface_char(*divisors):
@@ -953,9 +924,8 @@ def fulton_intersection_cycle(D1, D2, ext_bound=DEFAULT_EXT_BOUND):
     the multiplicities are computed here, apart from the flag residues they
     check.
     """
-    _, contributing = _contributing_flags(D1, D2, ext_bound)
     cycle = {}
-    for pt in contributing:
+    for pt in dict.fromkeys(pt for _, pt in _contributing_flags(D1, D2, ext_bound)):
         chart = pt.chart()
         field = pt.field
         a = pt.affine(chart)
@@ -983,23 +953,18 @@ def surface_product_cycle(D1, D2, ext_bound=DEFAULT_EXT_BOUND):
     Its multiplicity at x matches the Fulton local multiplicity up to the
     audited global sign, and its degree equals intersection_number(D1, D2).
     """
-    p, flags, aux = _flags_and_aux(D1, D2, ext_bound)
+    flags, aux = _flags_and_aux(D1, D2, ext_bound)
     cycle = {}
-    for C, pts in flags:
+    for C, pt in flags:
         # front component of the flag (X, C, x): the local equation of D1 at
         # C, inverted; only its exponent along C enters the residue.
-        s1_c = FactoredFunction(p, 1, {C: D1.multiplicity(C), aux: -D1.multiplicity(C) * C.degree})
-        for pt in pts:
-            # back component s_{2,C}/s_{2,x} with s_{2,C} = 1 (C is not in
-            # supp D2): the local equation of D2 at x, inverted
-            powers = {F: m for F, m in D2.items() if F.contains(pt)}
-            deg = sum(m * F.degree for F, m in powers.items())
-            powers[aux] = powers.get(aux, 0) - deg
-            s2_x = FactoredFunction(p, 1, powers)
-            symbol = SurfaceSymbol.pair(s1_c.inverse(), s2_x.inverse())
-            raw = flag_residue(symbol, Flag2(C, pt))
-            if raw:
-                cycle[pt] = cycle.get(pt, 0) + raw
+        s1_c = _local_equation(SurfaceDivisor({C: D1.multiplicity(C)}), aux)
+        # back component s_{2,C}/s_{2,x} with s_{2,C} = 1 (C is not in
+        # supp D2): the local equation of D2 at x, inverted
+        s2_x = _local_equation(SurfaceDivisor([(F, m) for F, m in D2.items() if F.contains(pt)]), aux)
+        raw = flag_residue(SurfaceSymbol.pair(s1_c.inverse(), s2_x.inverse()), C, pt)
+        if raw:
+            cycle[pt] = cycle.get(pt, 0) + raw
     return {pt: signs.SURFACE_CYCLE_SIGN * raw for pt, raw in cycle.items() if raw}
 
 

@@ -493,6 +493,19 @@ def test_rr_table_reports_a_riemann_roch_mismatch(tmp_path, capsys, monkeypatch)
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_rr_table_with_a_wrong_kernel_exits_cleanly(tmp_path, capsys, monkeypatch):
+    # an h0 one too large means the principal-parts kernel is not L(D): a
+    # domain error and exit 1, not an AssertionError traceback
+    dimension = adelic.riemann_roch_dimension
+    monkeypatch.setattr(adelic, "riemann_roch_dimension", lambda *args: dimension(*args) + 1)
+    cfg = tmp_path / "rr.json"
+    cfg.write_text(json.dumps(dict(RR_DOC, degrees=[0, 2])))
+    assert main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error [domain]: principal-parts kernel is not L(D)\n"
+    assert "Traceback" not in captured.out
+
+
 @pytest.mark.parametrize("curve", [{"model": "projective-line"}, {"model": "elliptic", "a": 1, "b": 1}])
 def test_rr_table_wide_window_fails_at_its_first_divisor(tmp_path, capsys, curve):
     # the window is iterated, never built: degree -10^9 fails before the next

@@ -26,7 +26,7 @@ from adele_forge.curves import (
     torsion_points,
     valuation,
 )
-from adele_forge.curves import _places_above_x_factor
+from adele_forge.curves import _norm, _places_above_x_factor
 from adele_forge.errors import DomainError
 from adele_forge.fields import (
     Polynomial,
@@ -77,6 +77,7 @@ def test_curve_model_validation():
         CurveModel.elliptic(prime_field(2), 1, 1)  # disc = 0 in char 2
     E = CurveModel.elliptic(F5, 1, 1)
     assert E.genus == 1 and P15.genus == 0
+    assert P15.base_place() == Place.infinity(P15) and E.base_place() == Place.origin(E)
 
 
 def test_valuation_examples():
@@ -750,6 +751,21 @@ def test_constructor_reduces_unreduced_triples(data):
             FunctionFieldElement(curve, a, Polynomial.one(spec), c)
     with pytest.raises(DomainError):
         FunctionFieldElement(curve, a, b, Polynomial.zero(spec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_norm_is_the_product_with_the_conjugate(data):
+    # (A + B*y)/C * (A - B*y)/C = (A^2 - B^2*rhs)/C^2 on y^2 = rhs
+    p = data.draw(st.sampled_from([5, 7, 11, 13]))
+    spec = prime_field(p)
+    smooth = [(a, b) for a in range(p) for b in range(p) if (4 * a**3 + 27 * b * b) % p]
+    curve = CurveModel.elliptic(spec, *data.draw(st.sampled_from(smooth)))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=4)
+    a, b, c = (Polynomial.from_ints(spec, data.draw(cs)) for cs in (coeffs, coeffs, coeffs.filter(any)))
+    f = FunctionFieldElement(curve, a, b, c)
+    conjugate = FunctionFieldElement(curve, a, -b, c)
+    assert f * conjugate == FunctionFieldElement(curve, _norm(a, b, curve.rhs_poly()), None, c * c)
 
 
 # ---------------------------------------------------------------------------

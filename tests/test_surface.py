@@ -19,7 +19,6 @@ from adele_forge.fields import FieldElement, Polynomial, canonical_field, prime_
 from adele_forge.surface import (
     BiPoly,
     FactoredFunction,
-    Flag2,
     HomForm,
     INFINITE,
     PlaneCurve,
@@ -450,11 +449,11 @@ def test_flag_residue_examples():
     fu = FactoredFunction(P, 1, {X0: 1, X2: -1})
     fv = FactoredFunction(P, 1, {X1: 1, X2: -1})
     sym = SurfaceSymbol.pair(fu, fv)
-    assert flag_residue(sym, Flag2(X1, ORIGIN)) == 1
+    assert flag_residue(sym, X1, ORIGIN) == 1
     pt = ProjPoint((F7.one(), F7.zero(), F7.one()))
-    assert flag_residue(sym, Flag2(X1, pt)) == 0
-    with pytest.raises(DomainError):
-        Flag2(X0, pt)  # point not on the curve
+    assert flag_residue(sym, X1, pt) == 0
+    with pytest.raises(DomainError, match="point is not on the curve"):
+        flag_residue(sym, X0, pt)
 
 
 def test_flag_residue_additive():
@@ -464,8 +463,8 @@ def test_flag_residue_additive():
     s1 = SurfaceSymbol.pair(fu, fv, 1)
     s2 = SurfaceSymbol.pair(fu, fv, 2)
     both = SurfaceSymbol(P, list(s1.entries) + list(s2.entries))
-    flag = Flag2(X1, ORIGIN)
-    assert flag_residue(both, flag) == flag_residue(s1, flag) + flag_residue(s2, flag)
+    flag = (X1, ORIGIN)
+    assert flag_residue(both, *flag) == flag_residue(s1, *flag) + flag_residue(s2, *flag)
 
 
 def test_intersection_number_examples():
@@ -1157,7 +1156,7 @@ def _selfcheck_surface_values():
     for s in selfcheck._random_surface_symbols(Random(113), P, 8):
         for pt in points:
             sums.append(_outcome(parshin_point_reciprocity, s, pt))
-            residues += [flag_residue(s, Flag2(C, pt)) for C in s.support_curves() if C.contains(pt)]
+            residues += [flag_residue(s, C, pt) for C in s.support_curves() if C.contains(pt)]
     return out, residues, sums
 
 
@@ -1214,3 +1213,16 @@ def test_fulton_multiplicity_has_one_caller():
                     users.add((path.name, inner))
                 scopes.append((inner, child))
     assert users == {("surface.py", "fulton_intersection_cycle")}
+
+
+def test_surface_imports_nothing_from_curves():
+    """The plane takes its Newton lift from ``series``; no import in
+    surface.py names the curve module."""
+    tree = ast.parse(Path(surface.__file__).read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert names and not any("curves" in name.split(".") for name in names)
