@@ -845,52 +845,35 @@ def _principal_divisor(f, ext_bound):
 # local expansions
 
 
-def _origin_z(curve, n):
-    """z = 1/y below t^n at O, in t = x/y: the root of
-    Phi(z) = z - t^3 - a*t*z^2 - b*z^3, lifted from z = t^3 + O(t^7), as
-    Phi'(z) = 1 - 2a*t*z - 3b*z^2 is a unit."""
-    field, a, b = curve.spec, curve.a, curve.b
-
-    def step(z, t):
-        tz, zz = t * z, z * z
-        phi = z - t * t * t - (tz * z).scale(a) - (zz * z).scale(b)
-        dphi = LaurentSeries.constant(field.one(), t.prec) - tz.scale(2 * a) - zz.scale(3 * b)
-        return phi * dphi.inverse()
-
-    m = min(7, n)
-    return _newton_root(LaurentSeries.var(field, m, 3), m, n, step)
-
-
 @lru_cache(maxsize=512)
 def _ec_expansions(curve, place, prec):
-    """Laurent expansions (x(t), y(t)) at a place of the elliptic model."""
+    """Laurent expansions (x(t), y(t)) at a place of the elliptic model:
+    the branch of the cubic through the place in its local parameter t,
+    lifted by ``series._newton_root`` from its value at the place."""
+    a, b = curve.a.val[0], curve.b.val[0]
     if place.kind == "ec-origin":
-        work = prec + 8
-        y = _origin_z(curve, work).inverse()
-        x = LaurentSeries.var(curve.spec, work) * y
+        # chart Y = 1, t = x/y: z = 1/y is the root of
+        # z - t^3 - a*t*z^2 - b*z^3 with z = t^3 + O(t^7)
+        spec, work = curve.spec, prec + 8
+        rows = [Polynomial.from_ints(spec, c) for c in ([0, 0, 0, -1], [1], [0, -a], [-b])]
+        m = min(7, work)
+        y = _newton_root(rows, LaurentSeries.var(spec, m, 3), m, work).inverse()
+        x = LaurentSeries.var(spec, work) * y
         return x.truncate(prec), y.truncate(prec)
     field = place.data[1]
     x0, y0 = place.representative()
-    rhs = curve.rhs_poly(field)
+    t = LaurentSeries.var(field, prec)
     if y0:
-        # local parameter t = x - x0
-        work = prec + 8
-        t = LaurentSeries.var(field, work)
-        x = LaurentSeries.constant(x0, work) + t
-        under = LaurentSeries.from_polynomial(rhs, work, var=x)
-        y = under.sqrt(y0)
-        return x.truncate(prec), y.truncate(prec)
-    # 2-torsion style point: local parameter t = y, and x is the root of
-    # Phi(x) = rhs(x) - t^2 lifted from x = x0 + O(t^2), as Phi'(x) =
-    # rhs'(x) is a unit (x0 is a simple root of rhs)
-    drhs = rhs.derivative()
-
-    def step(x, t):
-        phi = LaurentSeries.from_polynomial(rhs, t.prec, var=x) - t * t
-        return phi * LaurentSeries.from_polynomial(drhs, t.prec, var=x).inverse()
-
+        # t = x - x0: y is the root of y^2 - rhs(x0 + t) with y(0) = y0
+        rows = [-curve.rhs_poly(field).shift(x0), Polynomial.zero(field), Polynomial.one(field)]
+        m = min(1, prec)
+        y = _newton_root(rows, LaurentSeries.constant(y0, m), m, prec)
+        return LaurentSeries.constant(x0, prec) + t, y
+    # t = y: x is the root of rhs(x) - t^2 with x = x0 + O(t^2), x0 a simple
+    # root of rhs
+    rows = [Polynomial.from_ints(field, c) for c in ([b, 0, -1], [a], [], [1])]
     m = min(2, prec)
-    return _newton_root(LaurentSeries.constant(x0, m), m, prec, step), LaurentSeries.var(field, prec)
+    return _newton_root(rows, LaurentSeries.constant(x0, m), m, prec), t
 
 
 def expand_at(f, place, prec):
@@ -943,7 +926,7 @@ def expand_at(f, place, prec):
         if out.prec >= prec:
             return out.truncate(prec)
         attempt *= 2
-    raise AssertionError("series precision did not stabilize")
+    raise DomainError("series precision did not stabilize")
 
 
 # ---------------------------------------------------------------------------

@@ -825,11 +825,13 @@ class Polynomial:
         return Polynomial.from_elements(spec, [coeffs[i] * spec.element(i) for i in range(1, len(coeffs))])
 
     def compose(self, other):
-        """self(other) for a polynomial argument."""
+        """self(other) for a polynomial argument, by Horner on the flat
+        coefficient blocks."""
         self._check(other)
-        result = Polynomial.zero(self.spec)
-        for c in reversed(self.coeffs):
-            result = result * other + Polynomial.constant(c)
+        spec, k, vec = self.spec, self.spec.k, self.vec
+        result = Polynomial.zero(spec)
+        for i in range(len(vec) - k, -1, -k):
+            result = result * other + Polynomial._raw(spec, _trim(vec[i : i + k], k))
         return result
 
     def shift(self, a):

@@ -20,10 +20,17 @@ for all k:
   wide enough for the largest sum of products), multiplies once, unpacks
   only the slots below the truncation and reduces each (2k-1)-slot chunk
   modulo the field's modulus (nothing to reduce when k = 1);
-- inverse and sqrt are Newton iterations on that product, doubling the
-  number of correct coefficients per step (von zur Gathen & Gerhard,
-  Modern Computer Algebra, ch. 9).  The one scalar field operation left is
-  the inverse of the leading coefficient (of 2*branch for sqrt).
+- the inverse is Newton's iteration on that product, doubling the number
+  of correct coefficients per step (von zur Gathen & Gerhard, Modern
+  Computer Algebra, ch. 9).  The one scalar field operation left is the
+  inverse of the leading coefficient.
+
+Local expansions at a smooth point of a plane curve F(t, v) = 0 are its
+branch v(t) in a local parameter t (Fulton, *Algebraic Curves*, 3.3), and
+``_newton_root`` is the one routine that lifts a branch: F is given by its
+rows, the polynomials in t of each power of v, and F(v) and F_v(v) come
+from one Horner helper, ``_horner``.  The elliptic expansions (``curves``)
+and the flag valuations (``surface``) both call it.
 
 The product and the Newton inverse live in ``fields`` (``_mul``,
 ``_inverse``); it multiplies polynomials over GF(p^k) by the same product,
@@ -31,34 +38,12 @@ while the inverse serves only this module.  A
 ``fields.Polynomial`` stores its coefficients in this same format, so
 ``from_polynomial`` copies its vector.
 
-FieldElements appear only at the boundary: the constructors, ``scale`` and
-``sqrt`` take them and ``coefficient`` returns one.
+FieldElements appear only at the boundary: the constructors and ``scale``
+take them and ``coefficient`` returns one.
 """
 
 from .errors import DomainError
-from .fields import _inverse, _mul, _newton_steps
-
-
-def _sqrt(spec, a, n, root):
-    """The first n coefficients of the square root of a whose constant term
-    is the flat coefficient ``root``; odd characteristic."""
-    p, k = spec.p, spec.k
-    s = list(root)
-    # h = 1/(2s) to the precision of s
-    h = list(spec._elt(tuple((2 * c) % p for c in root)).inverse().val)
-    steps = _newton_steps(n)
-    for i, (m, m2) in enumerate(steps):
-        # a - s^2 = t^m * d, so s + h*(a - s^2) is right below t^m2
-        sq = _mul(spec, s, s, m2)
-        high = a[m * k : m2 * k]
-        high += [0] * ((m2 - m) * k - len(high))
-        d = [(x - y) % p for x, y in zip(high, sq[m * k :])]
-        s += _mul(spec, h, d, m2 - m)
-        if i + 1 < len(steps):
-            # 2*s*h = 1 + t^m * e: one Newton step for the inverse
-            e = [(2 * c) % p for c in _mul(spec, s, h, m2)[m * k :]]
-            h += [(-c) % p for c in _mul(spec, h, e, m2 - m)]
-    return s
+from .fields import _inverse, _mul
 
 
 class LaurentSeries:
@@ -193,35 +178,26 @@ class LaurentSeries:
         rel = self.prec - v  # number of known unit-part coefficients
         return LaurentSeries(self.spec, -v, _inverse(self.spec, self.coeffs, rel), self.prec - 2 * v)
 
-    def sqrt(self, branch):
-        """Square root whose leading coefficient is ``branch``.
 
-        Requires an even leading exponent and branch^2 = leading coefficient.
-        Characteristic must be odd.
-        """
-        if not self.coeffs:
-            raise DomainError("cannot take sqrt of a series that is zero to precision")
-        spec = self.spec
-        if spec.p == 2:
-            raise DomainError("series sqrt unavailable in characteristic 2")
-        v = self.start
-        if v % 2:
-            raise DomainError("sqrt of a series with odd valuation")
-        root = spec.element(branch).val
-        if _mul(spec, root, root, 1) != self.coeffs[: spec.k]:
-            raise DomainError("sqrt branch does not match leading coefficient")
-        rel = self.prec - v
-        return LaurentSeries(spec, v // 2, _sqrt(spec, self.coeffs, rel, root), self.prec - v // 2)
+def _horner(rows, v, prec):
+    """sum_j rows[j](t) * v^j below t^prec, for polynomials rows[j] in t and
+    a series v: Horner in v."""
+    out = LaurentSeries.from_polynomial(rows[-1], prec)
+    for row in reversed(rows[:-1]):
+        out = out * v + LaurentSeries.from_polynomial(row, prec)
+    return out
 
 
-def _newton_root(z, m, n, step):
-    """Lift z, a root of some Phi(z) = 0 known below t^m, to the root below
-    t^n by Newton's iteration with precision doubling: ``step(z, t)``
-    returns Phi(z)/Phi'(z) at the precision of t, and Phi'(z) is a unit, so
-    each step doubles the number of correct coefficients."""
-    field = z.spec
+def _newton_root(rows, v, m, n):
+    """Lift v, a root below t^m of F(t, v) = sum_j rows[j](t) * v^j = 0, to
+    the root below t^n: the branch of the plane curve F = 0 through the
+    smooth point (0, v(0)) in the local parameter t (Fulton, *Algebraic
+    Curves*, 3.3).  Newton's step v - F(v)/F_v(v) with precision doubling;
+    F_v(v) is a unit, so each step doubles the number of correct
+    coefficients."""
+    drows = [row.scale(j) for j, row in enumerate(rows) if j]
     while m < n:
         m = min(2 * m, n)
-        z = LaurentSeries(field, z.start, z.coeffs, m)
-        z = z - step(z, LaurentSeries.var(field, m))
-    return z
+        v = LaurentSeries(v.spec, v.start, v.coeffs, m)
+        v = v - _horner(rows, v, m) * _horner(drows, v, m).inverse()
+    return v

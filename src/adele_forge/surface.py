@@ -29,7 +29,7 @@ from .fields import (
     DEFAULT_EXT_BOUND, Polynomial, _form_values, canonical_field, factor_polynomial, frobenius_orbit,
     poly_gcd, poly_roots, prime_field, root_in_field,
 )
-from .series import LaurentSeries, _newton_root
+from .series import LaurentSeries, _horner, _newton_root
 
 log = logging.getLogger(__name__)
 
@@ -628,29 +628,20 @@ def valuation_on_curve(func, curve, point, chart=None):
 
 
 def _branch_order(F, C, point, chart, swap):
-    """ord_t F(u0 + t, v0 + w(t)) for the branch w of the curve C = 0 through
-    its smooth point (u0, v0) in the chart, u and v swapped when dC/dv
-    vanishes there.  w is Newton's root of C(u0 + t, v0 + w) = 0, its
-    precision doubled until F has a nonzero coefficient; a zero past
-    deg F * deg C (Bezout) means a common component."""
+    """ord_t F(u0 + t, v(t)) for the branch v of the curve C = 0 through its
+    smooth point (u0, v0) in the chart, u and v swapped when dC/dv vanishes
+    there.  Each row of C and F is shifted by u0 once, and v is lifted from
+    v0 by ``series._newton_root``, its precision doubled until F has a
+    nonzero coefficient; a zero past deg F * deg C (Bezout) means a common
+    component."""
     field = point.field
     u0, v0 = point.affine(chart)[:: -1 if swap else 1]
-    Fc, Cc = F.dehomogenize(chart, field, swap), C.dehomogenize(chart, field, swap)
-    dC = Cc.deriv_v()
-
-    def at(G, w, prec):
-        u = LaurentSeries.constant(u0, prec) + LaurentSeries.var(field, prec)
-        v = LaurentSeries.constant(v0, prec) + w
-        out = LaurentSeries.zero(field, prec)
-        for row in reversed(G.rows):
-            out = out * v + LaurentSeries.from_polynomial(row, prec, var=u)
-        return out
-
+    Fr, Cr = ([row.shift(u0) for row in G.dehomogenize(chart, field, swap).rows] for G in (F, C))
     # the order is at least 2 here, so the first look is below t^4
-    w, m, n = LaurentSeries.zero(field, 1), 1, 4
+    v, m, n = LaurentSeries.constant(v0, 1), 1, 4
     while True:
-        w = _newton_root(w, m, n, lambda w, t: at(Cc, w, t.prec) * at(dC, w, t.prec).inverse())
-        order = at(Fc, w, n).valuation()
+        v = _newton_root(Cr, v, m, n)
+        order = _horner(Fr, v, n).valuation()
         if order is not None:
             return order
         if n > F.degree * C.degree:

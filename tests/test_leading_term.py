@@ -35,7 +35,7 @@ from adele_forge.fields import (
     prime_field,
 )
 from adele_forge.milnor import MilnorSymbol, tame_symbol
-from adele_forge.series import LaurentSeries
+from adele_forge.series import LaurentSeries, _newton_root
 
 # ---------------------------------------------------------------------------
 # reference: valuations by repeated division and leading values read off the
@@ -282,17 +282,71 @@ def test_leading_term_parameter_is_pi_at_higher_degree_places():
 @pytest.mark.parametrize("p, a, b", [(3, 1, 1), (3, 2, 0), (5, 1, 1), (7, 3, 2), (11, 2, 7), (13, 0, 5), (10007, 17, 3)])
 def test_origin_expansion_matches_fixed_point(p, a, b):
     curve = CurveModel.elliptic(prime_field(p), a, b)
+    spec, origin = curve.spec, Place.origin(curve)
+    # the origin rows in t = x/y: z - t^3 - a*t*z^2 - b*z^3, z = 1/y
+    rows = [Polynomial.from_ints(spec, c) for c in ([0, 0, 0, -1], [1], [0, -a], [-b])]
     for n in chain(range(1, 70), (97, 200)):
-        z, want = curves._origin_z(curve, n), ref_origin_z(curve, n)
+        m = min(7, n)
+        z, want = _newton_root(rows, LaurentSeries.var(spec, m, 3), m, n), ref_origin_z(curve, n)
         assert (z.start, z.coeffs, z.prec) == (want.start, want.coeffs, want.prec), n
-    # the expansions of x = t/z and y = 1/z below prec, from z below prec + 8
-    origin = Place.origin(curve)
-    for prec in (-3, 0, 1, 13, 40):
-        x, y = _ec_expansions(curve, origin, prec)
-        ry = ref_origin_z(curve, prec + 8).inverse()
-        rx = LaurentSeries.var(curve.spec, prec + 8) * ry
-        for got, want in ((x, rx.truncate(prec)), (y, ry.truncate(prec))):
-            assert (got.start, got.coeffs, got.prec) == (want.start, want.coeffs, want.prec), prec
+        if n < 5:  # z = O(t^n) has no inverse
+            continue
+        # the expansions of x = t/z and y = 1/z below n - 8, from z below n
+        x, y = _ec_expansions.__wrapped__(curve, origin, n - 8)
+        ry = want.inverse()
+        rx = LaurentSeries.var(spec, n) * ry
+        for got, ref in ((x, rx.truncate(n - 8)), (y, ry.truncate(n - 8))):
+            assert (got.start, got.coeffs, got.prec) == (ref.start, ref.coeffs, ref.prec), n
+
+
+def _expansion_places():
+    """O, a rational and a degree-2 place with y0 != 0 on y^2 = x^3 - x over
+    GF(5) and y^2 = x^3 + x over GF(3), and their places with y0 = 0 (one of
+    degree 2 on the second)."""
+    out = []
+    for curve in (CurveModel.elliptic(prime_field(5), -1, 0), CurveModel.elliptic(prime_field(3), 1, 0)):
+        out.append((curve, Place.origin(curve)))
+        for g, _ in factor_polynomial(curve.rhs_poly())[1]:
+            out += [(curve, place) for place in _places_above_x_factor(curve, g, 2)]
+        for d in (1, 2):
+            field = canonical_field(curve.spec.p, d)
+            rhs = curve.rhs_poly(field)
+            x0, y0 = next(
+                (x0, y0)
+                for x0 in field.elements()
+                for y0 in [field_sqrt(rhs.evaluate(x0))]
+                if y0 and len(frobenius_orbit((x0, y0))) == d
+            )
+            out.append((curve, Place.affine_orbit(curve, x0, y0)))
+    return out
+
+
+def test_ec_expansions_lie_on_the_curve():
+    places = _expansion_places()
+    kinds = {(v.kind, v.residue_degree, v.kind == "ec-affine" and bool(v.representative()[1])) for _, v in places}
+    assert kinds == {
+        ("ec-origin", 1, False), ("ec-affine", 1, True), ("ec-affine", 2, True),
+        ("ec-affine", 1, False), ("ec-affine", 2, False),
+    }
+    for curve, place in places:
+        for prec in (1, 2, 5, 13, 40):
+            x, y = _ec_expansions.__wrapped__(curve, place, prec)
+            diff = y * y - LaurentSeries.from_polynomial(curve.rhs_poly(x.spec), prec, var=x)
+            # at O, x has the pole t^-2, and rhs(x) by Horner is known at least below t^(prec - 8)
+            assert diff.is_zero_to_precision(), (place, prec)
+            assert diff.prec >= prec - (8 if place.kind == "ec-origin" else 0), (place, prec)
+
+
+def test_expand_at_raises_domain_error_when_precision_does_not_stabilize(monkeypatch):
+    real = curves._ec_expansions
+
+    def truncated(curve, place, prec):
+        return tuple(s.truncate(2) for s in real(curve, place, prec))
+
+    monkeypatch.setattr(curves, "_ec_expansions", truncated)
+    curve = CurveModel.elliptic(prime_field(5), 1, 1)
+    with pytest.raises(DomainError, match="series precision did not stabilize"):
+        expand_at(FunctionFieldElement.x_function(curve), Place.origin(curve), 5)
 
 
 def test_pairing_and_reciprocity_checks_read_no_series(monkeypatch):

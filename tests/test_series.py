@@ -8,13 +8,18 @@ cover a small and a 61-bit prime, and extensions of degree 2 and 3, plus a
 quadratic extension of the 61-bit prime.
 """
 
+import ast
+import inspect
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from adele_forge import series
 from adele_forge.errors import DomainError
-from adele_forge.fields import FieldSpec, canonical_field, prime_field
-from adele_forge.series import LaurentSeries
+from adele_forge.fields import FieldSpec, Polynomial, canonical_field, prime_field
+from adele_forge.series import LaurentSeries, _horner, _newton_root
 
 FIELDS = (
     prime_field(7),
@@ -178,37 +183,58 @@ def test_inverse_is_newton_of_the_recurrence(case):
     assert view(one) == ref_normalize(spec, 0, [spec.one()], one.prec)
 
 
-@SERIES
-@given(one_field(nonzero=True))
-def test_sqrt_squares_back(case):
-    spec, (start, elts, prec) = case  # every field in FIELDS has odd p
-    root = build(spec, start, elts, prec)
-    F = root * root  # even valuation, square leading coefficient
-    branch = root.coefficient(root.start)
-    s = F.sqrt(branch)
-    assert (s.start, s.prec) == (F.start // 2, F.prec - F.start // 2)
-    assert s.coefficient(s.start) == branch
-    sq = s * s
-    assert sq.prec == F.prec
-    assert view(sq) == view(F)
-    # the root with a given leading coefficient is unique
-    assert view(s) == view(root.truncate(s.prec))
-    assert view(F.sqrt(-branch)) == view((-root).truncate(s.prec))
-    one = spec.one()
-    bad = next(c for c in (branch + one, branch + one + one) if c not in (branch, -branch))
-    with pytest.raises(DomainError):
-        F.sqrt(bad)
-
-
-def test_sqrt_and_inverse_preconditions():
+def test_inverse_preconditions():
     spec = canonical_field(3, 3)
     zero = LaurentSeries.zero(spec, 5)
     with pytest.raises(DomainError):
         zero.inverse()
-    with pytest.raises(DomainError):
-        zero.sqrt(spec.one())
-    t = LaurentSeries.var(spec, 6)
-    with pytest.raises(DomainError):
-        t.sqrt(spec.one())  # odd valuation
-    with pytest.raises(DomainError):
-        LaurentSeries.var(prime_field(2), 4, 0).sqrt(prime_field(2).one())
+
+
+# ---------------------------------------------------------------------------
+# _newton_root: the branch of F(t, v) = sum_j rows[j](t) * v^j = 0 through a
+# smooth point (0, v0), over GF(5/7/11/13) and GF(7^2)
+
+BRANCH_FIELDS = tuple(prime_field(p) for p in (5, 7, 11, 13)) + (canonical_field(7, 2),)
+
+
+@SERIES
+@given(st.data())
+def test_newton_root_lifts_a_branch(data):
+    spec = data.draw(st.sampled_from(BRANCH_FIELDS))
+    codes = st.integers(0, spec.order - 1)
+    rows = [
+        Polynomial.from_elements(spec, [elt(spec, c) for c in data.draw(st.lists(codes, max_size=4))])
+        for _ in range(data.draw(st.integers(2, 4)))
+    ]
+    v0 = elt(spec, data.draw(codes))
+    # move F(0, v0) into the constant term of rows[0], so (0, v0) is on F = 0
+    at0 = [row.evaluate(spec.zero()) for row in rows]
+    rows[0] = rows[0] - Polynomial.constant(sum((c * v0**j for j, c in enumerate(at0)), spec.zero()))
+    assume(sum((j * c * v0 ** (j - 1) for j, c in enumerate(at0) if j), spec.zero()))  # F_v(0, v0) != 0
+    n = data.draw(st.integers(1, 40))
+    start = LaurentSeries.constant(v0, 1)
+    v = _newton_root(rows, start, 1, n)
+    F = _horner(rows, v, n)
+    assert F.is_zero_to_precision() and F.prec == n
+    assert v.prec == n and v.coefficient(0) == v0
+    assert view(_newton_root(rows, start, 1, 2 * n).truncate(n)) == view(v)
+
+
+def test_newton_root_is_the_one_branch_lift():
+    """In the package, only the elliptic expansions and the flag valuations
+    lift a branch, by equation rows; series have no square root."""
+    assert list(inspect.signature(_newton_root).parameters) == ["rows", "v", "m", "n"]
+    callers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = where.split(".")[0] + "." + node.name
+        if isinstance(node, ast.Name) and node.id == "_newton_root":
+            callers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(series.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sorted(set(callers)) == ["curves._ec_expansions", "surface._branch_order"]
+    assert not hasattr(LaurentSeries, "sqrt")
