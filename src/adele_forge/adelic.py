@@ -158,7 +158,8 @@ def uniformizer(place):
     if not y0:
         return FunctionFieldElement.y_function(curve)
     u = FunctionFieldElement(curve, x_minimal_poly(place))
-    assert valuation(u, place) == 1
+    if valuation(u, place) != 1:
+        raise DomainError("the minimal polynomial of x is not a uniformizer at %r" % (place,))
     return u
 
 

@@ -809,12 +809,12 @@ def _principal_divisor(f, ext_bound):
             if poly.degree < 1:
                 continue
             _, factors = factor_polynomial(poly)
+            # the factors are monic and irreducible already
             for irr, mult in factors:
-                entries.append((Place.finite(curve, irr), sign * mult))
+                entries.append((Place(curve, "p1-finite", irr), sign * mult))
         vinf = c.degree - a.degree
         if vinf:
             entries.append((Place.infinity(curve), vinf))
-        div = Divisor(curve, entries)
     else:
         candidates = {}
         for poly in (_norm(a, b, curve.rhs_poly()), c):
@@ -827,15 +827,10 @@ def _principal_divisor(f, ext_bound):
         for g in candidates:
             for place in _places_above_x_factor(curve, g, ext_bound):
                 places[place] = None
-        entries = []
-        for place in places:
-            v = valuation(f, place)
-            if v:
-                entries.append((place, v))
-        vo = valuation(f, Place.origin(curve))
-        if vo:
-            entries.append((Place.origin(curve), vo))
-        div = Divisor(curve, entries)
+        places[Place.origin(curve)] = None
+        # Divisor drops the places where f has valuation 0
+        entries = [(place, valuation(f, place)) for place in places]
+    div = Divisor(curve, entries)
     if div.degree != 0:
         raise DomainError("principal divisor has nonzero degree")
     return div
@@ -882,51 +877,38 @@ def expand_at(f, place, prec):
     The expansion variable is the canonical local parameter: t - theta at a
     finite place of P^1 (theta the residue class of t), 1/t at infinity,
     x - x0 / y / x/y on the elliptic model depending on the place.
+
+    Only the substitution into A + B*y and C depends on the place; one
+    working precision and one division serve all.  That precision suffices,
+    since v(C) <= 2*deg C and v(A + B*y) is bounded: <= 0 at O, as A + B*y
+    is regular elsewhere; with y0 = 0 no cancellation, as A and B*y have
+    valuations of different parity; else <= ord(A^2 - B^2*rhs) <= 2*maxdeg + 3.
     """
     if f.curve != place.curve:
         raise DomainError("function and place on different curves")
-    curve = f.curve
     a, b, c = f.abc
-    if curve.kind == "p1":
-        if place.kind == "p1-finite":
-            fieldv = place.residue_field()
-            theta = fieldv.gen() if fieldv.k > 1 else -place.data.constant_term()
-            num = a.lift_to(fieldv).shift(theta)
-            den = c.lift_to(fieldv).shift(theta)
-            work = max(prec, 0) + num.degree + 2 * den.degree + 4
-            ns = LaurentSeries.from_polynomial(num, work)
-            ds = LaurentSeries.from_polynomial(den, work)
-            out = ns * ds.inverse()
-            assert out.prec >= prec
-            return out.truncate(prec)
-        # infinity: t = 1/u
-        rn = Polynomial.from_ints(curve.spec, a.vec[::-1])
-        rd = Polynomial.from_ints(curve.spec, c.vec[::-1])
+    if place.kind == "p1-finite":
         work = max(prec, 0) + a.degree + 2 * c.degree + 4
-        ns = LaurentSeries.from_polynomial(rn, work)
-        ds = LaurentSeries.from_polynomial(rd, work)
-        out = (ns * ds.inverse()).shift(c.degree - a.degree)
-        assert out.prec >= prec
-        return out.truncate(prec)
-    # elliptic
-    v = valuation(f, place)
-    field = place.residue_field()
-    a, b, c = a.lift_to(field), b.lift_to(field), c.lift_to(field)
-    maxdeg = max(a.degree, b.degree, c.degree, 1)
-    attempt = max(prec, 0) + 3 * maxdeg + 10 - min(v, 0)
-    for _ in range(6):
-        x, y = _ec_expansions(f.curve, place, attempt)
-        num = LaurentSeries.from_polynomial(a, attempt, var=x)
-        num = num + LaurentSeries.from_polynomial(b, attempt, var=x) * y
-        dens = LaurentSeries.from_polynomial(c, attempt, var=x)
-        if num.is_zero_to_precision() and f:
-            attempt *= 2
-            continue
-        out = num * dens.inverse()
-        if out.prec >= prec:
-            return out.truncate(prec)
-        attempt *= 2
-    raise DomainError("series precision did not stabilize")
+        field = place.residue_field()
+        theta = field.gen() if field.k > 1 else -place.data.constant_term()
+        num, den = (LaurentSeries.from_polynomial(g.lift_to(field).shift(theta), work) for g in (a, c))
+    elif place.kind == "p1-infinity":
+        # t = 1/x: g(1/t) = t^-deg g * (g's vector reversed), over GF(p)
+        work = max(prec, 0) + a.degree + 2 * c.degree + 4
+        shift = c.degree - a.degree
+        num = LaurentSeries(f.curve.spec, shift, a.vec[::-1], work + shift)
+        den = LaurentSeries(f.curve.spec, 0, c.vec[::-1], work)
+    else:
+        a, b, c = (g.lift_to(place.residue_field()) for g in f.abc)
+        maxdeg = max(a.degree, b.degree, c.degree, 1)
+        work = max(prec, 0) + 3 * maxdeg + 10 - min(valuation(f, place), 0)
+        x, y = _ec_expansions(f.curve, place, work)
+        num = LaurentSeries.from_polynomial(a, work, var=x) + LaurentSeries.from_polynomial(b, work, var=x) * y
+        den = LaurentSeries.from_polynomial(c, work, var=x)
+    out = num * den.inverse()
+    if (f and num.is_zero_to_precision()) or out.prec < prec:
+        raise DomainError("series precision did not stabilize")
+    return out.truncate(prec)
 
 
 # ---------------------------------------------------------------------------
@@ -1014,7 +996,8 @@ def riemann_roch_expansions(D, place, prec, ext_bound=DEFAULT_EXT_BOUND):
     inv = FunctionFieldElement(curve, Polynomial.one(curve.spec), None, mult)
     inv_ser = expand_at(inv, place, max(prec + bound, shift))
     out = [(g * inv_ser).truncate(prec) for g in combos]
-    assert all(ser.prec == prec for ser in out)
+    if any(ser.prec < prec for ser in out):
+        raise DomainError("Riemann-Roch expansion short of its precision")
     return out
 
 
@@ -1043,20 +1026,8 @@ def _rr_parts_p1(D):
 
 def _rr_basis_p1(curve, parts):
     num_fixed, den, top = parts
-    spec = curve.spec
-    # x^j * num_fixed and den share only the power of x dividing den: cancel
-    # it by exponent, on the vectors (one int per coefficient over the prime
-    # base field)
-    e = 0
-    while not den.vec[e]:
-        e += 1
-    zero = Polynomial.zero(spec)
-    basis = []
-    for j in range(top + 1):
-        c = min(j, e)
-        num = Polynomial._raw(spec, [0] * (j - c) + num_fixed.vec)
-        basis.append(FunctionFieldElement._raw(curve, num, zero, Polynomial._raw(spec, den.vec[c:])))
-    return basis
+    x = Polynomial.x(curve.spec)
+    return [FunctionFieldElement(curve, x**j * num_fixed, None, den) for j in range(top + 1)]
 
 
 def _rr_parts_elliptic(D, ext_bound):
@@ -1131,7 +1102,8 @@ def _monomial_series(curve, place, exponents, prec):
     for _ in range(max(i for i, _ in exponents)):
         powers.append(powers[-1] * x)
     out = [powers[i] * y if j else powers[i] for i, j in exponents]
-    assert all(ser.prec >= prec for ser in out)
+    if any(ser.prec < prec for ser in out):
+        raise DomainError("monomial expansion short of its precision")
     return [ser.truncate(prec) for ser in out]
 
 

@@ -207,7 +207,7 @@ def canonical_field(p, k):
         mod = [n // p**i % p for i in range(k)] + [1]
         if Polynomial.from_ints(prime_field(p), mod).is_irreducible():
             return FieldSpec(p, k, mod)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise DomainError("no irreducible polynomial found")  # unreachable: one exists in every degree
 
 
 def _mulmod(a, b, modulus, p):

@@ -7,7 +7,8 @@ series (``curves.leading_term``).
 
 A series holds coefficients for exponents start, start+1, ..., prec-1 and
 knows nothing beyond prec.  Arithmetic tracks the resulting precision
-honestly; callers overshoot and assert they got enough.
+honestly; callers take a working precision large enough for the result
+they need and raise ``DomainError`` if it still falls short.
 
 Representation: a series over GF(p^k) stores its coefficients as one flat
 list of GF(p) ints, k per coefficient (the coefficient vector of the field
@@ -87,11 +88,11 @@ class LaurentSeries:
     def from_polynomial(cls, poly, prec, var=None):
         """poly(t) as a series, or poly(var) for a series argument."""
         spec, vec = poly.spec, poly.vec
-        if var is None:
+        if var is None or not vec:
             return cls(spec, 0, vec, prec)
         k = spec.k
-        result = cls.zero(spec, prec)
-        for i in range(len(vec) - k, -1, -k):
+        result = cls(spec, 0, vec[-k:], prec)
+        for i in range(len(vec) - 2 * k, -1, -k):
             result = result * var + cls(spec, 0, vec[i : i + k], prec)
         return result
 

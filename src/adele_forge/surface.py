@@ -290,11 +290,11 @@ class HomForm:
         """Set X_chart = 1; the remaining coordinates become (u, v) in index
         order, or in reverse order when ``swap``."""
         a, b = _CHART_VARS[chart][:: -1 if swap else 1]
-        out = {}
+        # the form is homogeneous, so (u, v) exponents name one term each
+        rows = [[0] * (self.degree + 1) for _ in range(self.degree + 1)]
         for ijk, c in self.terms.items():
-            key = (ijk[a], ijk[b])
-            out[key] = (out.get(key, 0) + c) % self.p
-        return BiPoly(field, {ij: field.element(c) for ij, c in out.items() if c})
+            rows[ijk[b]][ijk[a]] = c
+        return BiPoly.from_rows(field, [Polynomial.from_ints(field, row) for row in rows])
 
     def chart_partials(self, coords, chart):
         """(dF/dX_a, dF/dX_b) at ``coords``, X_a and X_b the chart's affine
@@ -361,24 +361,20 @@ def _has_linear_factor(form):
     for var in range(3):
         if all(ijk[var] for ijk in form.terms):
             return True
-    roots_b = _restriction_roots(form, (0, 1))
-    roots_c = _restriction_roots(form, (0, 2))
+    roots_b = _restriction_roots(form, 1)
+    roots_c = _restriction_roots(form, 2)
     for b in roots_b:
         for c in roots_c:
             if _vanishes_on_line(form, 0, b, c):
                 return True
-    return any(_vanishes_on_line(form, 1, 0, c) for c in _restriction_roots(form, (1, 2)))
+    return any(_vanishes_on_line(form, 1, 0, c) for c in _restriction_roots(form, 2, swap=True))
 
 
-def _restriction_roots(form, pair):
-    """GF(p) roots, as ints, of F restricted to X_pair[0] = x, X_pair[1] = 1
-    and the third coordinate 0."""
-    a, b = pair
-    coeffs = [0] * (form.degree + 1)
-    for ijk, c in form.terms.items():
-        if ijk[a] + ijk[b] == form.degree:
-            coeffs[ijk[a]] = c
-    return [r.val[0] for r in poly_roots(Polynomial.from_ints(prime_field(form.p), coeffs))]
+def _restriction_roots(form, chart, swap=False):
+    """GF(p) roots, as ints, of row 0 (v = 0) of ``dehomogenize``: F(x, 1, 0)
+    in chart 1, F(x, 0, 1) in chart 2 and F(0, x, 1) in chart 2 swapped."""
+    field = prime_field(form.p)
+    return [r.val[0] for r in poly_roots(form.dehomogenize(chart, field, swap).rows[0])]
 
 
 def _vanishes_on_line(form, var, a, b):
@@ -670,14 +666,6 @@ def parshin_point_reciprocity(symbol, point):
 # intersection points of two plane curves
 
 
-def _x2_coeffs(F, spec):
-    """[a_m, ..., a_0]: F(w, 1, X2) = sum a_k(w) X2^k, m the X2-degree of F."""
-    rows = [[0] * (F.degree + 1) for _ in range(max(k for (_, _, k) in F.terms) + 1)]
-    for (i, _, k), c in F.terms.items():
-        rows[k][i] = c
-    return [Polynomial.from_ints(spec, row) for row in reversed(rows)]
-
-
 def _bareiss_det(rows, spec):
     """Determinant of a square matrix over GF(p)[w] by fraction-free
     elimination (Bareiss, Math. Comp. 22, 1968): step k replaces each entry
@@ -711,7 +699,8 @@ def _resultant_x2(F, G):
     power (0 when R(w, 1) has lower degree).
     """
     spec = prime_field(F.p)
-    a, b = _x2_coeffs(F, spec), _x2_coeffs(G, spec)
+    # the rows of F(w, 1, X2) by powers of X2, the highest first
+    a, b = (list(H.dehomogenize(1, spec).rows[::-1]) for H in (F, G))
     m, n = len(a) - 1, len(b) - 1
     zero = Polynomial.zero(spec)
     rows = [[zero] * i + a + [zero] * (n - 1 - i) for i in range(n)]

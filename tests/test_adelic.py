@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from adele_forge import signs
+from adele_forge import adelic, signs
 from adele_forge.adelic import (
     AdeleCochain,
     adelic_differential,
@@ -271,3 +271,13 @@ def test_uniformizer_has_valuation_one_at_every_place_kind():
         ("p1-finite", 2),
         ("p1-infinity", 1),
     }
+
+
+def test_uniformizer_raises_domain_error_when_valuation_is_not_one(monkeypatch):
+    # x_minimal_poly squared has valuation 2 at an affine place with y0 != 0
+    real = adelic.x_minimal_poly
+    monkeypatch.setattr(adelic, "x_minimal_poly", lambda place: real(place) ** 2)
+    E = CurveModel.elliptic(F7, 0, 2)
+    point = next(pt for pt in rational_points(E)[1:] if pt[1])
+    with pytest.raises(DomainError, match="uniformizer"):
+        uniformizer(Place.rational_point(E, point))

@@ -493,6 +493,27 @@ def test_rr_expansions_fixtures():
                 _check_expansions(D, base, m, which)
 
 
+def test_rr_expansions_raise_domain_error_when_short(monkeypatch):
+    # D = P + O has an affine pole, so the combinations are divided by the
+    # expansion of 1/(x - x0)
+    real = curves.expand_at
+    monkeypatch.setattr(curves, "expand_at", lambda f, place, prec: real(f, place, prec).truncate(prec - 1))
+    E = CurveModel.elliptic(F7, 0, 2)
+    P = Place.rational_point(E, rational_points(E)[1])
+    with pytest.raises(DomainError, match="Riemann-Roch expansion short"):
+        riemann_roch_expansions(Divisor(E, {P: 1, Place.origin(E): 1}), Place.origin(E), 4)
+
+
+def test_monomial_series_raise_domain_error_when_short(monkeypatch):
+    real = curves._ec_expansions
+    monkeypatch.setattr(
+        curves, "_ec_expansions", lambda curve, place, prec: tuple(s.truncate(2) for s in real(curve, place, prec))
+    )
+    E = CurveModel.elliptic(F7, 0, 2)
+    with pytest.raises(DomainError, match="monomial expansion short"):
+        riemann_roch_expansions(Divisor(E, {Place.origin(E): 3}), Place.origin(E), 5)
+
+
 def test_rr_expansions_only_at_the_base_place():
     D = Divisor(P15, {Place.infinity(P15): 2})
     with pytest.raises(DomainError, match="base place"):

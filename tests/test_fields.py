@@ -86,6 +86,12 @@ def test_norm_multiplicative():
         assert norm_to_prime_field(a * b) == norm_to_prime_field(a) * norm_to_prime_field(b)
 
 
+def test_canonical_field_raises_domain_error_without_an_irreducible(monkeypatch):
+    monkeypatch.setattr(Polynomial, "is_irreducible", lambda self: False)
+    with pytest.raises(DomainError, match="no irreducible polynomial found"):
+        canonical_field.__wrapped__(3, 2)
+
+
 def test_field_axioms_randomized():
     rng = Random(2)
     for p, k in ((2, 1), (3, 2), (5, 2), (7, 1), (11, 1)):

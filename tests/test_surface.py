@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from adele_forge import surface
+from adele_forge import curves, surface
 from adele_forge.cli import run_config
 from adele_forge.errors import DomainError
 from adele_forge.fields import FieldElement, Polynomial, canonical_field, prime_field
@@ -1226,3 +1226,22 @@ def test_surface_imports_nothing_from_curves():
         elif isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
     assert names and not any("curves" in name.split(".") for name in names)
+
+
+def test_one_local_reading_per_object():
+    """expand_at substitutes once and divides once, with no retry loop, and
+    a form's terms become chart polynomials only through
+    HomForm.dehomogenize."""
+    (expand,) = [
+        node for node in ast.walk(ast.parse(Path(curves.__file__).read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "expand_at"
+    ]
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(expand))
+    assert sum(getattr(node, "attr", None) == "inverse" for node in ast.walk(expand)) == 1
+    defs = {
+        node.name: node for node in ast.walk(ast.parse(Path(surface.__file__).read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_x2_coeffs" not in defs
+    for name in ("_resultant_x2", "_restriction_roots"):
+        assert any(getattr(node, "attr", None) == "dehomogenize" for node in ast.walk(defs[name])), name
