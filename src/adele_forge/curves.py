@@ -533,6 +533,16 @@ def ec_neg(curve, point):
     return (point[0], -point[1])
 
 
+def ec_slope(curve, P, Q):
+    """The chord-tangent slope through affine P and Q with P + Q != O, on
+    FieldElements: the tangent's at P when the x-coordinates agree."""
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        field = x1.spec
+        return (field.element(3) * x1 * x1 + field.element(curve.a.val[0])) / (y1 + y1)
+    return (y2 - y1) / (x2 - x1)
+
+
 def ec_add(curve, P, Q):
     """P + Q by the chord-tangent formula, with O as None.  Both operands
     are checked to lie on the curve.  Over the base field (k = 1) the
@@ -559,12 +569,9 @@ def ec_add(curve, P, Q):
             lam = (v2 - v1) * pow(u2 - u1, p - 2, p) % p
         u3 = (lam * lam - u1 - u2) % p
         return (field._elt((u3,)), field._elt(((lam * (u1 - u3) - v1) % p,)))
-    if x1 == x2:
-        if y1 == -y2:
-            return None
-        lam = (field.element(3) * x1 * x1 + field.element(curve.a.val[0])) / (y1 + y1)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
+    if x1 == x2 and y1 == -y2:
+        return None
+    lam = ec_slope(curve, P, Q)
     x3 = lam * lam - x1 - x2
     y3 = lam * (x1 - x3) - y1
     return (x3, y3)

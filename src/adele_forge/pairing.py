@@ -1,8 +1,8 @@
 """Miller functions in factored form, the curve-level Massey triple product,
-the Weil pairing on elliptic l-torsion computed two independent ways (as the
-inverse of the Massey product's direct image, and by the textbook
-point-evaluated Miller loop), and the sign audit that pins the package's
-global sign constants.
+the Weil pairing on elliptic l-torsion computed two ways (as the inverse of
+the Massey product's direct image, and by evaluating the same Miller chain
+point by point), and the sign audit that pins the package's global sign
+constants.
 """
 
 from itertools import chain, islice
@@ -17,6 +17,7 @@ from .curves import (
     affine_points,
     ec_add,
     ec_neg,
+    ec_slope,
     leading_term,
     principal_divisor,
     scalar_multiple,
@@ -61,10 +62,7 @@ def _line_through(curve, A, B):
     if A == ec_neg(curve, B):
         return _vertical(curve, A)
     field = curve.spec
-    if A == B:
-        lam = (field.element(3) * A[0] * A[0] + curve.a) / (A[1] + A[1])
-    else:
-        lam = (B[1] - A[1]) / (B[0] - A[0])
+    lam = ec_slope(curve, A, B)
     lin = Polynomial.from_elements(field, [lam * A[0] - A[1], -lam])
     one = Polynomial.one(field)
     return FunctionFieldElement._raw(curve, lin, one, one)
@@ -111,42 +109,42 @@ class MillerFunction:
         )
 
 
-def _miller_chain_factors(curve, P, l):
-    """Factored function with divisor l(P) - l(O), for l-torsion P."""
-    factors = {}
-
-    def mul_in(f, e):
-        factors[f] = factors.get(f, 0) + e
-        if not factors[f]:
-            del factors[f]
-
+def _miller_steps(curve, P, l):
+    """The double-and-add chain of a function with divisor l(P) - l(O), for
+    P != O: ``None`` squares the product so far, and ``(A, B, C)`` with
+    C = A + B multiplies it by the line through A and B over the vertical at
+    C (no vertical when C = O).  The doubling is skipped while the running
+    multiple is O, since f_2m = f_m^2 there.  Raises DomainError when the
+    chain ends away from O, i.e. P is not l-torsion."""
     V = P
     for bit in bin(l)[3:]:
-        for f in list(factors):
-            factors[f] *= 2
-        twoV = ec_add(curve, V, V)
-        if V is None:
-            pass  # m*P = O: f_2m = f_m^2
-        elif twoV is None:
-            mul_in(_vertical(curve, V), 1)
-        else:
-            mul_in(_line_through(curve, V, V), 1)
-            mul_in(_vertical(curve, twoV), -1)
-        V = twoV
+        yield None
+        if V is not None:
+            C = ec_add(curve, V, V)
+            yield V, V, C
+            V = C
         if bit == "1":
             if V is None:
                 V = P  # l_{O,P}/v_P contributes 1
-                continue
-            newV = ec_add(curve, V, P)
-            if newV is None:
-                mul_in(_vertical(curve, V), 1)
             else:
-                mul_in(_line_through(curve, V, P), 1)
-                mul_in(_vertical(curve, newV), -1)
-            V = newV
+                C = ec_add(curve, V, P)
+                yield V, P, C
+                V = C
     if V is not None:
         raise DomainError("point is not l-torsion")
-    return factors
+
+
+def _mul_step(curve, factors, step, e):
+    """Multiply a factor dict by a step's line over its vertical, to the
+    power e, dropping a factor whose exponent reaches 0."""
+    A, B, C = step
+    terms = [(_line_through(curve, A, B), e)]
+    if C is not None:
+        terms.append((_vertical(curve, C), -e))
+    for f, k in terms:
+        factors[f] = factors.get(f, 0) + k
+        if not factors[f]:
+            del factors[f]
 
 
 def miller_function(curve, P, l, R=None):
@@ -158,26 +156,20 @@ def miller_function(curve, P, l, R=None):
     if l < 1:
         raise DomainError("l must be positive")
     if P is None:
-        shift = Divisor(curve)
-        return MillerFunction(curve, {}, shift)
-    factors = _miller_chain_factors(curve, P, l)
-    pl_P = Place.rational_point(curve, P)
-    pl_O = Place.origin(curve)
-    divisor = Divisor(curve, {pl_P: l, pl_O: -l})
+        return MillerFunction(curve, {}, Divisor(curve))
+    factors = {}
+    for step in _miller_steps(curve, P, l):
+        if step is None:
+            for f in factors:
+                factors[f] *= 2
+        else:
+            _mul_step(curve, factors, step, 1)
     if R is None:
+        divisor = Divisor(curve, {Place.rational_point(curve, P): l, Place.origin(curve): -l})
         return MillerFunction(curve, factors, divisor)
+    # times h^(-l), div(h) = (P) + (R) - (P+R) - (O); P + R != R as P != O
     PR = ec_add(curve, P, R)
-    # h with div(h) = (P) + (R) - (P+R) - (O); then f * h^(-l)
-    if PR is None:
-        h = {_vertical(curve, P): 1}
-    elif R is None or R == PR:
-        raise DomainError("degenerate offset")
-    else:
-        h = {_line_through(curve, P, R): 1, _vertical(curve, PR): -1}
-    for f, e in h.items():
-        factors[f] = factors.get(f, 0) - l * e
-        if not factors[f]:
-            del factors[f]
+    _mul_step(curve, factors, (P, R, PR), -l)
     divisor = Divisor(
         curve,
         {Place.rational_point(curve, PR): l, Place.rational_point(curve, R): -l},
@@ -222,11 +214,8 @@ def _disjoint_offsets(curve, P, Q, r_index=0, s_index=0):
 
     for R in offsets(r_index):
         PR = _shifted_support(curve, P, R)
-        if PR is None:
-            continue
         for S in offsets(s_index):
-            QS = _shifted_support(curve, Q, S)
-            if QS is not None and not PR & QS:
+            if not PR & _shifted_support(curve, Q, S):
                 yield R, S
 
 
@@ -253,11 +242,9 @@ def _scale_div(div, l):
 
 
 def _shifted_support(curve, P, R):
-    PR = ec_add(curve, P, R)
-    if PR == R:
-        return None
+    """The support {P + R, R} of (P + R) - (R), for P != O."""
     key = lambda T: ("O",) if T is None else (T[0].encoding(), T[1].encoding())
-    return {key(PR), key(R)}
+    return {key(ec_add(curve, P, R)), key(R)}
 
 
 def _check_torsion(curve, P, Q, l):
@@ -271,57 +258,30 @@ def _check_torsion(curve, P, Q, l):
 
 
 def _miller_point_eval(curve, P, l, S):
-    """f_{l,P}(S) through the Miller loop, evaluating lines at S on the fly."""
+    """f_{l,P}(S) along the Miller chain, each line and vertical evaluated
+    at S on FieldElements as the chain walks; _Degenerate when one vanishes
+    there."""
     if S is None:
         raise _Degenerate
-    field = curve.spec
-
-    def line_at(A, B):
-        if A == ec_neg(curve, B):
-            return S[0] - A[0]
-        if A == B:
-            lam = (field.element(3) * A[0] * A[0] + curve.a) / (A[1] + A[1])
+    num = den = curve.spec.one()
+    for step in _miller_steps(curve, P, l):
+        if step is None:
+            num, den = num * num, den * den
+            continue
+        A, B, C = step
+        if C is None:  # the line through A and B is the vertical at A
+            num = num * (S[0] - A[0])
         else:
-            lam = (B[1] - A[1]) / (B[0] - A[0])
-        return S[1] - (lam * (S[0] - A[0]) + A[1])
-
-    def vert_at(A):
-        return S[0] - A[0]
-
-    num, den = field.one(), field.one()
-    V = P
-    for bit in bin(l)[3:]:
-        num, den = num * num, den * den
-        twoV = ec_add(curve, V, V)
-        if V is None:
-            pass  # m*P = O: f_2m = f_m^2
-        elif twoV is None:
-            num = num * vert_at(V)
-        else:
-            num = num * line_at(V, V)
-            den = den * vert_at(twoV)
-        V = twoV
-        if bit == "1":
-            if V is None:
-                V = P
-                continue
-            newV = ec_add(curve, V, P)
-            if newV is None:
-                num = num * vert_at(V)
-            else:
-                num = num * line_at(V, P)
-                den = den * vert_at(newV)
-            V = newV
+            num = num * (S[1] - (ec_slope(curve, A, B) * (S[0] - A[0]) + A[1]))
+            den = den * (S[0] - C[0])
         if not num or not den:
             raise _Degenerate
-    if not num or not den:
-        raise _Degenerate
     return num / den
 
 
 def weil_pairing_miller(curve, P, Q, l):
     """Textbook two-sided Miller evaluation: f_P and f_Q are evaluated at
-    translated divisor representatives point by point inside the loop."""
+    translated divisor representatives point by point along the chain."""
     _check_torsion(curve, P, Q, l)
     if P is None or Q is None or P == Q:
         return PairingValue(curve.spec.one(), l)

@@ -167,21 +167,6 @@ def bipoly_divide(N, F):
     return BiPoly.from_rows(spec, Q)
 
 
-def bipoly_multiplicity(N, F):
-    """Multiplicity of the irreducible F in N (INFINITE when N = 0)."""
-    if F.total_degree() < 1:
-        raise DomainError("multiplicity of a constant is undefined")
-    if not N:
-        return INFINITE
-    m = 0
-    while True:
-        Q = bipoly_divide(N, F)
-        if Q is None:
-            return m
-        N = Q
-        m += 1
-
-
 def fulton_multiplicity(F, G, point):
     """Local intersection multiplicity of two affine curves at a point, for
     the oracle ``fulton_intersection_cycle`` only: the flag residues it checks
@@ -958,17 +943,16 @@ def cycle_degree(cycle):
 
 def dlog2_pole_check(symbol):
     """Maximum pole order along the support curves of the 2-form
-    sum e * dlog f wedge dlog g attached to the symbol; at most 1.
+    sum e * dlog f wedge dlog g attached to the symbol, floored at 0.
 
-    The global scaling constant of the weight-2 comparison map ((-1)^n(n-1)!
-    at n = 2, i.e. -1) rescales the form and cannot change pole orders, so
-    it is not applied here."""
+    Over the common denominator prod(support forms) the order along a
+    curve is 1 - (multiplicity of its form in the numerator), so it is at
+    most 1 by construction and is 1 exactly where the form does not divide
+    the numerator.  The global scaling constant of the weight-2 comparison
+    map ((-1)^n(n-1)! at n = 2, i.e. -1) rescales the form and cannot
+    change pole orders, so it is not applied here."""
     support = symbol.support_curves()
-    if not support:
-        return 0
-    worst = 0
-    p = symbol.p
-    field = prime_field(p)
+    field = prime_field(symbol.p)
     for curve in support:
         chart = _visible_chart(curve)
         forms = {c: c.form.dehomogenize(chart, field) for c in support}
@@ -978,10 +962,9 @@ def dlog2_pole_check(symbol):
         Fhat = forms[curve]
         if Fhat.total_degree() < 1:
             continue  # the curve is invisible here; handled by chart choice
-        mult = bipoly_multiplicity(numerator, Fhat)
-        order = 1 - (mult if mult is not INFINITE else 10**9)
-        worst = max(worst, order)
-    return worst
+        if bipoly_divide(numerator, Fhat) is None:
+            return 1
+    return 0
 
 
 def _visible_chart(curve):

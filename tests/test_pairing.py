@@ -1,8 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adele_forge import curves, pairing, selfcheck, signs
+from adele_forge import curves, pairing, selfcheck, signs, surface
 from adele_forge.curves import (
     CurveModel,
     Divisor,
@@ -508,3 +511,92 @@ def test_miller_values_off_the_support_strip_nothing(monkeypatch):
         assert _norm_product(mf, D) == want
     with pytest.raises(AssertionError, match="stripped"):
         cases[0][0].value_at_place(zero)
+
+
+# ---------------------------------------------------------------------------
+# one Miller chain
+
+
+def test_offset_miller_function_builds_only_its_places(monkeypatch):
+    """With an offset R the divisor is l(P+R) - l(R): on a warm curve the
+    second call builds those two affine places and no origin."""
+    curve = CurveModel.elliptic(F5, -1, 0)
+    R = (F5.element(2), F5.element(1))
+    miller_function(curve, P00, 2, R)
+    built = []
+    affine, origin = Place.affine_orbit, Place.origin
+
+    def counting_affine(cls, *args):
+        built.append("affine")
+        return affine(*args)
+
+    def counting_origin(cls, *args):
+        built.append("origin")
+        return origin(*args)
+
+    monkeypatch.setattr(Place, "affine_orbit", classmethod(counting_affine))
+    monkeypatch.setattr(Place, "origin", classmethod(counting_origin))
+    miller_function(curve, P00, 2, R)
+    assert built == ["affine", "affine"]
+
+
+def _int_value(f, S):
+    """(A + B*y)/C at the rational point S, on the coefficients' ints."""
+    p = f.curve.spec.p
+    x, y = S[0].val[0], S[1].val[0]
+
+    def at(poly):
+        return sum(c * x**i for i, c in enumerate(poly.vec)) % p
+
+    a, b, c = f.abc
+    return (at(a) + at(b) * y) * pow(at(c), p - 2, p) % p
+
+
+@pytest.mark.parametrize("curve, l", [(E2, 2), (E2, 4), (E3, 3)], ids=["E2-l2", "E2-l4", "E3-l3"])
+def test_point_evaluation_matches_the_factored_chain(curve, l):
+    """The point-evaluated chain at S is the product of the factored chain's
+    factors at S, or is degenerate because a line or vertical of the walk
+    vanishes at S."""
+    p = curve.spec.p
+    affine = [T for T in rational_points(curve) if T is not None]
+    outcomes = set()
+    for P in torsion_points(curve, l):
+        if P is None:
+            continue
+        factors = miller_function(curve, P, l).factors
+        walk = []
+        for step in pairing._miller_steps(curve, P, l):
+            if step is not None:
+                A, B, C = step
+                walk.append(pairing._line_through(curve, A, B))
+                if C is not None:
+                    walk.append(pairing._vertical(curve, C))
+        for S in affine:
+            try:
+                got = pairing._miller_point_eval(curve, P, l, S)
+            except pairing._Degenerate:
+                assert any(_int_value(f, S) == 0 for f in walk), (P, S)
+                outcomes.add("degenerate")
+                continue
+            want = 1
+            for f, e in factors.items():
+                want = want * pow(_int_value(f, S), e, p) % p
+            assert got.val[0] == want, (P, S)
+            outcomes.add("value")
+    assert outcomes == {"value", "degenerate"}
+
+
+def test_one_miller_chain_and_one_slope():
+    """pairing walks bin(l) once, in _miller_steps; the chord-tangent slope
+    on FieldElements is curves.ec_slope, which the lines, the point
+    evaluation and ec_add call."""
+    trees = {m: ast.parse(Path(m.__file__).read_text()) for m in (curves, pairing, surface)}
+    defs = {node.name: node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def bin_calls(tree):
+        return sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bin" for node in ast.walk(tree))
+
+    assert bin_calls(trees[pairing]) == bin_calls(defs["_miller_steps"]) == 1
+    assert "_miller_chain_factors" not in defs and "bipoly_multiplicity" not in defs
+    for name in ("_line_through", "_miller_point_eval", "ec_add"):
+        assert any(getattr(node, "id", None) == "ec_slope" for node in ast.walk(defs[name])), name

@@ -27,7 +27,6 @@ from adele_forge.surface import (
     SurfaceSymbol,
     bezout_number,
     bipoly_divide,
-    bipoly_multiplicity,
     choose_aux_line,
     curve_intersection_points,
     curve_tame_symbol,
@@ -175,17 +174,6 @@ def test_bipoly_divide_and_multiplicity(case, shape, k):
         below = _combine(K, _times(below, f))
     assert bipoly_divide(N, F) == BiPoly(K, below)
     assert bipoly_divide(BiPoly(K, a), F) is None
-    assert bipoly_multiplicity(N, F) == k
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_bipoly_multiplicity_of_a_constant_is_an_error(k):
-    K = canonical_field(P, k)
-    N = u_var(K) + v_var(K)
-    for F in (BiPoly.constant(K.one()), BiPoly.constant(K.from_encoding(K.order - 1))):
-        for numerator in (N, N * N, BiPoly.constant(K.one()), BiPoly.zero(K)):
-            with pytest.raises(DomainError, match="constant"):
-                bipoly_multiplicity(numerator, F)
 
 
 def test_fulton_examples_off_the_origin():
