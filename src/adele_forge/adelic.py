@@ -17,7 +17,7 @@ from .curves import (
 from .errors import DomainError
 from .fields import DEFAULT_EXT_BOUND, Polynomial
 from .linalg import rref
-from .milnor import GerstenCochain, MilnorSymbol, symbol_support, tame_symbol
+from .milnor import GerstenCochain, MilnorSymbol, residue, residue_support
 
 # The largest auxiliary multiplicity m that cohomology_dims tries: on P^1 a
 # degree below -(STABILIZATION_CAP / 2 + 1) needs a larger one to stabilize.
@@ -164,42 +164,21 @@ def uniformizer(place):
 
 
 def nu_curve(cochain, ext_bound=DEFAULT_EXT_BOUND):
-    """Residue morphism of a degree-1 cochain into the Gersten complex.
-
-    Weight 1: v -> -valuation(component_v); weight 2: v -> tame symbol of
-    the component, raised to the audited weight-2 exponent.
+    """Residue morphism of a degree-1 cochain into the Gersten complex: at
+    each place of the tail's ``residue_support`` and each exception, the
+    ``milnor.residue`` of the component there, negated at weight 1 and
+    raised to the audited weight-2 exponent at weight 2.
     """
     if cochain.degree != 1:
         raise DomainError("nu acts on degree-1 cochains")
     if cochain.weight[0] != "k" or cochain.weight[1] not in (1, 2):
         raise DomainError("nu is defined for K-weight 1 or 2")
-    curve = cochain.curve
     n = cochain.weight[1]
-    support = {}
-    tail = cochain.tail
-    if n == 1:
-        if tail and not tail.is_constant():
-            for v, _m in principal_divisor(tail, ext_bound).items():
-                support[v] = None
-    else:
-        for v in symbol_support(tail, ext_bound):
-            support[v] = None
-    for v in cochain.exceptions:
-        support[v] = None
     out = {}
-    for v in support:
-        comp = cochain.local_component(v)
-        if n == 1:
-            if not comp:
-                raise DomainError("zero K1 component at %r" % (v,))
-            val = -valuation(comp, v)
-            if val:
-                out[v] = val
-        else:
-            value = tame_symbol(comp, v) ** signs.NU_WEIGHT2_EXPONENT
-            if value != value.spec.one():
-                out[v] = value
-    return GerstenCochain(curve, 1, n, out)
+    for v in dict.fromkeys([*residue_support(cochain.tail, ext_bound), *cochain.exceptions]):
+        r = residue(cochain.local_component(v), v)
+        out[v] = -r if n == 1 else r**signs.NU_WEIGHT2_EXPONENT
+    return GerstenCochain(cochain.curve, n, out)
 
 
 def _value_product(curve, wm, a, wn, b):

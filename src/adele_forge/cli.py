@@ -34,9 +34,6 @@ from .surface import (
     surface_product_cycle,
 )
 
-TASKS = ("rr-table", "reciprocity", "tame", "intersect", "weil", "massey", "selfcheck")
-
-
 def _expect_keys(obj, required, optional=(), where="document"):
     if not isinstance(obj, dict):
         raise SchemaError("%s must be an object" % where)
@@ -46,6 +43,26 @@ def _expect_keys(obj, required, optional=(), where="document"):
     for key in obj:
         if key not in required and key not in optional:
             raise SchemaError("%s has unknown key %r" % (where, key))
+
+
+def _tag(doc, tag, table, where):
+    """The value of an object's ``tag`` key, which must be a key of
+    ``table``."""
+    if not isinstance(doc, dict):
+        raise SchemaError("%s must be an object" % where)
+    if tag not in doc:
+        raise SchemaError("%s is missing %r" % (where, tag))
+    name = doc[tag]
+    if not isinstance(name, str) or name not in table:
+        raise SchemaError("unknown %s %s %r" % (where, tag, name))
+    return name
+
+
+def _require(doc, keys, what):
+    """Raise "<what> needs a, b and c" unless the object has all the keys."""
+    if any(key not in doc for key in keys):
+        listed = " and ".join(filter(None, [", ".join(keys[:-1]), keys[-1]]))
+        raise SchemaError("%s needs %s" % (what, listed))
 
 
 def _as_int(value, where):
@@ -75,20 +92,20 @@ def _parse_field(doc):
 
 
 def _parse_curve(doc, spec):
-    _expect_keys(doc, ("model",), ("a", "b"), "curve")
-    model = doc["model"]
+    models = {"projective-line": (), "elliptic": ("a", "b")}
+    model = _tag(doc, "model", models, "curve")
+    _require(doc, models[model], "%s curve" % model)
+    _expect_keys(doc, ("model",) + models[model], (), "curve")
     if model == "projective-line":
         return CurveModel.projective_line(spec)
-    if model == "elliptic":
-        if "a" not in doc or "b" not in doc:
-            raise SchemaError("elliptic curve needs a and b")
-        return CurveModel.elliptic(spec, _as_int(doc["a"], "curve.a"), _as_int(doc["b"], "curve.b"))
-    raise SchemaError("unknown curve model %r" % (model,))
+    return CurveModel.elliptic(spec, _as_int(doc["a"], "curve.a"), _as_int(doc["b"], "curve.b"))
 
 
 def _parse_place(doc, curve):
-    _expect_keys(doc, ("type",), ("poly", "x", "y"), "place")
-    kind = doc["type"]
+    types = {"infinity": (), "finite": ("poly",), "origin": (), "affine": ("x", "y")}
+    kind = _tag(doc, "type", types, "place")
+    _require(doc, types[kind], "%s place" % kind)
+    _expect_keys(doc, ("type",) + types[kind], (), "place")
     if kind == "infinity":
         return Place.infinity(curve)
     if kind == "finite":
@@ -96,11 +113,9 @@ def _parse_place(doc, curve):
         return Place.finite(curve, poly)
     if kind == "origin":
         return Place.origin(curve)
-    if kind == "affine":
-        x = curve.spec.element(_as_int(doc["x"], "place.x"))
-        y = curve.spec.element(_as_int(doc["y"], "place.y"))
-        return Place.affine_orbit(curve, x, y)
-    raise SchemaError("unknown place type %r" % (kind,))
+    x = curve.spec.element(_as_int(doc["x"], "place.x"))
+    y = curve.spec.element(_as_int(doc["y"], "place.y"))
+    return Place.affine_orbit(curve, x, y)
 
 
 def _parse_divisor(entries, curve):
@@ -257,8 +272,6 @@ def _task_rr_table(config, curve, ext_bound):
 
 
 def _task_reciprocity(config, curve, ext_bound):
-    if "symbols" not in config:
-        raise SchemaError("reciprocity needs symbols")
     if not isinstance(config["symbols"], list) or not config["symbols"]:
         raise SchemaError("symbols must be a nonempty list of symbols")
     results = []
@@ -273,8 +286,6 @@ def _task_reciprocity(config, curve, ext_bound):
 
 
 def _task_tame(config, curve, ext_bound):
-    if "symbol" not in config or "place" not in config:
-        raise SchemaError("tame needs symbol and place")
     s = _parse_symbol(config["symbol"], curve)
     v = _parse_place(config["place"], curve)
     value = tame_symbol(s, v)
@@ -287,9 +298,6 @@ def _task_tame(config, curve, ext_bound):
 def _task_intersect(config, spec, ext_bound):
     if spec.k != 1:
         raise DomainError("plane intersections require a prime base field, not %r" % (spec,))
-    for key in ("divisor1", "divisor2"):
-        if key not in config:
-            raise SchemaError("intersect needs divisor1 and divisor2")
     D1 = _parse_surface_divisor(config["divisor1"], spec.p)
     D2 = _parse_surface_divisor(config["divisor2"], spec.p)
     n = intersection_number(D1, D2, ext_bound)
@@ -311,17 +319,8 @@ def _task_intersect(config, spec, ext_bound):
     )
 
 
-def _pairing_payload(config, curve, task):
-    """The l, P and Q of a weil or massey config."""
-    for key in ("l", "P", "Q"):
-        if key not in config:
-            raise SchemaError("%s needs l, P and Q" % task)
-    l = _as_int(config["l"], "l")
-    return l, _parse_point(config["P"], curve), _parse_point(config["Q"], curve)
-
-
 def _task_weil(config, curve, ext_bound):
-    l, P, Q = _pairing_payload(config, curve, "weil")
+    l, P, Q = _as_int(config["l"], "l"), _parse_point(config["P"], curve), _parse_point(config["Q"], curve)
     idelic = weil_pairing_idelic(curve, P, Q, l)
     miller = weil_pairing_miller(curve, P, Q, l)
     return (
@@ -334,7 +333,7 @@ def _task_weil(config, curve, ext_bound):
 
 
 def _task_massey(config, curve, ext_bound):
-    l, P, Q = _pairing_payload(config, curve, "massey")
+    l, P, Q = _as_int(config["l"], "l"), _parse_point(config["P"], curve), _parse_point(config["Q"], curve)
     out = massey_triple_curve(curve, P, Q, l)
     miller = weil_pairing_miller(curve, P, Q, l)
     expected = miller.value ** signs.MASSEY_PAIRING_EXPONENT
@@ -384,44 +383,40 @@ def _signs_dict():
     }
 
 
+# each task: its runner (None for selfcheck), whether it reads a field and a
+# curve, and its required and optional keys besides those
+TASKS = {
+    "rr-table": (_task_rr_table, True, True, (), ("degrees", "divisors")),
+    "reciprocity": (_task_reciprocity, True, True, ("symbols",), ()),
+    "tame": (_task_tame, True, True, ("symbol", "place"), ()),
+    "intersect": (_task_intersect, True, False, ("divisor1", "divisor2"), ()),
+    "weil": (_task_weil, True, True, ("l", "P", "Q"), ()),
+    "massey": (_task_massey, True, True, ("l", "P", "Q"), ()),
+    "selfcheck": (None, False, False, (), ()),
+}
+
+
 def run_config(doc, seed=0, ext_bound=DEFAULT_EXT_BOUND):
     """Validate a config document and execute its task; returns the report.
 
     ``seed`` (or the config's ``seed`` key) is validated and recorded in the
     report; no result depends on it."""
-    payload_keys = ("degrees", "divisors", "symbols", "symbol", "place", "divisor1", "divisor2",
-                    "l", "P", "Q")
-    _expect_keys(doc, ("task",), ("field", "curve", "seed") + payload_keys, "config")
-    task = doc["task"]
-    if task not in TASKS:
-        raise SchemaError("unknown task %r" % (task,))
+    task = _tag(doc, "task", TASKS, "config")
+    runner, reads_field, reads_curve, required, optional = TASKS[task]
+    context = ("field",) * reads_field + ("curve",) * reads_curve
+    _expect_keys(doc, ("task",), ("seed",) + context + required + optional, "config")
+    for key in context:
+        if key not in doc:
+            raise SchemaError("task %r needs a %s" % (task, key))
+    _require(doc, required, task)
     if "seed" in doc:
         seed = _as_int(doc["seed"], "seed")
-    if task == "selfcheck":
+    if runner is None:
         report, ok = _selfcheck_report()
-        if not ok:
-            report["status"] = "fail"
-        else:
-            report["status"] = "pass"
+        report["status"] = "pass" if ok else "fail"
         return report
-    if "field" not in doc:
-        raise SchemaError("task %r needs a field" % task)
     spec = _parse_field(doc["field"])
-    payload = {k: doc[k] for k in payload_keys if k in doc}
-    if task == "intersect":
-        result, oracle = _task_intersect(payload, spec, ext_bound)
-    else:
-        if "curve" not in doc:
-            raise SchemaError("task %r needs a curve" % task)
-        curve = _parse_curve(doc["curve"], spec)
-        runner = {
-            "rr-table": _task_rr_table,
-            "reciprocity": _task_reciprocity,
-            "tame": _task_tame,
-            "weil": _task_weil,
-            "massey": _task_massey,
-        }[task]
-        result, oracle = runner(payload, curve, ext_bound)
+    result, oracle = runner(doc, _parse_curve(doc["curve"], spec) if reads_curve else spec, ext_bound)
     return {
         "version": __version__,
         "task": task,

@@ -166,6 +166,8 @@ class Place:
 
     @classmethod
     def infinity(cls, curve):
+        if curve.kind != "p1":
+            raise DomainError("infinity is a place of the projective line")
         return cls(curve, "p1-infinity")
 
     @classmethod

@@ -14,6 +14,7 @@ from .curves import (
     expand_at,
     leading_term,
     principal_divisor,
+    valuation,
 )
 from .errors import DomainError
 from .fields import DEFAULT_EXT_BOUND, factor_polynomial, norm_to_prime_field, trace_to_prime_field
@@ -61,10 +62,7 @@ def symbol_support(symbol, ext_bound=DEFAULT_EXT_BOUND):
     places = {}
     for f, g, _ in symbol.entries:
         for h in (f, g):
-            if h.is_constant():
-                continue
-            for v, _m in principal_divisor(h, ext_bound).items():
-                places[v] = None
+            places.update(dict.fromkeys(residue_support(h, ext_bound)))
     return sorted(places, key=lambda v: v.sort_key())
 
 
@@ -85,34 +83,46 @@ def tame_symbol(symbol, place):
     return result
 
 
-class GerstenCochain:
-    """A term of the curve Gersten complex.
+def residue(x, place):
+    """The Gersten residue at a place of an element of K_1 or K_2 of the
+    function field: the valuation of a nonzero function, the tame symbol of
+    a MilnorSymbol."""
+    if isinstance(x, MilnorSymbol):
+        return tame_symbol(x, place)
+    return valuation(x, place)
 
-    level 0 holds a single element of K_n(k(X)) (a function for n=1, a
-    MilnorSymbol for n=2, an integer for n=0); level 1 holds a finite map
-    from places to K_(n-1) of the residue fields.
+
+def residue_support(x, ext_bound=DEFAULT_EXT_BOUND):
+    """The places outside which ``residue(x, .)`` is trivial: the support of
+    div(x) for a nonconstant function (none for a nonzero constant), the
+    ``symbol_support`` of a MilnorSymbol."""
+    if isinstance(x, MilnorSymbol):
+        return symbol_support(x, ext_bound)
+    if x and x.is_constant():
+        return []
+    return [v for v, _m in principal_divisor(x, ext_bound).items()]
+
+
+class GerstenCochain:
+    """The level-1 term of the curve Gersten complex at weight 1 or 2: a
+    finite map from places to K_(weight-1) of their residue fields, integers
+    at weight 1 and residue-field units at weight 2.  Trivial values (0, 1)
+    are dropped.
     """
 
-    __slots__ = ("curve", "level", "weight", "payload")
+    __slots__ = ("curve", "weight", "payload")
 
-    def __init__(self, curve, level, weight, payload):
-        if level not in (0, 1):
-            raise DomainError("curve Gersten levels are 0 and 1")
-        if weight not in (0, 1, 2):
-            raise DomainError("supported weights are 0, 1, 2")
-        if level == 1:
-            payload = {v: x for v, x in payload.items() if _nontrivial(weight, x)}
+    def __init__(self, curve, weight, payload):
+        if weight not in (1, 2):
+            raise DomainError("supported weights are 1 and 2")
         self.curve = curve
-        self.level = level
         self.weight = weight
-        self.payload = payload
+        self.payload = {v: x for v, x in payload.items() if (x if weight == 1 else x != x.spec.one())}
 
     def items(self):
         return sorted(self.payload.items(), key=lambda vx: vx[0].sort_key())
 
     def __repr__(self):
-        if self.level == 0:
-            return "Gersten0[%r]" % (self.payload,)
         return "Gersten1{%s}" % (
             ", ".join("%r: %r" % (v, x) for v, x in self.items())
         )
@@ -120,41 +130,23 @@ class GerstenCochain:
     def __eq__(self, other):
         return (
             isinstance(other, GerstenCochain)
-            and (self.curve, self.level, self.weight) == (other.curve, other.level, other.weight)
+            and (self.curve, self.weight) == (other.curve, other.weight)
             and self.payload == other.payload
         )
 
 
-def _nontrivial(weight, x):
-    if weight == 1:
-        return x != 0
-    one = x.spec.one()
-    return x != one
-
-
-def gersten_boundary(cochain, ext_bound=DEFAULT_EXT_BOUND):
-    """Residue differential of a level-0 cochain: valuations for weight 1,
-    tame symbols for weight 2."""
-    if cochain.level != 0:
-        raise DomainError("boundary of a level-0 cochain expected")
-    curve = cochain.curve
-    if cochain.weight == 1:
-        f = cochain.payload
-        div = principal_divisor(f, ext_bound)
-        return GerstenCochain(curve, 1, 1, dict(div.items()))
-    if cochain.weight == 2:
-        symbol = cochain.payload
-        out = {}
-        for v in symbol_support(symbol, ext_bound):
-            out[v] = tame_symbol(symbol, v)
-        return GerstenCochain(curve, 1, 2, out)
-    raise DomainError("no boundary at weight 0")
+def gersten_boundary(x, ext_bound=DEFAULT_EXT_BOUND):
+    """The Gersten differential of a nonzero function (weight 1) or a
+    MilnorSymbol (weight 2): its residue at each place of its
+    ``residue_support``."""
+    weight = 2 if isinstance(x, MilnorSymbol) else 1
+    return GerstenCochain(x.curve, weight, {v: residue(x, v) for v in residue_support(x, ext_bound)})
 
 
 def direct_image(cochain):
-    """The pushforward K_1(k(v)) -> GF(p)* of a level-1 weight-2 cochain:
-    the product of the norms of its values down to the prime field, 1 for
-    the empty cochain."""
+    """The pushforward K_1(k(v)) -> GF(p)* of a weight-2 cochain: the
+    product of the norms of its values down to the prime field, 1 for the
+    empty cochain."""
     result = cochain.curve.spec.one()
     for x in cochain.payload.values():
         result = result * norm_to_prime_field(x)
@@ -165,8 +157,7 @@ def weil_reciprocity_check(symbol, ext_bound=DEFAULT_EXT_BOUND):
     """The direct image of the Gersten boundary of a symbol: the product over
     all places of the norms of its tame symbols, which is 1 on a proper
     curve."""
-    boundary = gersten_boundary(GerstenCochain(symbol.curve, 0, 2, symbol), ext_bound)
-    return direct_image(boundary)
+    return direct_image(gersten_boundary(symbol, ext_bound))
 
 
 # ---------------------------------------------------------------------------

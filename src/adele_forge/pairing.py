@@ -333,7 +333,7 @@ def massey_triple(curve, Y, f, Z, g):
         cocycle[v] = f.value_at_place(v) ** (-m)  # (-1)^{pq} = -1 inverts
     for v, m in Y.items():
         cocycle[v] = g.value_at_place(v) ** m
-    image = direct_image(GerstenCochain(curve, 1, 2, cocycle))
+    image = direct_image(GerstenCochain(curve, 2, cocycle))
     return MasseyOutput(cocycle, image)
 
 

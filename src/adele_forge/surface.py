@@ -533,30 +533,13 @@ class SurfaceSymbol:
 # two-step residues
 
 
-class RestrictedFunction:
-    """A factored function together with the curve it is to be restricted to
-    (the restriction itself is deferred to valuation time)."""
-
-    __slots__ = ("curve", "constant", "powers")
-
-    def __init__(self, curve, constant, powers):
-        self.curve = curve
-        self.constant = constant
-        self.powers = {c: e for c, e in powers.items() if e}
-
-    def __repr__(self):
-        return "(%r)|_%r" % (FactoredFunction(self.constant.spec.p, self.constant, self.powers), self.curve)
-
-
 def curve_tame_symbol(symbol, curve):
     """First-step residue of a K2 symbol along a curve: the tame symbol
-    (-1)^(v_C(f)v_C(g)) f^(v_C(g)) g^(-v_C(f)) with the curve's own power
-    cancelled, still in factored form."""
+    (-1)^(v_C(f)v_C(g)) f^(v_C(g)) g^(-v_C(f)), still in factored form, where
+    the curve's own power v_C(f)v_C(g) - v_C(g)v_C(f) cancels."""
     p = symbol.p
-    field = prime_field(p)
-    constant = field.one()
-    powers = {}
-    minus_one = field.element(-1)
+    minus_one = FactoredFunction(p, -1)
+    result = FactoredFunction(p)
     for f, g, e in symbol.entries:
         a = f.exponent_along(curve)
         b = g.exponent_along(curve)
@@ -564,14 +547,9 @@ def curve_tame_symbol(symbol, curve):
             continue
         term = f**b * g ** (-a)
         if (a * b) % 2:
-            term = term * FactoredFunction(p, minus_one, {})
-        term = term**e
-        constant = constant * term.constant
-        for c, k in term.powers.items():
-            powers[c] = powers.get(c, 0) + k
-    if powers.pop(curve, 0):
-        raise DomainError("curve power did not cancel in the tame symbol")
-    return RestrictedFunction(curve, constant, powers)
+            term = term * minus_one
+        result = result * term**e
+    return result
 
 
 def valuation_on_curve(func, curve, point, chart=None):
@@ -585,10 +563,7 @@ def valuation_on_curve(func, curve, point, chart=None):
     The one smoothness check of a flag: the curve is smooth at x when its
     chart partials are not both zero, the third partial then vanishing by
     Euler's relation x . grad C(x) = deg C * C(x) = 0."""
-    if isinstance(func, RestrictedFunction):
-        if func.curve != curve:
-            raise DomainError("function restricted to a different curve")
-    elif func.exponent_along(curve):
+    if func.exponent_along(curve):
         raise DomainError("function vanishes identically along the curve")
     if not curve.contains(point):
         raise DomainError("point is not on the curve")
@@ -599,8 +574,6 @@ def valuation_on_curve(func, curve, point, chart=None):
         raise DomainError("flag-curve singular at %r" % (point,))
     total = 0
     for F, e in func.powers.items():
-        if F == curve:
-            raise DomainError("function vanishes identically along the curve")
         if F.form.evaluate(point.coords):
             continue
         fa, fb = F.form.chart_partials(point.coords, chart)

@@ -2,6 +2,8 @@ import copy
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adele_forge import adelic, signs
 from adele_forge.adelic import (
@@ -24,7 +26,8 @@ from adele_forge.curves import (
 )
 from adele_forge.errors import DomainError
 from adele_forge.fields import Polynomial, prime_field
-from adele_forge.milnor import tame_symbol
+from adele_forge.milnor import MilnorSymbol, gersten_boundary, tame_symbol
+from adele_forge.selfcheck import random_elliptic_function, random_p1_function
 
 F5 = prime_field(5)
 F7 = prime_field(7)
@@ -163,6 +166,41 @@ def test_nu_of_cocycle_is_divisor_randomized():
                 ]
             D = Divisor(curve, {v: rng.randrange(-2, 3) for v in places})
             assert nu_curve(divisor_cocycle(D)).payload == dict(D.items())
+
+
+@st.composite
+def _k_cochains(draw):
+    """A degree-1 K1 or K2 cochain with no exceptions, on P^1 or on a
+    nonsingular y^2 = x^3 + a x + b, over GF(p) for p in {5, 7, 11, 13}."""
+    spec = prime_field(draw(st.sampled_from([5, 7, 11, 13])))
+    if draw(st.booleans()):
+        curve, draw_fn = CurveModel.projective_line(spec), random_p1_function
+    else:
+        a, b = draw(st.integers(0, spec.p - 1)), draw(st.integers(0, spec.p - 1))
+        assume((4 * a**3 + 27 * b * b) % spec.p)
+        curve, draw_fn = CurveModel.elliptic(spec, a, b), random_elliptic_function
+    rng = Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        return AdeleCochain(curve, 1, ("k", 1), tail=draw_fn(curve, rng))
+    return AdeleCochain(curve, 1, ("k", 2), tail=MilnorSymbol.pair(draw_fn(curve, rng), draw_fn(curve, rng)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_k_cochains())
+def test_nu_is_the_boundary_of_the_tail(c):
+    # nu(c) = d(tail)^(-1) at weight 1 and d(tail)^NU_WEIGHT2_EXPONENT at
+    # weight 2, written additively at weight 1; a draw with a place above
+    # the extension bound is skipped
+    try:
+        boundary = gersten_boundary(c.tail)
+    except DomainError as exc:
+        assert "exceeds the extension bound" in str(exc)
+        assume(False)
+    if c.weight == ("k", 1):
+        expected = {v: -m for v, m in boundary.payload.items()}
+    else:
+        expected = {v: x**signs.NU_WEIGHT2_EXPONENT for v, x in boundary.payload.items()}
+    assert nu_curve(c).payload == expected
 
 
 def test_product_example():

@@ -692,7 +692,16 @@ def _replace(doc, path, value):
     return doc
 
 
-# each mutation: which nodes it applies to, and what it does to one
+def _add_key(draw, node):
+    node["bogus"] = 1
+
+
+def _drop_key(draw, node):
+    del node[draw(st.sampled_from(sorted(node)))]
+
+
+# each mutation: which nodes it applies to, and what it does to one: a
+# strategy for the node that replaces it, or an edit of the node in place
 MUTATIONS = {
     "wrong type": (lambda node: True, st.sampled_from(WRONG_TYPES)),
     "out-of-range int": (
@@ -700,7 +709,8 @@ MUTATIONS = {
         st.sampled_from(OUT_OF_RANGE),
     ),
     "empty list": (lambda node: isinstance(node, list), st.just([])),
-    "unknown key": (lambda node: isinstance(node, dict), None),
+    "unknown key": (lambda node: isinstance(node, dict), _add_key),
+    "missing key": (lambda node: isinstance(node, dict) and bool(node), _drop_key),
 }
 
 
@@ -716,10 +726,10 @@ def _mutated_configs(draw):
             continue
         todo -= 1
         path = draw(st.sampled_from(paths))
-        if values is None:
-            _at(doc, path)["bogus"] = 1
-        else:
+        if isinstance(values, st.SearchStrategy):
             doc = _replace(doc, path, copy.deepcopy(draw(values)))
+        else:
+            values(draw, _at(doc, path))
     return doc
 
 
@@ -743,6 +753,57 @@ def test_cli_fuzz_exits_cleanly():
                 assert err.getvalue() == "" and json.loads(out.getvalue())
 
         check()
+
+
+def _run_main(doc):
+    """main's exit status and stderr on a config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(["run", str(cfg)])
+    return status, err.getvalue()
+
+
+def test_every_one_key_deletion_exits_cleanly():
+    # deleting any one key of a fuzz base raises no uncaught exception; a
+    # place without its type's own keys is a schema error
+    for base in FUZZ_BASES:
+        for path in _paths(base):
+            node = _at(base, path)
+            for key in node if isinstance(node, dict) else ():
+                doc = copy.deepcopy(base)
+                del _at(doc, path)[key]
+                status, err = _run_main(doc)
+                assert status in (0, 1, 2), (path, key)
+                assert not status or MESSAGE.fullmatch(err), err
+                if "place" in path and key != "type":
+                    assert err.startswith("schema error [schema]: %s place needs " % node["type"]), err
+
+
+def test_each_task_reads_only_its_own_keys():
+    tame = dict(TAME_GF49_DOC, degrees=[0, 1], divisor1=[], l="junk")
+    curve_on_plane = dict(LINE_CONIC_DOC, curve={"model": "elliptic"})
+    selfcheck = {"task": "selfcheck", "field": {"p": "zz"}}
+    for doc, key in ((tame, "degrees"), (curve_on_plane, "curve"), (selfcheck, "field")):
+        assert _run_main(doc) == (2, "schema error [schema]: config has unknown key %r\n" % key)
+
+
+def test_infinity_is_no_place_of_an_elliptic_curve():
+    # the tame symbol of {x + 1, x + 2} at O on y^2 = x^3 - x over GF(5) is 1,
+    # and infinity names no place of the elliptic model
+    doc = {
+        "field": {"p": 5},
+        "curve": {"model": "elliptic", "a": -1, "b": 0},
+        "task": "tame",
+        "symbol": [[{"num": [1, 1]}, {"num": [2, 1]}, 1]],
+        "place": {"type": "infinity"},
+    }
+    status, err = _run_main(doc)
+    assert status == 1 and err.startswith("error [domain]: "), err
+    at_origin = run_config(dict(doc, place={"type": "origin"}))
+    assert at_origin["result"]["value"] == ["1"]
 
 
 def test_optimized_interpreter_changes_no_selfcheck_byte():

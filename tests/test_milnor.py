@@ -59,43 +59,40 @@ def test_tame_symbol_examples():
 def test_gersten_boundary_examples():
     t7 = t_of(P17)
     s = MilnorSymbol.pair(t7, t7 - 1)
-    b = gersten_boundary(GerstenCochain(P17, 0, 2, s))
+    b = gersten_boundary(s)
     v_t = Place.finite(P17, Polynomial.x(F7))
     v_inf = Place.infinity(P17)
     assert b.payload == {v_t: F7.element(6), v_inf: F7.element(6)}
 
     s2 = MilnorSymbol.pair(FunctionFieldElement.constant(P17, 3), t7)
-    b2 = gersten_boundary(GerstenCochain(P17, 0, 2, s2))
+    b2 = gersten_boundary(s2)
     assert b2.payload == {v_t: F7.element(3), v_inf: F7.element(5)}
 
     f = (t7 * t7 + 3) / (t7 - 1)
-    b3 = gersten_boundary(GerstenCochain(P17, 0, 2, MilnorSymbol.pair(f, -f)))
+    b3 = gersten_boundary(MilnorSymbol.pair(f, -f))
     assert b3.payload == {}
 
 
 def test_gersten_cochain_equality():
-    t7 = t_of(P17)
     v_t = Place.finite(P17, Polynomial.x(F7))
     v_t1 = Place.finite(P17, Polynomial.from_ints(F7, [6, 1]))
     v_inf = Place.infinity(P17)
 
     def level1(extra=None):
-        return GerstenCochain(P17, 1, 2, {v_t: F7.element(3), v_inf: F7.element(5), **(extra or {})})
+        return GerstenCochain(P17, 2, {v_t: F7.element(3), v_inf: F7.element(5), **(extra or {})})
 
     c = level1()
     assert c == level1()
-    assert GerstenCochain(P17, 0, 1, t7 - 1) == GerstenCochain(P17, 0, 1, t7 - 1)
-    # a weight-2 symbol compares by its curve and entries, not by identity
+    # a symbol compares by its curve and entries, not by identity
+    t7 = t_of(P17)
     symbol = lambda g: MilnorSymbol.pair(t7, g)
-    assert GerstenCochain(P17, 0, 2, symbol(t7 - 1)) == GerstenCochain(P17, 0, 2, symbol(t7 - 1))
-    assert hash(symbol(t7 - 1)) == hash(symbol(t7 - 1))
-    assert GerstenCochain(P17, 0, 2, symbol(t7 - 1)) != GerstenCochain(P17, 0, 2, symbol(t7 - 2))
-    # the level-1 filter drops an entry of value 1
+    assert symbol(t7 - 1) == symbol(t7 - 1) and hash(symbol(t7 - 1)) == hash(symbol(t7 - 1))
+    assert symbol(t7 - 1) != symbol(t7 - 2)
+    # the filter drops an entry of value 1
     assert level1({v_t1: F7.one()}) == c
     assert level1({v_t1: F7.element(2)}) != c
     changes = {
         "curve": CurveModel.elliptic(F7, 0, 2),
-        "level": 0,
         "weight": 1,
         "payload": {v_t: F7.element(3), v_inf: F7.element(6)},
     }
@@ -104,6 +101,22 @@ def test_gersten_cochain_equality():
         setattr(other, name, value)
         assert other != c and c != other, name
     assert c != c.payload
+
+
+def test_residues_are_read_in_one_place():
+    """gersten_boundary and adelic.nu_curve read residues through
+    milnor.residue and milnor.residue_support only; the plane's first
+    residue is a FactoredFunction, and a Gersten cochain has one level."""
+    package = Path(milnor.__file__).resolve().parent
+    for module, name in (("milnor.py", "gersten_boundary"), ("adelic.py", "nu_curve")):
+        tree = ast.parse((package / module).read_text())
+        func = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+        called = {getattr(n.func, "id", getattr(n.func, "attr", None)) for n in ast.walk(func) if isinstance(n, ast.Call)}
+        assert {"residue", "residue_support"} <= called, name
+        assert not called & {"valuation", "tame_symbol", "principal_divisor", "symbol_support"}, name
+    surface = ast.parse((package / "surface.py").read_text())
+    assert "RestrictedFunction" not in {n.name for n in ast.walk(surface) if isinstance(n, ast.ClassDef)}
+    assert "level" not in GerstenCochain.__slots__
 
 
 def test_direct_image_has_the_only_norm_loop():
@@ -128,7 +141,7 @@ def test_direct_image_has_the_only_norm_loop():
 def test_weight1_boundary_is_divisor():
     t7 = t_of(P17)
     f = (t7 - 1) * (t7 - 1) / t7
-    b = gersten_boundary(GerstenCochain(P17, 0, 1, f))
+    b = gersten_boundary(f)
     assert b.payload == dict(principal_divisor(f).items())
 
 

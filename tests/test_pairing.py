@@ -343,7 +343,7 @@ def _div_of(mf):
 
 def test_direct_image_examples():
     def image(payload):
-        return direct_image(GerstenCochain(E2, 1, 2, payload))
+        return direct_image(GerstenCochain(E2, 2, payload))
 
     v1 = Place.rational_point(E2, P00)
     assert image({v1: F5.element(3)}) == F5.element(3)
