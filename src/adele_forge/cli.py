@@ -237,6 +237,8 @@ def _enc_point_orbit(pt):
 
 
 def _task_rr_table(config, curve, ext_bound):
+    if ("degrees" in config) == ("divisors" in config):
+        raise SchemaError("rr-table needs exactly one of degrees and divisors")
     if "degrees" in config:
         bounds = _int_list(config["degrees"], "degrees")
         if len(bounds) != 2:
@@ -247,12 +249,10 @@ def _task_rr_table(config, curve, ext_bound):
         base = curve.base_place()
         # a generator: a wide window builds no divisor ahead of the first failure
         divisors = (Divisor(curve, {base: n}) for n in range(lo, hi + 1))
-    elif "divisors" in config:
+    else:
         if not isinstance(config["divisors"], list) or not config["divisors"]:
             raise SchemaError("divisors must be a nonempty list of divisors")
         divisors = [_parse_divisor(d, curve) for d in config["divisors"]]
-    else:
-        raise SchemaError("rr-table needs degrees or divisors")
     rows = []
     ok = True
     for D in divisors:
@@ -439,16 +439,17 @@ def _emit(report, out_path):
 
 
 def main(argv=None):
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0, help="recorded in the report; results do not depend on it")
-    shared.add_argument("--ext-bound", type=int, default=DEFAULT_EXT_BOUND, help="rationality bound")
-    shared.add_argument("--out", default=None, help="write the report to a file")
-    parser = argparse.ArgumentParser(prog="adele-forge", parents=[shared])
+    # every option belongs to one subcommand, given after it
+    parser = argparse.ArgumentParser(prog="adele-forge")
     sub = parser.add_subparsers(dest="command", required=True)
-    runp = sub.add_parser("run", help="execute a JSON config", parents=[shared])
+    runp = sub.add_parser("run", help="execute a JSON config")
     runp.add_argument("config")
-    selfp = sub.add_parser("selfcheck", help="run the full oracle suite", parents=[shared])
+    runp.add_argument("--seed", type=int, default=0, help="recorded in the report; results do not depend on it")
+    runp.add_argument("--ext-bound", type=int, default=DEFAULT_EXT_BOUND, help="rationality bound")
+    selfp = sub.add_parser("selfcheck", help="run the full oracle suite")
     selfp.add_argument("--json", action="store_true", help="emit the JSON report")
+    for subparser in (runp, selfp):
+        subparser.add_argument("--out", default=None, help="write the report to a file")
     args = parser.parse_args(argv)
 
     try:

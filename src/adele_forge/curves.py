@@ -17,6 +17,7 @@ from .fields import (
     FieldElement,
     FieldSpec,
     Polynomial,
+    _power,
     canonical_field,
     factor_polynomial,
     field_sqrt,
@@ -508,14 +509,7 @@ class FunctionFieldElement:
         if not b:
             # gcd(A, C) = 1, so A^e/C^e is reduced too
             return self._raw(self.curve, a**e, b, c**e)
-        result = FunctionFieldElement.one(self.curve)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, FunctionFieldElement.one(self.curve))
 
 
 # ---------------------------------------------------------------------------
@@ -582,15 +576,8 @@ def ec_add(curve, P, Q):
 def scalar_multiple(curve, n, P):
     if n < 0:
         return scalar_multiple(curve, -n, ec_neg(curve, P))
-    result = None
-    base = P
-    while n:
-        if n & 1:
-            result = ec_add(curve, result, base)
-        n >>= 1
-        if n:
-            base = ec_add(curve, base, base)
-    return result
+    # the first sum, O + P, is the one that checks P lies on the curve
+    return _power(P, n, None, lambda A, B: ec_add(curve, A, B))
 
 
 def affine_points(curve):
@@ -784,9 +771,8 @@ def _find_places_above(curve, g, ext_bound):
         return (Place.affine_orbit(curve, x0, field.zero()),)
     y0 = field_sqrt(rhs0)
     if y0 is not None:
-        p1 = Place.affine_orbit(curve, x0, y0)
-        p2 = Place.affine_orbit(curve, x0, -y0)
-        return (p1,) if p1 == p2 else (p1, p2)
+        # distinct: only the identity power of Frobenius fixes x0, and y0 != -y0 (p is odd)
+        return (Place.affine_orbit(curve, x0, y0), Place.affine_orbit(curve, x0, -y0))
     _check_degree(2 * d, ext_bound)
     field2 = canonical_field(curve.spec.p, 2 * d)
     x1 = root_in_field(g, field2)

@@ -210,6 +210,19 @@ def canonical_field(p, k):
     raise DomainError("no irreducible polynomial found")  # unreachable: one exists in every degree
 
 
+def _power(base, e, result, mul=mul):
+    """result * base^e for an int e >= 0, by square-and-multiply from the
+    low bit; the base is squared only while higher bits remain.  The one
+    power loop of field elements, polynomials, functions and points of E."""
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
+
+
 def _mulmod(a, b, modulus, p):
     """The product of two GF(p^k) coefficient tuples (length k, low degree
     first) reduced by the monic degree-k ``modulus``, as a reduced tuple."""
@@ -380,14 +393,7 @@ class FieldElement:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.spec.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, self.spec.one())
 
     def frobenius(self):
         """The p-th power: ``self`` at k = 1, else the Frobenius matrix times ``val``."""
@@ -766,14 +772,7 @@ class Polynomial:
     def __pow__(self, e):
         if e < 0:
             raise DomainError("negative polynomial power")
-        result = Polynomial.one(self.spec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, Polynomial.one(self.spec))
 
     def powmod(self, e, modulus):
         """self^e mod modulus for e >= 0 (the constant 1 when e = 0)."""
@@ -788,13 +787,11 @@ class Polynomial:
         if not e:
             return Polynomial.one(spec)
         m = modulus.vec
-        base = _schoolbook_divmod(spec, self.vec, m)[1]
-        result = base
-        for bit in bin(e)[3:]:
-            result = _schoolbook_divmod(spec, _poly_mul(spec, result, result), m)[1]
-            if bit == "1":
-                result = _schoolbook_divmod(spec, _poly_mul(spec, result, base), m)[1]
-        return Polynomial._raw(spec, result)
+
+        def mulmod(a, b):  # the first product into the result is b itself
+            return b if a is None else _schoolbook_divmod(spec, _poly_mul(spec, a, b), m)[1]
+
+        return Polynomial._raw(spec, _power(_schoolbook_divmod(spec, self.vec, m)[1], e, None, mulmod))
 
     def monic(self):
         if not self:
@@ -864,14 +861,7 @@ class Polynomial:
         if self.degree < 1:
             return False
         f = self.monic()
-        q = self.spec.order
-        x = Polynomial.x(self.spec)
-        h = x
-        for _ in range(f.degree // 2):
-            h = h.powmod(q, f)
-            if poly_gcd(h - x, f).degree > 0:
-                return False
-        return True
+        return next(_distinct_degree(f)) == (f, f.degree)
 
 
 def poly_gcd(a, b):
@@ -918,25 +908,23 @@ def _squarefree_decomposition(f):
 
 
 def _distinct_degree(f):
-    """Squarefree monic f -> list of (product of irreducibles of degree d, d)."""
-    spec = f.spec
-    q = spec.order
-    x = Polynomial.x(spec)
-    out = []
-    h = x
+    """Squarefree monic f -> its blocks (product of irreducibles of degree
+    d, d), by increasing d.  For any monic f of positive degree the first
+    block is (f, deg f) exactly when f is irreducible (``is_irreducible``)."""
+    q = f.spec.order
+    h = x = Polynomial.x(f.spec)
     d = 0
     while f.degree > 0:
         d += 1
         if f.degree < 2 * d:
-            out.append((f, f.degree))
-            break
+            yield f, f.degree
+            return
         h = h.powmod(q, f)
         g = poly_gcd(h - x, f)
         if g.degree > 0:
-            out.append((g, d))
+            yield g, d
             f = f.exact_div(g)
             h = h % f
-    return out
 
 
 def _split_once(f, d, rng):

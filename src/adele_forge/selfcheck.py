@@ -17,6 +17,7 @@ from .curves import (
     principal_divisor,
     rational_points,
     riemann_roch_space,
+    scalar_multiple,
     torsion_points,
 )
 from .errors import AdeleForgeError
@@ -256,19 +257,29 @@ def check_principal_divisors():
 
 def check_group_law():
     rng = Random(108)
-    F5 = prime_field(5)
-    curve = CurveModel.elliptic(F5, 1, 1)
-    pts = rational_points(curve)
-    for _ in range(20):
-        P, Q, R = (pts[rng.randrange(len(pts))] for _ in range(3))
-        lhs = ec_add(curve, ec_add(curve, P, Q), R)
-        rhs = ec_add(curve, P, ec_add(curve, Q, R))
-        if lhs != rhs:
-            return False, "associativity failed"
-    for l in (1, 2, 3, 4):
-        n = len(torsion_points(curve, l))
-        if l * l % n:
-            return False, "torsion count %d does not divide %d^2" % (n, l)
+    p = 5
+    # none of E[2] is rational on y^2 = x^3 + x + 1, all of it on y^2 = x^3 - x
+    for a, b in ((1, 1), (-1, 0)):
+        curve = CurveModel.elliptic(prime_field(p), a, b)
+        pts = rational_points(curve)
+        for _ in range(20):
+            P, Q, R = (pts[rng.randrange(len(pts))] for _ in range(3))
+            lhs = ec_add(curve, ec_add(curve, P, Q), R)
+            rhs = ec_add(curve, P, ec_add(curve, Q, R))
+            if lhs != rhs:
+                return False, "associativity failed"
+        for l in (1, 2, 3, 4):
+            n = len(torsion_points(curve, l))
+            if l * l % n:
+                return False, "torsion count %d does not divide %d^2" % (n, l)
+        # Lagrange, against counts on ints: E[2] is O and the points (x, 0),
+        # and N*P = O for N = #E(GF(p))
+        roots = sum(1 for x in range(p) if (x**3 + a * x + b) % p == 0)
+        if len(torsion_points(curve, 2)) != 1 + roots:
+            return False, "|E[2]| is not 1 + %d roots of x^3 + a*x + b" % roots
+        order = 1 + sum(1 for x in range(p) for y in range(p) if (y * y - x**3 - a * x - b) % p == 0)
+        if any(scalar_multiple(curve, order, P) is not None for P in pts):
+            return False, "a point is not killed by #E(GF(p)) = %d" % order
     return True, "group law associativity; |E[l]| divides l^2"
 
 

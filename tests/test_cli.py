@@ -534,6 +534,49 @@ def test_rr_table_whole_window_in_bounded_time(curve, hi):
 
 
 @pytest.mark.parametrize(
+    "doc",
+    [
+        RR_DOC,
+        # the divisor is never parsed when degrees is read first
+        dict(RR_DOC, degrees=[0, 1], divisors=[[{"place": {"type": "bogus-never-read"}, "multiplicity": 1}]]),
+    ],
+    ids=["neither", "both"],
+)
+def test_rr_table_takes_exactly_one_of_degrees_and_divisors(tmp_path, capsys, doc):
+    message = "rr-table needs exactly one of degrees and divisors"
+    with pytest.raises(SchemaError, match=message):
+        run_config(doc)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_options_are_read_after_their_subcommand_only(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(RR_DOC, degrees=[0, 1])))
+    out = tmp_path / "report.json"
+    assert main(["run", str(cfg), "--seed", "3", "--ext-bound", "9", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["seed"], report["ext_bound"]) == ("3", "9")
+    assert capsys.readouterr().out == ""
+    # before the subcommand an option used to be parsed and then replaced by
+    # the subcommand's default: the report read seed 0 and no file was written
+    for argv in (
+        ["--seed", "3", "run", str(cfg)],
+        ["--ext-bound", "9", "run", str(cfg)],
+        ["--out", str(tmp_path / "never.json"), "run", str(cfg)],
+        ["--out", str(tmp_path / "never.json"), "selfcheck"],
+        ["selfcheck", "--seed", "3"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+        assert capsys.readouterr().out == ""
+    assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize(
     "doc, message",
     [
         (dict(RR_DOC, divisors=3), "divisors must be a nonempty list"),

@@ -836,6 +836,58 @@ def test_places_above_x_factor_match_all_roots_reference(data):
         assert all(not g.lift_to(place.residue_field()).evaluate(x) for x, _ in place.data[0])
 
 
+def _monic_irreducibles(spec, d):
+    p = spec.p
+    for n in range(p**d):
+        g = Polynomial.from_ints(spec, [n // p**i % p for i in range(d)] + [1])
+        if g.is_irreducible():
+            yield g
+
+
+def _points_over_gf_pk(p, k, a, b):
+    """#E(GF(p^k)) for y^2 = x^3 + a*x + b, from #E(GF(p)) counted on ints:
+    p^k + 1 - (alpha^k + conj(alpha)^k), where alpha + conj(alpha) =
+    p + 1 - #E(GF(p)) and alpha * conj(alpha) = p (Weil; Silverman, *The
+    Arithmetic of Elliptic Curves*, V.2)."""
+    squares = [sum(1 for y in range(p) if y * y % p == r) for r in range(p)]
+    n1 = 1 + sum(squares[(x**3 + a * x + b) % p] for x in range(p))
+    trace = p + 1 - n1
+    s_prev, s = 2, trace  # alpha^j + conj(alpha)^j for j = 0, 1
+    for _ in range(k - 1):
+        s_prev, s = s, trace * s - p * s_prev
+    return p**k + 1 - s
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    k=st.integers(1, 3),
+    ab=st.tuples(st.integers(0, 6), st.integers(0, 6)) | st.none(),
+)
+def test_places_of_degree_dividing_k_count_the_points_over_gf_pk(p, k, ab):
+    """The closed points with deg v | k, each counted deg v times, are the
+    GF(p^k)-points: p^k + 1 on P^1, whose places above x come from
+    ``is_irreducible`` (Gauss's count), and #E(GF(p^k)) on E, whose places
+    come from ``_places_above_x_factor``: every closed point found once."""
+    spec = prime_field(p)
+    factors = [g for d in range(1, k + 1) if k % d == 0 for g in _monic_irreducibles(spec, d)]
+    if ab is None:
+        assert 1 + sum(g.degree for g in factors) == p**k + 1
+        return
+    a, b = ab[0] % p, ab[1] % p
+    assume((4 * a**3 + 27 * b * b) % p)
+    curve = CurveModel.elliptic(spec, a, b)
+    degrees = [1]  # O
+    for g in factors:
+        try:
+            places = _places_above_x_factor(curve, g, k)
+        except DomainError as exc:  # one place of degree 2 deg g > k
+            assert "exceeds the extension bound" in str(exc)
+            continue
+        degrees += [v.residue_degree for v in places]
+    assert sum(e for e in degrees if k % e == 0) == _points_over_gf_pk(p, k, a, b)
+
+
 # ---------------------------------------------------------------------------
 # the group law on ints at k = 1 against the chord-tangent formula on
 # FieldElements, as ec_add computed it for every k before

@@ -1,10 +1,14 @@
+import ast
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from adele_forge import fields
+from adele_forge.curves import CurveModel, FunctionFieldElement
 from adele_forge.errors import DomainError
 from adele_forge.fields import (
     FieldSpec,
@@ -608,6 +612,82 @@ def test_powmod_rejects_negative_exponent():
             (x * x + x).powmod(-1, x)  # not coprime to the modulus
         with pytest.raises(DomainError):
             x.powmod(2, Polynomial.zero(spec))
+
+
+# ---------------------------------------------------------------------------
+# one power loop: fields._power
+
+
+def _power_bases():
+    F27 = canonical_field(3, 3)
+    E = CurveModel.elliptic(prime_field(5), 1, 1)
+    x, y = Polynomial.x(E.spec), Polynomial.one(E.spec)
+    return [
+        F7.element(3),
+        F27.gen() + 1,
+        Polynomial.from_ints(F7, [1, 3, 1]),
+        Polynomial.from_elements(F27, [F27.gen(), F27.one()]),
+        FunctionFieldElement(E, x, y),  # x + y: B != 0
+    ]
+
+
+@pytest.mark.parametrize("base", _power_bases(), ids=["GF(7)", "GF(27)", "GF(7)[x]", "GF(27)[x]", "x+y on E"])
+def test_power_makes_popcount_plus_bitlength_minus_one_products(base, monkeypatch):
+    """Square-and-multiply into 1 squares the base only while higher bits
+    remain: no squaring after the top bit is thrown away."""
+    cls = type(base)
+    calls = []
+    mul = cls.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    want = base
+    for e in range(1, 65):
+        monkeypatch.setattr(cls, "__mul__", counted)
+        calls.clear()
+        got = base**e
+        monkeypatch.setattr(cls, "__mul__", mul)
+        assert got == want and len(calls) == bin(e).count("1") + e.bit_length() - 1, e
+        want = want * base
+
+
+def test_ext_powmod_reduction_count(monkeypatch):
+    """One reduction of the base, then one per squaring and one per other
+    product into the result: no 1 * base product."""
+    spec = canonical_field(3, 2)
+    g = spec.gen()
+    f = Polynomial.from_elements(spec, [g, spec.one(), g + 1, g, spec.one()])
+    m = Polynomial.from_elements(spec, [g + 2, spec.zero(), g, spec.one()])
+    divmods = []
+    schoolbook = fields._schoolbook_divmod
+
+    def counted(spec_, a, b):
+        divmods.append(1)
+        return schoolbook(spec_, a, b)
+
+    for e in range(65):
+        monkeypatch.setattr(fields, "_schoolbook_divmod", counted)
+        divmods.clear()
+        got = f.powmod(e, m)
+        monkeypatch.setattr(fields, "_schoolbook_divmod", schoolbook)
+        assert got == f**e % m if e else got == Polynomial.one(spec)
+        assert len(divmods) == (e.bit_length() + bin(e).count("1") - 1 if e else 0), e
+
+
+def test_power_is_the_one_square_and_multiply_loop():
+    package = Path(fields.__file__).parent
+    for module in ("fields.py", "curves.py"):
+        tree = ast.parse((package / module).read_text())
+        shifts = [n for n in ast.walk(tree) if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)]
+        power = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_power"]
+        inside = {id(n) for f in power for n in ast.walk(f)}
+        assert all(id(n) in inside for n in shifts), module
+        if module == "fields.py":
+            assert len(shifts) == 1
+            calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+            assert "bin" not in {getattr(n.func, "id", None) for n in calls}
 
 
 @settings(deadline=None, max_examples=30)
