@@ -10,13 +10,13 @@ from .curves import (
     FunctionFieldElement,
     principal_divisor,
     riemann_roch_dimension,
-    riemann_roch_expansions,
+    riemann_roch_rows,
     valuation,
     x_minimal_poly,
 )
 from .errors import DomainError
 from .fields import DEFAULT_EXT_BOUND, Polynomial
-from .linalg import rref
+from .linalg import leading_rank
 from .milnor import GerstenCochain, MilnorSymbol, residue, residue_support
 
 # The largest auxiliary multiplicity m that cohomology_dims tries: on P^1 a
@@ -240,9 +240,9 @@ def cohomology_dims(curve, D, ext_bound=DEFAULT_EXT_BOUND):
     L(E) -> O(E)/O(D) at the base place v1 (infinity on P^1, O on the
     elliptic model) for an auxiliary divisor E = D + m*v1, recomputed with
     m doubled until two consecutive values agree; a DomainError reports a
-    divisor that needs m > STABILIZATION_CAP.  The rows of the map come from one shared expansion
-    of the basis of L(E) at v1 (``riemann_roch_expansions``), not from one
-    expansion per basis element.  Riemann-Roch is not asserted here: the
+    divisor that needs m > STABILIZATION_CAP.  The rows of the map are int
+    windows of series shared by the basis of L(E) (``riemann_roch_rows``),
+    ranked by leading column (``linalg.leading_rank``).  Riemann-Roch is not asserted here: the
     ``rr-table`` task and the selfcheck compare h0 - h1 with deg D + 1 - g
     and report a mismatch.
     """
@@ -268,22 +268,12 @@ def _h1_estimate(curve, D, v1, m, h0, ext_bound):
     """m - rank of the principal-parts map L(E) -> O(E)/O(D), E = D + m*v1.
 
     Row f holds the coefficients of f's expansion at v1 for the exponents
-    -E(v1) .. -D(v1)-1; the expansions of the whole basis of L(E) come from
-    ``riemann_roch_expansions``.  The base field is prime, so each
-    coefficient is one int of the series' flat vector.
+    -E(v1) .. -D(v1)-1, as ints (``riemann_roch_rows``).  Its kernel is
+    L(D), of dimension h0; a rank that says otherwise raises DomainError.
     """
-    E = D + Divisor(curve, {v1: m})
     dv1 = D.multiplicity(v1)
-    lo = -dv1 - m
-    rows = []
-    for ser in riemann_roch_expansions(E, v1, -dv1, ext_bound):
-        row = [0] * (ser.start - lo) + ser.coeffs
-        rows.append(row + [0] * (m - len(row)))
-    if rows:
-        _, pivots = rref(rows, curve.spec.p)
-        rk = len(pivots)
-    else:
-        rk = 0
+    rows = riemann_roch_rows(D + Divisor(curve, {v1: m}), v1, -dv1 - m, -dv1, ext_bound)
+    rk = leading_rank(rows, curve.spec.p)
     if rk != len(rows) - h0:
         raise DomainError("principal-parts kernel is not L(D)")
     return m - rk

@@ -9,6 +9,7 @@ on either model is (A + B*y)/C for polynomials A, B, C in x (B = 0 on P^1).
 """
 
 from functools import lru_cache
+from itertools import compress
 
 from . import _kernels as K
 from .errors import DomainError
@@ -17,6 +18,7 @@ from .fields import (
     FieldElement,
     FieldSpec,
     Polynomial,
+    _mul,
     _power,
     canonical_field,
     factor_polynomial,
@@ -913,9 +915,9 @@ def expand_at(f, place, prec):
 # the whole space (P^1: num_fixed, den and top with basis x^j * num_fixed/den;
 # elliptic: bound, the monomial exponents of x^i y^j, the kernel coefficient
 # vectors and the polynomial mult), and a builder turns the parts into
-# functions.  riemann_roch_space builds the functions; riemann_roch_expansions
-# reads the expansions of the same basis at the base place from series shared
-# by all its elements, which is what the cohomology computation needs.
+# functions.  riemann_roch_space builds the functions; riemann_roch_rows reads
+# the expansion coefficients of the same basis at the base place from series
+# shared by all its elements, which is what the cohomology computation needs.
 
 
 def x_minimal_poly(place):
@@ -950,16 +952,18 @@ def riemann_roch_dimension(D, ext_bound=DEFAULT_EXT_BOUND):
     return len(parts[2]) if parts else 0
 
 
-def riemann_roch_expansions(D, place, prec, ext_bound=DEFAULT_EXT_BOUND):
-    """The Laurent expansions below ``prec`` at the base place (infinity on
-    P^1, O on the elliptic model) of the basis ``riemann_roch_space(D)``
-    returns, in the same order.
+def riemann_roch_rows(D, place, lo, hi, ext_bound=DEFAULT_EXT_BOUND):
+    """For each element of the basis ``riemann_roch_space(D)`` returns, in
+    the same order, the coefficients of its expansion at the base place
+    (infinity on P^1, O on the elliptic model) for the exponents
+    lo .. hi - 1, one int each: the base field is prime.
 
-    The basis shares one ansatz, so its expansions share their series: on
-    P^1 every element is x^j * num_fixed/den with x = t^-1, so one expansion
-    of num_fixed/den shifted by j gives them all; on the elliptic model one
-    pair (x(t), y(t)) gives the monomials x^i and x^i*y, the kernel vectors
-    combine them and one expansion of 1/mult divides by mult.
+    The basis shares one ansatz, so its rows share their series: on P^1
+    every element is x^j * num_fixed/den with x = t^-1, so row j is the
+    window at offset j of one expansion of num_fixed/den; on the elliptic
+    model one pair (x(t), y(t)) gives the monomials x^i and x^i*y, the
+    kernel vectors combine their coefficients and each combination is
+    multiplied by one expansion of 1/mult.
     """
     curve = D.curve
     if place.curve != curve:
@@ -974,26 +978,41 @@ def riemann_roch_expansions(D, place, prec, ext_bound=DEFAULT_EXT_BOUND):
             return []
         num_fixed, den, top = parts
         g = FunctionFieldElement._raw(curve, num_fixed, Polynomial.zero(curve.spec), den)
-        ser = expand_at(g, place, prec + top)
-        return [ser.shift(-j).truncate(prec) for j in range(top + 1)]
+        ser = expand_at(g, place, hi + top)
+        coeffs = _window(ser.coeffs, ser.start, lo, hi + top)
+        return [coeffs[j : j + max(hi - lo, 0)] for j in range(top + 1)]
     parts = _rr_parts_elliptic(D, ext_bound)
     if not parts:
         return []
     bound, exponents, vectors, mult = parts
-    # the polynomial mult in x has a pole of order 2*deg(mult) at O, so the
-    # combinations are needed to that much less precision before dividing
+    # a combination has valuation >= -bound at O, and 1/mult valuation
+    # shift = 2*deg(mult) there, so the combinations are needed for the
+    # exponents -bound .. hi - shift - 1 and 1/mult for shift .. hi + bound - 1
     shift = 2 * mult.degree
-    monomials = _monomial_series(curve, place, exponents, prec - shift)
-    combos = _combine(curve.spec, monomials, vectors, prec - shift)
-    if not shift:
-        return combos
-    # a combination has valuation >= -bound at O, or is zero below prec - shift
-    inv = FunctionFieldElement(curve, Polynomial.one(curve.spec), None, mult)
-    inv_ser = expand_at(inv, place, max(prec + bound, shift))
-    out = [(g * inv_ser).truncate(prec) for g in combos]
-    if any(ser.prec < prec for ser in out):
-        raise DomainError("Riemann-Roch expansion short of its precision")
-    return out
+    cols = _monomial_columns(curve, place, exponents, -bound, hi - shift)
+    rows = []
+    for vec in vectors:
+        acc = [0] * max(hi + bound - shift, 0)
+        for c, col in compress(zip(vec, cols), vec):
+            acc = [a + c * x for a, x in zip(acc, col)]
+        rows.append([a % curve.spec.p for a in acc])
+    if shift:
+        inv = FunctionFieldElement(curve, Polynomial.one(curve.spec), None, mult)
+        inv_ser = expand_at(inv, place, max(hi + bound, shift))
+        if inv_ser.prec < hi + bound:
+            raise DomainError("Riemann-Roch expansion short of its precision")
+        inv_coeffs = _window(inv_ser.coeffs, inv_ser.start, shift, hi + bound)
+        rows = [_mul(curve.spec, row, inv_coeffs, max(hi + bound - shift, 0)) for row in rows]
+    return [_window(row, shift - bound, lo, hi) for row in rows]
+
+
+def _window(coeffs, start, lo, hi, k=1):
+    """The entries for the exponents lo .. hi - 1 of the flat vector
+    ``coeffs`` (k ints per coefficient), whose first coefficient is the one
+    for ``start``; zero outside it."""
+    n = max(hi - lo, 0) * k
+    out = [0] * min(max(start - lo, 0) * k, n) + coeffs[max(lo - start, 0) * k : max(hi - start, 0) * k]
+    return out + [0] * (n - len(out))
 
 
 def _rr_parts_p1(D):
@@ -1056,17 +1075,13 @@ def _rr_parts_elliptic(D, ext_bound):
     for place, m in D2.items():
         if place.kind == "ec-origin" or m >= 0:
             continue
-        order = -m
-        k = place.residue_field().k
-        series = _monomial_series(curve, place, exponents, order)
-        for r in range(order):
-            for coord in range(k):
-                conditions.append([ser.coefficient(r).val[coord] for ser in series])
+        # one row per GF(p)-coordinate of each coefficient of t^0 .. t^(-m-1)
+        conditions += zip(*_monomial_columns(curve, place, exponents, 0, -m))
     if conditions:
         vectors = kernel_basis(conditions, spec.p)
     else:
         n = len(exponents)
-        vectors = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        vectors = [[0] * j + [1] + [0] * (n - j - 1) for j in range(n)]
     return bound, exponents, vectors, mult
 
 
@@ -1084,10 +1099,11 @@ def _rr_basis_elliptic(curve, parts):
     return basis
 
 
-def _monomial_series(curve, place, exponents, prec):
-    """Expansions below prec at an elliptic place of x^i * y^j for (i, j) in
-    exponents (j in {0, 1}, every i from 0 up present): one product each
-    from one pair (x(t), y(t))."""
+def _monomial_columns(curve, place, exponents, lo, prec):
+    """The coefficients for the exponents lo .. prec - 1 (``_window``) of the
+    expansions at an elliptic place of x^i * y^j for (i, j) in exponents
+    (j in {0, 1}, every i from 0 up present): one product each from one pair
+    (x(t), y(t))."""
     # at O, x and y have valuations -2 and -3, and x^i * y^j needs x and y
     # to 2i + 3j places more; elsewhere both are integral
     pole = max(2 * i + 3 * j for i, j in exponents) if place.kind == "ec-origin" else 0
@@ -1099,24 +1115,4 @@ def _monomial_series(curve, place, exponents, prec):
     out = [powers[i] * y if j else powers[i] for i, j in exponents]
     if any(ser.prec < prec for ser in out):
         raise DomainError("monomial expansion short of its precision")
-    return [ser.truncate(prec) for ser in out]
-
-
-def _combine(spec, series, vectors, prec):
-    """The series sum(c * s) below prec for each coefficient vector c, over
-    a prime field (one int per coefficient)."""
-    p = spec.p
-    lo = min(ser.start for ser in series)
-    n = prec - lo
-    cols = []
-    for ser in series:
-        col = [0] * (ser.start - lo) + ser.coeffs
-        cols.append(col + [0] * (n - len(col)))
-    out = []
-    for vec in vectors:
-        acc = [0] * n
-        for c, col in zip(vec, cols):
-            if c:
-                acc = [a + c * x for a, x in zip(acc, col)]
-        out.append(LaurentSeries(spec, lo, [a % p for a in acc], prec))
-    return out
+    return [_window(ser.coeffs, ser.start, lo, prec, x.spec.k) for ser in out]

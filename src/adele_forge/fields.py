@@ -35,6 +35,9 @@ from . import _kernels as K
 from .errors import DomainError
 
 DEFAULT_EXT_BOUND = 6  # largest degree of a place or point searched for by default
+# random draws one split may take: over a field a draw splits with
+# probability about 1/2 or more, over a ring that is not a field perhaps never
+SPLIT_DRAWS = 64
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -930,13 +933,13 @@ def _distinct_degree(f):
 def _split_once(f, d, rng):
     """A proper monic factor of f, a squarefree product of at least two
     degree-d irreducibles: one Cantor-Zassenhaus step, drawing random
-    polynomials until one splits f.  It serves ``_equal_degree_split``
-    (``factor_polynomial`` and ``poly_roots``); ``root_in_field`` splits by
-    the trace map instead."""
+    polynomials until one splits f, at most SPLIT_DRAWS of them.  It serves
+    ``_equal_degree_split`` (``factor_polynomial`` and ``poly_roots``);
+    ``root_in_field`` splits by the trace map instead."""
     spec = f.spec
     q = spec.order
     n = f.degree
-    while True:
+    for _ in range(SPLIT_DRAWS):
         a = Polynomial.from_elements(
             spec, [spec.from_encoding(rng.randrange(q)) for _ in range(n)]
         )
@@ -957,6 +960,7 @@ def _split_once(f, d, rng):
             g = poly_gcd(b - Polynomial.one(spec), f)
         if 0 < g.degree < n:
             return g
+    raise DomainError("no split in %d random draws: the coefficients are not a field" % SPLIT_DRAWS)
 
 
 def _equal_degree_split(f, d, rng):
@@ -1027,7 +1031,7 @@ def root_in_field(g, field):
     until one linear factor is left.  No extension-field power above
     (p - 1)/2 is taken.  x^(p^d) = x mod g is checked first: it holds iff g
     divides x^(p^d) - x, so a g that is not squarefree or does not split
-    raises DomainError instead of looping.
+    raises DomainError instead of looping, as does a split past SPLIT_DRAWS.
     """
     d = g.degree
     if d < 1 or field.k % (g.spec.k * d):
@@ -1051,22 +1055,26 @@ def root_in_field(g, field):
     rng = Random(0)
     one = Polynomial.one(field)
     while f.degree > 1:
-        conj = _conjugates(field.from_encoding(rng.randrange(1, field.order)))
-        # conj[i] = sigma^i(beta), beta random; T_j = sum_i X_i[j] * conj[i], k ints each
-        t = [
-            sum(cols[i % d][j] * conj[i].val[s] for i in range(k)) % p
-            for j in range(d)
-            for s in range(k)
-        ]
-        T = Polynomial._raw(field, _trim(t, k)) % f
-        if p == 2:
-            h = poly_gcd(f, T)
+        for _ in range(SPLIT_DRAWS):
+            conj = _conjugates(field.from_encoding(rng.randrange(1, field.order)))
+            # conj[i] = sigma^i(beta), beta random; T_j = sum_i X_i[j] * conj[i], k ints each
+            t = [
+                sum(cols[i % d][j] * conj[i].val[s] for i in range(k)) % p
+                for j in range(d)
+                for s in range(k)
+            ]
+            T = Polynomial._raw(field, _trim(t, k)) % f
+            if p == 2:
+                h = poly_gcd(f, T)
+            else:
+                T += Polynomial.constant(field.element(rng.randrange(p)))
+                h = poly_gcd(f, T.powmod((p - 1) // 2, f) - one)
+            if 0 < h.degree < f.degree:
+                break
         else:
-            T += Polynomial.constant(field.element(rng.randrange(p)))
-            h = poly_gcd(f, T.powmod((p - 1) // 2, f) - one)
-        if 0 < h.degree < f.degree:
-            rest = f.exact_div(h)
-            f = h if h.degree <= rest.degree else rest
+            raise DomainError("no split in %d random draws: the coefficients are not a field" % SPLIT_DRAWS)
+        rest = f.exact_div(h)
+        f = h if h.degree <= rest.degree else rest
     orbit = frobenius_orbit((-f.constant_term(),))
     if len(orbit) != d:
         raise DomainError("root_in_field needs an irreducible polynomial")

@@ -165,10 +165,6 @@ class LaurentSeries:
         n = len(self.coeffs) // self.spec.k
         return LaurentSeries(self.spec, self.start, _mul(self.spec, self.coeffs, c.val, n), self.prec)
 
-    def shift(self, n):
-        """Multiply by t^n."""
-        return LaurentSeries(self.spec, self.start + n, self.coeffs, self.prec + n)
-
     def truncate(self, prec):
         return LaurentSeries(self.spec, self.start, self.coeffs, min(prec, self.prec))
 

@@ -271,15 +271,20 @@ class HomForm:
     def evaluate(self, coords):
         return _form_values(coords, ((0, c, ijk) for ijk, c in self.terms.items()), 1, self.degree)[0]
 
-    def dehomogenize(self, chart, field, swap=False):
+    def chart_rows(self, chart, swap=False):
         """Set X_chart = 1; the remaining coordinates become (u, v) in index
-        order, or in reverse order when ``swap``."""
+        order, or in reverse order when ``swap``.  Row j holds the int
+        coefficients of u^i v^j."""
         a, b = _CHART_VARS[chart][:: -1 if swap else 1]
         # the form is homogeneous, so (u, v) exponents name one term each
         rows = [[0] * (self.degree + 1) for _ in range(self.degree + 1)]
         for ijk, c in self.terms.items():
             rows[ijk[b]][ijk[a]] = c
-        return BiPoly.from_rows(field, [Polynomial.from_ints(field, row) for row in rows])
+        return rows
+
+    def dehomogenize(self, chart, field, swap=False):
+        """``chart_rows`` as a BiPoly over ``field``."""
+        return BiPoly.from_rows(field, [Polynomial.from_ints(field, row) for row in self.chart_rows(chart, swap)])
 
     def chart_partials(self, coords, chart):
         """(dF/dX_a, dF/dX_b) at ``coords``, X_a and X_b the chart's affine
@@ -358,8 +363,8 @@ def _has_linear_factor(form):
 def _restriction_roots(form, chart, swap=False):
     """GF(p) roots, as ints, of row 0 (v = 0) of ``dehomogenize``: F(x, 1, 0)
     in chart 1, F(x, 0, 1) in chart 2 and F(0, x, 1) in chart 2 swapped."""
-    field = prime_field(form.p)
-    return [r.val[0] for r in poly_roots(form.dehomogenize(chart, field, swap).rows[0])]
+    row = Polynomial.from_ints(prime_field(form.p), form.chart_rows(chart, swap)[0])
+    return [r.val[0] for r in poly_roots(row)]
 
 
 def _vanishes_on_line(form, var, a, b):

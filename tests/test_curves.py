@@ -20,7 +20,7 @@ from adele_forge.curves import (
     principal_divisor,
     rational_points,
     riemann_roch_dimension,
-    riemann_roch_expansions,
+    riemann_roch_rows,
     riemann_roch_space,
     scalar_multiple,
     torsion_points,
@@ -413,22 +413,23 @@ def _elliptic_places():
     return E, [two_torsion, points[0], deg2[0]]
 
 
-def _series_key(ser):
-    return ser.start, ser.coeffs, ser.prec
-
-
-def _check_expansions(D, base, m, which):
+def _check_expansions(D, base, m, which, offset=0):
+    # rows for the exponents lo .. hi - 1, lo = -E(base) + offset; below
+    # -E(base) every expansion is zero
     E = D + Divisor(D.curve, {base: m})
-    prec = {
-        "below": -E.multiplicity(base) - 2,  # every expansion is zero there
+    lo = -E.multiplicity(base) + offset
+    hi = {
+        "below": -E.multiplicity(base) - 2,
         "E": -E.multiplicity(base),
         "D": -D.multiplicity(base),
         "pos": 3,
     }[which]
-    shared = riemann_roch_expansions(E, base, prec)
-    single = [expand_at(f, base, prec) for f in riemann_roch_space(E)]
-    assert len(shared) == len(single)
-    assert [_series_key(s) for s in shared] == [_series_key(s) for s in single]
+    rows = riemann_roch_rows(E, base, lo, hi)
+    basis = riemann_roch_space(E)
+    assert len(rows) == len(basis)
+    for row, f in zip(rows, basis):
+        ser = expand_at(f, base, hi)
+        assert row == [ser.coefficient(e).val[0] for e in range(lo, hi)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -436,12 +437,13 @@ def _check_expansions(D, base, m, which):
     mults=st.lists(st.integers(-2, 3), min_size=4, max_size=4),
     m=st.sampled_from([0, 2, 4, 8]),
     which=st.sampled_from(["below", "E", "D", "pos"]),
+    offset=st.sampled_from([-2, 0, 3]),
 )
-def test_rr_expansions_match_expand_at_p1(mults, m, which):
+def test_rr_expansions_match_expand_at_p1(mults, m, which, offset):
     base = Place.infinity(P15)
     places = _p1_places() + [base]
     D = Divisor(P15, dict(zip(places, mults)))
-    _check_expansions(D, base, m, which)
+    _check_expansions(D, base, m, which, offset)
     for f in riemann_roch_space(D):
         _assert_reduced(f)
 
@@ -451,12 +453,13 @@ def test_rr_expansions_match_expand_at_p1(mults, m, which):
     mults=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
     m=st.sampled_from([0, 2, 4, 8]),
     which=st.sampled_from(["below", "E", "D", "pos"]),
+    offset=st.sampled_from([-2, 0, 3]),
 )
-def test_rr_expansions_match_expand_at_elliptic(mults, m, which):
+def test_rr_expansions_match_expand_at_elliptic(mults, m, which, offset):
     E, affine = _elliptic_places()
     base = Place.origin(E)
     D = Divisor(E, dict(zip(affine + [base], mults)))
-    _check_expansions(D, base, m, which)
+    _check_expansions(D, base, m, which, offset)
     for f in riemann_roch_space(D):
         _assert_reduced(f)
 
@@ -490,7 +493,8 @@ def test_rr_expansions_fixtures():
     for D, base in cases:
         for m in (0, 2, 4, 8):
             for which in ("below", "E", "D", "pos"):
-                _check_expansions(D, base, m, which)
+                for offset in (-2, 0, 3):
+                    _check_expansions(D, base, m, which, offset)
 
 
 def test_rr_expansions_raise_domain_error_when_short(monkeypatch):
@@ -501,7 +505,7 @@ def test_rr_expansions_raise_domain_error_when_short(monkeypatch):
     E = CurveModel.elliptic(F7, 0, 2)
     P = Place.rational_point(E, rational_points(E)[1])
     with pytest.raises(DomainError, match="Riemann-Roch expansion short"):
-        riemann_roch_expansions(Divisor(E, {P: 1, Place.origin(E): 1}), Place.origin(E), 4)
+        riemann_roch_rows(Divisor(E, {P: 1, Place.origin(E): 1}), Place.origin(E), -1, 4)
 
 
 def test_monomial_series_raise_domain_error_when_short(monkeypatch):
@@ -511,20 +515,20 @@ def test_monomial_series_raise_domain_error_when_short(monkeypatch):
     )
     E = CurveModel.elliptic(F7, 0, 2)
     with pytest.raises(DomainError, match="monomial expansion short"):
-        riemann_roch_expansions(Divisor(E, {Place.origin(E): 3}), Place.origin(E), 5)
+        riemann_roch_rows(Divisor(E, {Place.origin(E): 3}), Place.origin(E), -3, 5)
 
 
 def test_rr_expansions_only_at_the_base_place():
     D = Divisor(P15, {Place.infinity(P15): 2})
     with pytest.raises(DomainError, match="base place"):
-        riemann_roch_expansions(D, _p1_places()[0], 0)
+        riemann_roch_rows(D, _p1_places()[0], -2, 0)
     E, affine = _elliptic_places()
     DE = Divisor(E, {Place.origin(E): 3})
     for place in affine:
         with pytest.raises(DomainError, match="base place"):
-            riemann_roch_expansions(DE, place, 0)
+            riemann_roch_rows(DE, place, -3, 0)
     with pytest.raises(DomainError, match="different curves"):
-        riemann_roch_expansions(DE, Place.infinity(P15), 0)
+        riemann_roch_rows(DE, Place.infinity(P15), -3, 0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -279,6 +279,25 @@ def test_root_in_field_rejects_what_does_not_split():
     assert root_in_field(Polynomial.from_elements(F25, [-r * 3, F25.element(3)]), F25) == r
 
 
+def test_splits_over_a_ring_that_is_not_a_field_raise(monkeypatch):
+    # x^3 + 2x = x(x - 1)(x + 1) over GF(3): a "field" built on it while
+    # is_irreducible is patched is the ring GF(3)^3, where the trace split of
+    # root_in_field never finishes; the cap on its draws makes that an error
+    with monkeypatch.context() as patched:
+        patched.setattr(Polynomial, "is_irreducible", lambda self: True)
+        ring = FieldSpec(3, 3, [0, 2, 0, 1])
+    g = Polynomial.from_ints(prime_field(3), [1, 2, 0, 1])  # x^3 + 2x + 1, irreducible
+    assert g.is_irreducible()
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="random draws"):
+        root_in_field(g, ring)
+    # a Cantor-Zassenhaus step on a polynomial with no split of the asked
+    # degree (x^2 + 1 has no root in GF(3)) stops at the same cap
+    with pytest.raises(DomainError, match="random draws"):
+        fields._split_once(Polynomial.from_ints(prime_field(3), [1, 0, 1]), 1, Random(0))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_canonical_field_deterministic():
     a = canonical_field(5, 4)
     b = canonical_field(5, 4)

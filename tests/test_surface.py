@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from adele_forge import curves, surface
 from adele_forge.cli import run_config
 from adele_forge.errors import DomainError
-from adele_forge.fields import FieldElement, Polynomial, canonical_field, prime_field
+from adele_forge.fields import FieldElement, Polynomial, canonical_field, poly_roots, prime_field
 from adele_forge.surface import (
     BiPoly,
     FactoredFunction,
@@ -40,7 +40,7 @@ from adele_forge.surface import (
     surface_product_cycle,
     valuation_on_curve,
 )
-from adele_forge.surface import _fiber_poly, _has_linear_factor, _resultant_x2
+from adele_forge.surface import _fiber_poly, _has_linear_factor, _restriction_roots, _resultant_x2
 
 P = 7
 F7 = prime_field(P)
@@ -331,6 +331,16 @@ def _forms(draw, degrees=(2, 5)):
 def test_linear_factor_matches_all_lines(pf):
     form = HomForm(*pf)
     assert _has_linear_factor(form) == _has_linear_factor_reference(form)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_forms(degrees=(1, 5)), st.sampled_from([(1, False), (2, False), (2, True)]))
+def test_restriction_roots_are_the_roots_of_chart_row_zero(pf, chart):
+    form = HomForm(*pf)
+    chart, swap = chart
+    F = form.dehomogenize(chart, prime_field(form.p), swap)
+    assume(F and F.rows[0])
+    assert _restriction_roots(form, chart, swap) == [r.val[0] for r in poly_roots(F.rows[0])]
 
 
 @settings(deadline=None, max_examples=150)
@@ -1219,7 +1229,8 @@ def test_surface_imports_nothing_from_curves():
 def test_one_local_reading_per_object():
     """expand_at substitutes once and divides once, with no retry loop, and
     a form's terms become chart polynomials only through
-    HomForm.dehomogenize."""
+    HomForm.chart_rows: the resultant reads them through
+    HomForm.dehomogenize, the restriction roots read row 0 alone."""
     (expand,) = [
         node for node in ast.walk(ast.parse(Path(curves.__file__).read_text()))
         if isinstance(node, ast.FunctionDef) and node.name == "expand_at"
@@ -1231,5 +1242,5 @@ def test_one_local_reading_per_object():
         if isinstance(node, ast.FunctionDef)
     }
     assert "_x2_coeffs" not in defs
-    for name in ("_resultant_x2", "_restriction_roots"):
-        assert any(getattr(node, "attr", None) == "dehomogenize" for node in ast.walk(defs[name])), name
+    for name, reader in (("dehomogenize", "chart_rows"), ("_resultant_x2", "dehomogenize"), ("_restriction_roots", "chart_rows")):
+        assert any(getattr(node, "attr", None) == reader for node in ast.walk(defs[name])), name
