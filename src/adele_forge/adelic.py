@@ -242,7 +242,11 @@ def cohomology_dims(curve, D, ext_bound=DEFAULT_EXT_BOUND):
     m doubled until two consecutive values agree; a DomainError reports a
     divisor that needs m > STABILIZATION_CAP.  The rows of the map are int
     windows of series shared by the basis of L(E) (``riemann_roch_rows``),
-    ranked by leading column (``linalg.leading_rank``).  Riemann-Roch is not asserted here: the
+    ranked by leading column (``linalg.leading_rank``).  Those series depend
+    only on the curve, so the curve object keeps them: every m of the
+    doubling loop and every later divisor on the same curve, such as the
+    next degree of an ``rr-table`` window, reads them again and extends
+    them only as far as it needs.  Riemann-Roch is not asserted here: the
     ``rr-table`` task and the selfcheck compare h0 - h1 with deg D + 1 - g
     and report a mismatch.
     """

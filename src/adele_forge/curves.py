@@ -36,8 +36,9 @@ class CurveModel:
 
     Equal models compare and hash equal.  Each instance also keeps a
     ``_CurveMemo`` of what it derives (its affine points, the places above
-    x-factors and principal divisors), so that work is done once per curve
-    object; the memo takes no part in equality.
+    x-factors, principal divisors and the Riemann-Roch series at the base
+    place), so that work is done once per curve object; the memo takes no
+    part in equality.
     """
 
     __slots__ = ("kind", "spec", "a", "b", "_hash", "_memo")
@@ -131,16 +132,23 @@ class _CurveMemo:
     order, found lazily; next_x is the first x not yet examined.
     places: ``_places_above_x_factor``'s places, by the irreducible factor.
     divisors: ``principal_divisor``'s divisors, by (f, ext_bound).
+    base: the series at the base place that ``riemann_roch_rows`` shares
+    across divisors and auxiliary multiplicities: the expansion of num/den
+    (``_base_quotient``) by the coefficient vectors of num and den, and on
+    the elliptic model, under "monomials", (work, x, y, powers, products)
+    with x^i and x^i*y at O (``_monomial_columns``).  It holds ints and
+    series only, nothing that refers back to the curve or to a place.
     Nothing that raised is stored.
     """
 
-    __slots__ = ("points", "next_x", "places", "divisors")
+    __slots__ = ("points", "next_x", "places", "divisors", "base")
 
     def __init__(self):
         self.points = []
         self.next_x = 0
         self.places = {}
         self.divisors = {}
+        self.base = {}
 
 
 class Place:
@@ -917,7 +925,8 @@ def expand_at(f, place, prec):
 # vectors and the polynomial mult), and a builder turns the parts into
 # functions.  riemann_roch_space builds the functions; riemann_roch_rows reads
 # the expansion coefficients of the same basis at the base place from series
-# shared by all its elements, which is what the cohomology computation needs.
+# shared by all its elements, and kept in the curve's memo for every later
+# divisor, which is what the cohomology computation needs.
 
 
 def x_minimal_poly(place):
@@ -961,9 +970,12 @@ def riemann_roch_rows(D, place, lo, hi, ext_bound=DEFAULT_EXT_BOUND):
     The basis shares one ansatz, so its rows share their series: on P^1
     every element is x^j * num_fixed/den with x = t^-1, so row j is the
     window at offset j of one expansion of num_fixed/den; on the elliptic
-    model one pair (x(t), y(t)) gives the monomials x^i and x^i*y, the
-    kernel vectors combine their coefficients and each combination is
-    multiplied by one expansion of 1/mult.
+    model the monomials x^i and x^i*y give the columns, the kernel vectors
+    combine them and each combination is multiplied by one expansion of
+    1/mult.  These series depend on the curve, not on D, so the curve's
+    memo keeps them for every later call: the quotients by their
+    polynomials, the monomials as lists that grow by one product per new
+    power and are recomputed only when a call needs more precision.
     """
     curve = D.curve
     if place.curve != curve:
@@ -977,8 +989,7 @@ def riemann_roch_rows(D, place, lo, hi, ext_bound=DEFAULT_EXT_BOUND):
         if not parts:
             return []
         num_fixed, den, top = parts
-        g = FunctionFieldElement._raw(curve, num_fixed, Polynomial.zero(curve.spec), den)
-        ser = expand_at(g, place, hi + top)
+        ser = _base_quotient(place, num_fixed, den, hi + top)
         coeffs = _window(ser.coeffs, ser.start, lo, hi + top)
         return [coeffs[j : j + max(hi - lo, 0)] for j in range(top + 1)]
     parts = _rr_parts_elliptic(D, ext_bound)
@@ -997,13 +1008,27 @@ def riemann_roch_rows(D, place, lo, hi, ext_bound=DEFAULT_EXT_BOUND):
             acc = [a + c * x for a, x in zip(acc, col)]
         rows.append([a % curve.spec.p for a in acc])
     if shift:
-        inv = FunctionFieldElement(curve, Polynomial.one(curve.spec), None, mult)
-        inv_ser = expand_at(inv, place, max(hi + bound, shift))
-        if inv_ser.prec < hi + bound:
-            raise DomainError("Riemann-Roch expansion short of its precision")
+        inv_ser = _base_quotient(place, Polynomial.one(curve.spec), mult, max(hi + bound, shift))
         inv_coeffs = _window(inv_ser.coeffs, inv_ser.start, shift, hi + bound)
         rows = [_mul(curve.spec, row, inv_coeffs, max(hi + bound - shift, 0)) for row in rows]
     return [_window(row, shift - bound, lo, hi) for row in rows]
+
+
+def _base_quotient(place, num, den, prec):
+    """The expansion of num/den at the base place, known below at least
+    prec, for coprime polynomials num and den with den monic.  A series the
+    curve's memo holds for the coefficient vectors of (num, den) serves if
+    it is long enough; else the new expansion replaces it."""
+    curve = place.curve
+    memo, key = curve._memo.base, (tuple(num.vec), tuple(den.vec))
+    ser = memo.get(key)
+    if ser is None or ser.prec < prec:
+        f = FunctionFieldElement._raw(curve, num, Polynomial.zero(curve.spec), den)
+        ser = expand_at(f, place, prec)
+        if ser.prec < prec:
+            raise DomainError("Riemann-Roch expansion short of its precision")
+        memo[key] = ser
+    return ser
 
 
 def _window(coeffs, start, lo, hi, k=1):
@@ -1103,16 +1128,29 @@ def _monomial_columns(curve, place, exponents, lo, prec):
     """The coefficients for the exponents lo .. prec - 1 (``_window``) of the
     expansions at an elliptic place of x^i * y^j for (i, j) in exponents
     (j in {0, 1}, every i from 0 up present): one product each from one pair
-    (x(t), y(t))."""
+    (x(t), y(t)).  At O the pair and the products are the curve's memo,
+    (work, x, y, powers, products), extended to the highest i asked for; a
+    call that needs a working precision above work recomputes them all."""
     # at O, x and y have valuations -2 and -3, and x^i * y^j needs x and y
     # to 2i + 3j places more; elsewhere both are integral
-    pole = max(2 * i + 3 * j for i, j in exponents) if place.kind == "ec-origin" else 0
+    origin = place.kind == "ec-origin"
+    pole = max(2 * i + 3 * j for i, j in exponents) if origin else 0
     work = max(prec + pole, 1)
-    x, y = _ec_expansions(curve, place, work)
-    powers = [LaurentSeries.constant(place.residue_field().one(), work)]
-    for _ in range(max(i for i, _ in exponents)):
-        powers.append(powers[-1] * x)
-    out = [powers[i] * y if j else powers[i] for i, j in exponents]
+    kept = curve._memo.base.get("monomials") if origin else None
+    if kept and kept[0] >= work:
+        work, x, y, powers, products = kept
+        powers, products = list(powers), list(products)
+    else:
+        x, y = _ec_expansions(curve, place, work)
+        powers, products = [LaurentSeries.constant(place.residue_field().one(), work)], []
+    for i, j in exponents:
+        while len(powers) <= i:
+            powers.append(powers[-1] * x)
+        while j and len(products) <= i:
+            products.append(powers[len(products)] * y)
+    out = [products[i] if j else powers[i] for i, j in exponents]
     if any(ser.prec < prec for ser in out):
         raise DomainError("monomial expansion short of its precision")
+    if origin:
+        curve._memo.base["monomials"] = (work, x, y, powers, products)
     return [_window(ser.coeffs, ser.start, lo, prec, x.spec.k) for ser in out]

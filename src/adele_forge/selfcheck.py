@@ -386,11 +386,9 @@ def check_parshin_reciprocity():
     ]
     for s in _random_surface_symbols(rng, p, 8):
         for pt in points:
-            try:
-                if parshin_point_reciprocity(s, pt) != 0:
-                    return False, "nonzero Parshin sum at %r" % pt
-            except AdeleForgeError:
-                continue  # singular configuration; not admissible
+            # a case that raises fails the check in run_selfcheck
+            if parshin_point_reciprocity(s, pt) != 0:
+                return False, "nonzero Parshin sum at %r" % pt
     return True, "Parshin point reciprocity vanishes"
 
 

@@ -39,8 +39,8 @@ while the inverse serves only this module.  A
 ``fields.Polynomial`` stores its coefficients in this same format, so
 ``from_polynomial`` copies its vector.
 
-FieldElements appear only at the boundary: the constructors and ``scale``
-take them and ``coefficient`` returns one.
+FieldElements appear only at the boundary: the constructors take them
+and ``coefficient`` returns one.
 """
 
 from .errors import DomainError
@@ -159,11 +159,6 @@ class LaurentSeries:
         prec = min(self.prec + other.start, other.prec + self.start)
         start = self.start + other.start
         return LaurentSeries(self.spec, start, _mul(self.spec, self.coeffs, other.coeffs, prec - start), prec)
-
-    def scale(self, c):
-        c = self.spec.element(c)
-        n = len(self.coeffs) // self.spec.k
-        return LaurentSeries(self.spec, self.start, _mul(self.spec, self.coeffs, c.val, n), self.prec)
 
     def truncate(self, prec):
         return LaurentSeries(self.spec, self.start, self.coeffs, min(prec, self.prec))

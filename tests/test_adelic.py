@@ -1,11 +1,12 @@
 import copy
+import gc
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adele_forge import adelic, signs
+from adele_forge import adelic, curves, signs
 from adele_forge.adelic import (
     AdeleCochain,
     adelic_differential,
@@ -22,11 +23,15 @@ from adele_forge.curves import (
     Place,
     principal_divisor,
     rational_points,
+    riemann_roch_rows,
     valuation,
 )
+from adele_forge.cli import run_config
+from adele_forge.curves import _places_above_x_factor
 from adele_forge.errors import DomainError
 from adele_forge.fields import Polynomial, prime_field
 from adele_forge.milnor import MilnorSymbol, gersten_boundary, tame_symbol
+from adele_forge.series import LaurentSeries
 from adele_forge.selfcheck import random_elliptic_function, random_p1_function
 
 F5 = prime_field(5)
@@ -319,3 +324,137 @@ def test_uniformizer_raises_domain_error_when_valuation_is_not_one(monkeypatch):
     point = next(pt for pt in rational_points(E)[1:] if pt[1])
     with pytest.raises(DomainError, match="uniformizer"):
         uniformizer(Place.rational_point(E, point))
+
+
+# ---------------------------------------------------------------------------
+# the series at the base place, shared by every divisor through the curve memo
+
+
+def _support(curve):
+    """Places of degree 1 and 2 away from the base place, in an order fixed
+    by the curve's equation: on P^1 the x - c and one x^2 - r, on the
+    elliptic model the places above every x - c."""
+    spec, p = curve.spec, curve.spec.p
+    lines = [Polynomial.from_ints(spec, [-c, 1]) for c in range(p)]
+    if curve.kind == "p1":
+        r = min(set(range(1, p)) - {c * c % p for c in range(p)})
+        return [Place.finite(curve, g) for g in lines + [Polynomial.from_ints(spec, [-r, 0, 1])]]
+    return [v for g in lines for v in _places_above_x_factor(curve, g, 2)]
+
+
+def _divisor(curve, spec):
+    """The divisor spec = (affine, n) on a given curve object: n times the
+    base place plus the multiplicities of ``affine``, (index, m) pairs into
+    ``_support(curve)``."""
+    affine, n = spec
+    support = _support(curve)
+    mults = {curve.base_place(): n}
+    for i, m in affine:
+        v = support[i % len(support)]
+        mults[v] = mults.get(v, 0) + m
+    return Divisor(curve, mults)
+
+
+def _rows(curve, spec, m):
+    """riemann_roch_rows of E = D + m*v1 on the window -E(v1) .. -D(v1) - 1
+    that ``_h1_estimate`` reads, and one exponent on either side."""
+    D = _divisor(curve, spec)
+    v1 = curve.base_place()
+    n = D.multiplicity(v1)
+    return riemann_roch_rows(D + Divisor(curve, {v1: m}), v1, -n - m - 1, -n + 1)
+
+
+def _model(p, model, a, b):
+    spec = prime_field(p)
+    if model == "p1":
+        return CurveModel.projective_line(spec)
+    assume((4 * a**3 + 27 * b * b) % p)
+    return CurveModel.elliptic(spec, a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 11]),
+    model=st.sampled_from(["p1", "elliptic"]),
+    a=st.integers(0, 10),
+    b=st.integers(0, 10),
+    items=st.lists(
+        st.tuples(
+            st.tuples(st.lists(st.tuples(st.integers(0, 30), st.integers(-2, 2)), max_size=2), st.integers(-20, 6)),
+            st.sampled_from([0, 2, 4, 8, 16, 32]),
+        ),
+        min_size=2,
+        max_size=5,
+    ),
+    order=st.randoms(use_true_random=False),
+)
+def test_shared_base_series_match_a_fresh_curve_in_any_order(p, model, a, b, items, order):
+    # one curve object answers every divisor, in a shuffled order, as a
+    # fresh curve object per divisor does; the doubling loop of a degree
+    # down to -28 runs several rounds, and a later call may need more
+    # precision or higher powers than every earlier one
+    shared = _model(p, model, a, b)
+    calls = [(kind, i) for kind in ("dims", "rows") for i in range(len(items))]
+    order.shuffle(calls)
+    got = {}
+    for kind, i in calls:
+        spec, m = items[i]
+        if kind == "dims":
+            got[kind, i] = cohomology_dims(shared, _divisor(shared, spec))
+        else:
+            got[kind, i] = _rows(shared, spec, m)
+    for i, (spec, m) in enumerate(items):
+        fresh = _model(p, model, a, b)
+        D = _divisor(fresh, spec)
+        rep, want = got["dims", i], cohomology_dims(fresh, D)
+        assert (rep.h0, rep.h1, rep.bound) == (want.h0, want.h1, want.bound)
+        assert rep.h0 - rep.h1 == D.degree + 1 - fresh.genus
+        assert got["rows", i] == _rows(_model(p, model, a, b), spec, m)
+
+
+def test_rr_table_window_costs_its_top_degree_and_a_few_products(monkeypatch):
+    # work, not time: series products and misses of the (x(t), y(t)) cache
+    # for rr-table on E over GF(5).  Each degree of the window [6, 9] below
+    # its top adds at most x^i and x^i*y for one new i; rebuilding the
+    # monomials per degree and per m cost 120 products here
+    mul = LaurentSeries.__mul__
+    count = [0]
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+
+    def cost(lo, hi):
+        curves._ec_expansions.cache_clear()
+        count[0] = 0
+        doc = {"task": "rr-table", "field": {"p": 5}, "curve": {"model": "elliptic", "a": 1, "b": 1}}
+        run_config(dict(doc, degrees=[lo, hi]))
+        return count[0], curves._ec_expansions.cache_info().misses
+
+    top, window = cost(9, 9), cost(6, 9)
+    assert (top, window) == ((48, 2), (45, 2))
+    assert window[0] <= top[0] + 2 * (9 - 6) and window[1] <= top[1]
+
+
+def test_base_series_memo_refers_to_no_curve_or_place():
+    # the memo holds ints and series only, so nothing in it keeps a curve
+    # or a place alive; the walk does not enter classes
+    E = CurveModel.elliptic(F7, 1, 1)
+    P = Place.rational_point(E, rational_points(E)[1])
+    v_t = Place.finite(P17, Polynomial.x(F7))
+    for D in (Divisor(E, {P: 2, Place.origin(E): -1}), Divisor(P17, {v_t: 2, Place.infinity(P17): -1})):
+        cohomology_dims(D.curve, D)
+        memo = D.curve._memo.base
+        seen, stack, kinds = set(), [memo], set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (CurveModel, Place)), obj
+            kinds.add(type(obj))
+            stack += gc.get_referents(obj)
+        assert LaurentSeries in kinds
+        assert len(memo) == (2 if D.curve.kind == "elliptic" else 1)

@@ -506,6 +506,8 @@ def test_rr_expansions_raise_domain_error_when_short(monkeypatch):
     P = Place.rational_point(E, rational_points(E)[1])
     with pytest.raises(DomainError, match="Riemann-Roch expansion short"):
         riemann_roch_rows(Divisor(E, {P: 1, Place.origin(E): 1}), Place.origin(E), -1, 4)
+    # the monomials at O were complete; the short quotient is not kept
+    assert list(E._memo.base) == ["monomials"]
 
 
 def test_monomial_series_raise_domain_error_when_short(monkeypatch):
@@ -516,6 +518,7 @@ def test_monomial_series_raise_domain_error_when_short(monkeypatch):
     E = CurveModel.elliptic(F7, 0, 2)
     with pytest.raises(DomainError, match="monomial expansion short"):
         riemann_roch_rows(Divisor(E, {Place.origin(E): 3}), Place.origin(E), -3, 5)
+    assert not E._memo.base
 
 
 def test_rr_expansions_only_at_the_base_place():

@@ -124,12 +124,12 @@ def ref_leading_value(f, place):
 
 def ref_origin_z(curve, n):
     """z = 1/y below t^n at O from the fixed point z = t^3 + a*t*z^2 + b*z^3."""
-    a, b = curve.a, curve.b
+    a, b = (LaurentSeries.constant(c, n) for c in (curve.a, curve.b))
     t = LaurentSeries.var(curve.spec, n)
     t3 = t * t * t
     z = t3
     for _ in range(n + 2):
-        nz = (t3 + t.scale(a) * z * z + (z * z * z).scale(b)).truncate(n)
+        nz = (t3 + a * t * z * z + b * z * z * z).truncate(n)
         done = nz.coeffs == z.coeffs and nz.start == z.start
         z = nz
         if done:

@@ -163,8 +163,6 @@ def test_sum_difference_and_scale(case):
     assert view(F + G) == ref_normalize(spec, start, out, prec)
     D = F - F
     assert D.is_zero_to_precision() and D.prec == F.prec
-    c = elt(spec, 3 * spec.p + 2)
-    assert view(F.scale(c)) == ref_normalize(spec, fs, [c * a for a in fe], fp)
     assert view(F.truncate(fs + 1)) == ref_normalize(spec, fs, fe, min(fs + 1, fp))
 
 

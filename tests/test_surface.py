@@ -1244,3 +1244,20 @@ def test_one_local_reading_per_object():
     assert "_x2_coeffs" not in defs
     for name, reader in (("dehomogenize", "chart_rows"), ("_resultant_x2", "dehomogenize"), ("_restriction_roots", "chart_rows")):
         assert any(getattr(node, "attr", None) == reader for node in ast.walk(defs[name])), name
+
+
+def test_parshin_check_fails_on_a_case_that_raises(monkeypatch):
+    # a raising case is a failure, not a skipped configuration
+    from adele_forge import selfcheck
+
+    real, calls = selfcheck.parshin_point_reciprocity, []
+
+    def raises_on_the_fifth(symbol, point):
+        calls.append(point)
+        if len(calls) == 5:
+            raise DomainError("injected")
+        return real(symbol, point)
+
+    monkeypatch.setattr(selfcheck, "parshin_point_reciprocity", raises_on_the_fifth)
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", [selfcheck.check_parshin_reciprocity])
+    assert selfcheck.run_selfcheck() == ([("check_parshin_reciprocity", False, "domain: injected")], 0, 1)
