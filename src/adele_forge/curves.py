@@ -136,9 +136,9 @@ class _CurveMemo:
     across divisors and auxiliary multiplicities: the expansion of num/den
     (``_base_quotient``) by the coefficient vectors of num and den, and on
     the elliptic model, under "monomials", (work, x, y, powers, products)
-    with x^i and x^i*y at O (``_monomial_columns``).  It holds ints and
-    series only, nothing that refers back to the curve or to a place.
-    Nothing that raised is stored.
+    with x^i and x^i*y at O (``_monomial_columns``).  A miss computes for
+    twice the precision asked (``_grown``).  Ints and series only, nothing
+    referring back to the curve or to a place, nothing from a raising call.
     """
 
     __slots__ = ("points", "next_x", "places", "divisors", "base")
@@ -921,12 +921,12 @@ def expand_at(f, place, prec):
 #
 # Each model builds L(D) in two steps: a "parts" step sets up one ansatz for
 # the whole space (P^1: num_fixed, den and top with basis x^j * num_fixed/den;
-# elliptic: bound, the monomial exponents of x^i y^j, the kernel coefficient
-# vectors and the polynomial mult), and a builder turns the parts into
-# functions.  riemann_roch_space builds the functions; riemann_roch_rows reads
-# the expansion coefficients of the same basis at the base place from series
-# shared by all its elements, and kept in the curve's memo for every later
-# divisor, which is what the cohomology computation needs.
+# elliptic: bound, the exponents of the monomials x^i y^j, the kernel vectors
+# or None for the monomials themselves, and the polynomial mult), and a
+# builder turns the parts into functions.  riemann_roch_space builds the
+# functions; riemann_roch_rows reads the expansion coefficients of the same
+# basis at the base place from series shared by all its elements and kept in
+# the curve's memo for every later divisor, as the cohomology needs.
 
 
 def x_minimal_poly(place):
@@ -958,7 +958,7 @@ def riemann_roch_dimension(D, ext_bound=DEFAULT_EXT_BOUND):
         parts = _rr_parts_p1(D)
         return parts[2] + 1 if parts else 0
     parts = _rr_parts_elliptic(D, ext_bound)
-    return len(parts[2]) if parts else 0
+    return len(parts[1] if parts[2] is None else parts[2]) if parts else 0
 
 
 def riemann_roch_rows(D, place, lo, hi, ext_bound=DEFAULT_EXT_BOUND):
@@ -968,22 +968,20 @@ def riemann_roch_rows(D, place, lo, hi, ext_bound=DEFAULT_EXT_BOUND):
     lo .. hi - 1, one int each: the base field is prime.
 
     The basis shares one ansatz, so its rows share their series: on P^1
-    every element is x^j * num_fixed/den with x = t^-1, so row j is the
-    window at offset j of one expansion of num_fixed/den; on the elliptic
-    model the monomials x^i and x^i*y give the columns, the kernel vectors
-    combine them and each combination is multiplied by one expansion of
-    1/mult.  These series depend on the curve, not on D, so the curve's
-    memo keeps them for every later call: the quotients by their
-    polynomials, the monomials as lists that grow by one product per new
-    power and are recomputed only when a call needs more precision.
+    row j is the window at offset j of one expansion of num_fixed/den, as
+    every element is x^j * num_fixed/den with x = t^-1; on the elliptic
+    model the rows are the windows of the monomials x^i and x^i*y as they
+    stand when D has no vanishing condition at an affine place (every n*O),
+    else the kernel vectors combine them, and an affine pole multiplies
+    each by one expansion of 1/mult.  These series depend on the curve, not
+    on D, so the curve's memo keeps them for every later call, each computed
+    on a miss for twice the precision asked (``_grown``).
     """
     curve = D.curve
     if place.curve != curve:
         raise DomainError("divisor and place on different curves")
     if place != curve.base_place():
-        raise DomainError(
-            "Riemann-Roch expansions are taken at the base place, not at %r" % (place,)
-        )
+        raise DomainError("Riemann-Roch expansions are taken at the base place, not at %r" % (place,))
     if curve.kind == "p1":
         parts = _rr_parts_p1(D)
         if not parts:
@@ -996,39 +994,47 @@ def riemann_roch_rows(D, place, lo, hi, ext_bound=DEFAULT_EXT_BOUND):
     if not parts:
         return []
     bound, exponents, vectors, mult = parts
-    # a combination has valuation >= -bound at O, and 1/mult valuation
-    # shift = 2*deg(mult) there, so the combinations are needed for the
-    # exponents -bound .. hi - shift - 1 and 1/mult for shift .. hi + bound - 1
+    # without 1/mult the columns are cut at the window; with it, combinations
+    # (valuation >= -bound at O) are needed for -bound .. hi - shift - 1 and
+    # 1/mult (valuation shift = 2*deg(mult) there) for shift .. hi + bound - 1
     shift = 2 * mult.degree
-    cols = _monomial_columns(curve, place, exponents, -bound, hi - shift)
-    rows = []
-    for vec in vectors:
-        acc = [0] * max(hi + bound - shift, 0)
-        for c, col in compress(zip(vec, cols), vec):
-            acc = [a + c * x for a, x in zip(acc, col)]
-        rows.append([a % curve.spec.p for a in acc])
-    if shift:
-        inv_ser = _base_quotient(place, Polynomial.one(curve.spec), mult, max(hi + bound, shift))
-        inv_coeffs = _window(inv_ser.coeffs, inv_ser.start, shift, hi + bound)
-        rows = [_mul(curve.spec, row, inv_coeffs, max(hi + bound - shift, 0)) for row in rows]
-    return [_window(row, shift - bound, lo, hi) for row in rows]
+    rows = cols = _monomial_columns(curve, place, exponents, -bound if shift else lo, hi - shift)
+    if vectors is not None:
+        rows = []
+        for vec in vectors:
+            acc = [0] * len(cols[0])
+            for c, col in compress(zip(vec, cols), vec):
+                acc = [a + c * x for a, x in zip(acc, col)]
+            rows.append([a % curve.spec.p for a in acc])
+    if not shift:
+        return rows
+    inv_ser = _base_quotient(place, Polynomial.one(curve.spec), mult, max(hi + bound, shift))
+    inv_coeffs = _window(inv_ser.coeffs, inv_ser.start, shift, hi + bound)
+    n = max(hi + bound - shift, 0)
+    return [_window(_mul(curve.spec, row, inv_coeffs, n), shift - bound, lo, hi) for row in rows]
 
 
 def _base_quotient(place, num, den, prec):
     """The expansion of num/den at the base place, known below at least
     prec, for coprime polynomials num and den with den monic.  A series the
     curve's memo holds for the coefficient vectors of (num, den) serves if
-    it is long enough; else the new expansion replaces it."""
+    it is long enough; else the expansion to ``_grown(prec)`` replaces it."""
     curve = place.curve
     memo, key = curve._memo.base, (tuple(num.vec), tuple(den.vec))
     ser = memo.get(key)
     if ser is None or ser.prec < prec:
         f = FunctionFieldElement._raw(curve, num, Polynomial.zero(curve.spec), den)
+        prec = _grown(prec)
         ser = expand_at(f, place, prec)
         if ser.prec < prec:
             raise DomainError("Riemann-Roch expansion short of its precision")
         memo[key] = ser
     return ser
+
+
+def _grown(prec):
+    """A base-place memo's precision on a miss: twice the request, never less (P^1 asks <= 0)."""
+    return max(2 * prec, prec)
 
 
 def _window(coeffs, start, lo, hi, k=1):
@@ -1072,7 +1078,8 @@ def _rr_basis_p1(curve, parts):
 def _rr_parts_elliptic(D, ext_bound):
     """(bound, exponents, vectors, mult) with L(D) spanned by
     (sum of c * x^i * y^j over (i, j) in exponents) / mult for each
-    coefficient vector c in vectors, or None when L(D) = 0.
+    coefficient vector c in vectors (every unit vector when it is None), or
+    None when L(D) = 0.
 
     mult (a polynomial in x) clears the affine poles of D; what is left,
     D2 = D - div(mult), has bound = D2(O), and the ansatz is the basis
@@ -1087,10 +1094,7 @@ def _rr_parts_elliptic(D, ext_bound):
     for place, m in D.items():
         if place.kind == "ec-affine" and m > 0:
             mult = mult * x_minimal_poly(place) ** m
-    if mult.degree > 0:
-        D2 = D - principal_divisor(FunctionFieldElement(curve, mult), ext_bound)
-    else:
-        D2 = D
+    D2 = D - principal_divisor(FunctionFieldElement(curve, mult), ext_bound) if mult.degree else D
     bound = D2.multiplicity(Place.origin(curve))
     if bound < 0:
         return None
@@ -1102,25 +1106,20 @@ def _rr_parts_elliptic(D, ext_bound):
             continue
         # one row per GF(p)-coordinate of each coefficient of t^0 .. t^(-m-1)
         conditions += zip(*_monomial_columns(curve, place, exponents, 0, -m))
-    if conditions:
-        vectors = kernel_basis(conditions, spec.p)
-    else:
-        n = len(exponents)
-        vectors = [[0] * j + [1] + [0] * (n - j - 1) for j in range(n)]
+    vectors = kernel_basis(conditions, spec.p) if conditions else None
     return bound, exponents, vectors, mult
 
 
 def _rr_basis_elliptic(curve, parts):
     bound, exponents, vectors, mult = parts
-    spec = curve.spec
+    if vectors is None:  # the monomials themselves
+        vectors = ([int(e == f) for f in exponents] for e in exponents)
     basis = []
     for vec in vectors:
-        a = [0] * (bound // 2 + 1)
-        b = [0] * (bound // 2 + 1)
+        ab = ([0] * (bound // 2 + 1), [0] * (bound // 2 + 1))
         for c, (i, j) in zip(vec, exponents):
-            (b if j else a)[i] = c
-        a, b = Polynomial.from_ints(spec, a), Polynomial.from_ints(spec, b)
-        basis.append(FunctionFieldElement(curve, a, b, mult))
+            ab[j][i] = c
+        basis.append(FunctionFieldElement(curve, *(Polynomial.from_ints(curve.spec, v) for v in ab), mult))
     return basis
 
 
@@ -1130,7 +1129,7 @@ def _monomial_columns(curve, place, exponents, lo, prec):
     (j in {0, 1}, every i from 0 up present): one product each from one pair
     (x(t), y(t)).  At O the pair and the products are the curve's memo,
     (work, x, y, powers, products), extended to the highest i asked for; a
-    call that needs a working precision above work recomputes them all."""
+    miss on the working precision recomputes them all, for twice it."""
     # at O, x and y have valuations -2 and -3, and x^i * y^j needs x and y
     # to 2i + 3j places more; elsewhere both are integral
     origin = place.kind == "ec-origin"
@@ -1141,6 +1140,7 @@ def _monomial_columns(curve, place, exponents, lo, prec):
         work, x, y, powers, products = kept
         powers, products = list(powers), list(products)
     else:
+        work = _grown(work) if origin else work
         x, y = _ec_expansions(curve, place, work)
         powers, products = [LaurentSeries.constant(place.residue_field().one(), work)], []
     for i, j in exponents:

@@ -497,6 +497,30 @@ def test_rr_expansions_fixtures():
                     _check_expansions(D, base, m, which, offset)
 
 
+def test_rr_rows_without_vanishing_conditions_are_the_monomials():
+    # at n*O, and at Q + 2O with Q the one place of degree 2 above x - c,
+    # which 1/(x - c) clears with no condition left, the parts carry no
+    # vectors; the basis, its dimension and its rows agree, as they do for
+    # 4O - Q, which has a condition
+    for p, a, b in ((3, 2, 2), (5, 1, 1), (7, 1, 1)):
+        E = CurveModel.elliptic(prime_field(p), a, b)
+        O = Place.origin(E)
+        Q = next(
+            v
+            for c in range(p)
+            for v in _places_above_x_factor(E, Polynomial.from_ints(E.spec, [-c, 1]), 2)
+            if v.residue_degree == 2
+        )
+        divisors = [Divisor(E, {O: n}) for n in (0, 1, 2, 3, 7, 40)]
+        divisors += [Divisor(E, {Q: 1, O: 2}), Divisor(E, {Q: -1, O: 4})]
+        for D in divisors:
+            assert riemann_roch_dimension(D) == len(riemann_roch_space(D))
+            _check_expansions(D, O, 0, "pos", -2)
+        assert all(curves._rr_parts_elliptic(D, 2)[2] is None for D in divisors[:-1])
+        assert curves._rr_parts_elliptic(divisors[-2], 2)[3].degree == 1
+        assert curves._rr_parts_elliptic(divisors[-1], 2)[2] is not None
+
+
 def test_rr_expansions_raise_domain_error_when_short(monkeypatch):
     # D = P + O has an affine pole, so the combinations are divided by the
     # expansion of 1/(x - x0)
