@@ -10,13 +10,12 @@ from .curves import (
     FunctionFieldElement,
     principal_divisor,
     riemann_roch_dimension,
-    riemann_roch_rows,
+    riemann_roch_pivots,
     valuation,
     x_minimal_poly,
 )
 from .errors import DomainError
 from .fields import DEFAULT_EXT_BOUND, Polynomial
-from .linalg import leading_rank
 from .milnor import GerstenCochain, MilnorSymbol, residue, residue_support
 
 # The largest auxiliary multiplicity m that cohomology_dims tries: on P^1 a
@@ -240,15 +239,12 @@ def cohomology_dims(curve, D, ext_bound=DEFAULT_EXT_BOUND):
     L(E) -> O(E)/O(D) at the base place v1 (infinity on P^1, O on the
     elliptic model) for an auxiliary divisor E = D + m*v1, recomputed with
     m doubled until two consecutive values agree; a DomainError reports a
-    divisor that needs m > STABILIZATION_CAP.  The rows of the map are int
-    windows of series shared by the basis of L(E) (``riemann_roch_rows``;
-    on E at n*O the monomial windows themselves), ranked by leading column
-    (``linalg.leading_rank``).  The curve object keeps those series, each
-    computed for twice the precision a miss asks, so the next m of the
-    doubling loop and every later divisor on the same curve, such as the
-    next degree of an ``rr-table`` window, read them.  Riemann-Roch is not
-    asserted here: the ``rr-table`` task and the selfcheck compare h0 - h1
-    with deg D + 1 - g and report a mismatch.
+    divisor that needs m > STABILIZATION_CAP.  The basis of L(E) has
+    pairwise distinct valuations at v1 (``riemann_roch_pivots``), so the
+    matrix of the map is in echelon form and its rank is a count of
+    valuations: no expansion is computed.  Riemann-Roch is not asserted
+    here: the ``rr-table`` task and the selfcheck compare h0 - h1 with
+    deg D + 1 - g and report a mismatch.
     """
     v1 = curve.base_place()
     h0 = riemann_roch_dimension(D, ext_bound)
@@ -271,13 +267,16 @@ def cohomology_dims(curve, D, ext_bound=DEFAULT_EXT_BOUND):
 def _h1_estimate(curve, D, v1, m, h0, ext_bound):
     """m - rank of the principal-parts map L(E) -> O(E)/O(D), E = D + m*v1.
 
-    Row f holds the coefficients of f's expansion at v1 for the exponents
-    -E(v1) .. -D(v1)-1, as ints (``riemann_roch_rows``).  Its kernel is
-    L(D), of dimension h0; a rank that says otherwise raises DomainError.
+    Row f of its matrix holds the coefficients of f's expansion at v1 for
+    the exponents -E(v1) .. -D(v1)-1.  The valuations of the basis at v1
+    are pairwise distinct, so each f with v1(f) < -D(v1) leads its row in a
+    column of its own, every other row is zero, and the rank is the number
+    of such f.  The kernel is L(D), of dimension h0; a rank that says
+    otherwise raises DomainError.
     """
     dv1 = D.multiplicity(v1)
-    rows = riemann_roch_rows(D + Divisor(curve, {v1: m}), v1, -dv1 - m, -dv1, ext_bound)
-    rk = leading_rank(rows, curve.spec.p)
-    if rk != len(rows) - h0:
+    pivots = riemann_roch_pivots(D + Divisor(curve, {v1: m}), ext_bound)
+    rk = sum(v < -dv1 for v in pivots)
+    if rk != len(pivots) - h0:
         raise DomainError("principal-parts kernel is not L(D)")
     return m - rk

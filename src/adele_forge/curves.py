@@ -9,7 +9,6 @@ on either model is (A + B*y)/C for polynomials A, B, C in x (B = 0 on P^1).
 """
 
 from functools import lru_cache
-from itertools import compress
 
 from . import _kernels as K
 from .errors import DomainError
@@ -18,7 +17,6 @@ from .fields import (
     FieldElement,
     FieldSpec,
     Polynomial,
-    _mul,
     _power,
     canonical_field,
     factor_polynomial,
@@ -36,9 +34,8 @@ class CurveModel:
 
     Equal models compare and hash equal.  Each instance also keeps a
     ``_CurveMemo`` of what it derives (its affine points, the places above
-    x-factors, principal divisors and the Riemann-Roch series at the base
-    place), so that work is done once per curve object; the memo takes no
-    part in equality.
+    x-factors and principal divisors), so that work is done once per curve
+    object; the memo takes no part in equality.
     """
 
     __slots__ = ("kind", "spec", "a", "b", "_hash", "_memo")
@@ -132,23 +129,15 @@ class _CurveMemo:
     order, found lazily; next_x is the first x not yet examined.
     places: ``_places_above_x_factor``'s places, by the irreducible factor.
     divisors: ``principal_divisor``'s divisors, by (f, ext_bound).
-    base: the series at the base place that ``riemann_roch_rows`` shares
-    across divisors and auxiliary multiplicities: the expansion of num/den
-    (``_base_quotient``) by the coefficient vectors of num and den, and on
-    the elliptic model, under "monomials", (work, x, y, powers, products)
-    with x^i and x^i*y at O (``_monomial_columns``).  A miss computes for
-    twice the precision asked (``_grown``).  Ints and series only, nothing
-    referring back to the curve or to a place, nothing from a raising call.
     """
 
-    __slots__ = ("points", "next_x", "places", "divisors", "base")
+    __slots__ = ("points", "next_x", "places", "divisors")
 
     def __init__(self):
         self.points = []
         self.next_x = 0
         self.places = {}
         self.divisors = {}
-        self.base = {}
 
 
 class Place:
@@ -921,12 +910,13 @@ def expand_at(f, place, prec):
 #
 # Each model builds L(D) in two steps: a "parts" step sets up one ansatz for
 # the whole space (P^1: num_fixed, den and top with basis x^j * num_fixed/den;
-# elliptic: bound, the exponents of the monomials x^i y^j, the kernel vectors
-# or None for the monomials themselves, and the polynomial mult), and a
-# builder turns the parts into functions.  riemann_roch_space builds the
-# functions; riemann_roch_rows reads the expansion coefficients of the same
-# basis at the base place from series shared by all its elements and kept in
-# the curve's memo for every later divisor, as the cohomology needs.
+# elliptic: bound, the exponents of the monomials x^i y^j by pole order at O,
+# the kernel vectors or None for the monomials themselves, and the polynomial
+# mult), and a builder turns the parts into functions.  riemann_roch_space
+# builds the functions; riemann_roch_pivots reads the valuation of each at
+# the base place off the same parts, with no series: the valuations are
+# pairwise distinct, so the basis is in echelon form there, and a count of
+# them is the rank of any window of its expansions, as the cohomology needs.
 
 
 def x_minimal_poly(place):
@@ -961,80 +951,37 @@ def riemann_roch_dimension(D, ext_bound=DEFAULT_EXT_BOUND):
     return len(parts[1] if parts[2] is None else parts[2]) if parts else 0
 
 
-def riemann_roch_rows(D, place, lo, hi, ext_bound=DEFAULT_EXT_BOUND):
-    """For each element of the basis ``riemann_roch_space(D)`` returns, in
-    the same order, the coefficients of its expansion at the base place
-    (infinity on P^1, O on the elliptic model) for the exponents
-    lo .. hi - 1, one int each: the base field is prime.
+def riemann_roch_pivots(D, ext_bound=DEFAULT_EXT_BOUND):
+    """The valuation at the base place (infinity on P^1, O on the elliptic
+    model) of each element of the basis ``riemann_roch_space(D)``, in the
+    same order, read off the ansatz without building the basis.
 
-    The basis shares one ansatz, so its rows share their series: on P^1
-    row j is the window at offset j of one expansion of num_fixed/den, as
-    every element is x^j * num_fixed/den with x = t^-1; on the elliptic
-    model the rows are the windows of the monomials x^i and x^i*y as they
-    stand when D has no vanishing condition at an affine place (every n*O),
-    else the kernel vectors combine them, and an affine pole multiplies
-    each by one expansion of 1/mult.  These series depend on the curve, not
-    on D, so the curve's memo keeps them for every later call, each computed
-    on a miss for twice the precision asked (``_grown``).
+    On P^1, x^j * num_fixed/den has deg den - deg num_fixed - j.  On the
+    elliptic model an element is led by the monomial x^i * y^j of its
+    vector's last nonzero entry (``_rr_parts_elliptic``), of valuation
+    -(2i + 3j), and mult has -2*deg(mult).  The valuations are pairwise
+    distinct, which is what makes their count a rank; two equal ones raise
+    DomainError.
     """
-    curve = D.curve
-    if place.curve != curve:
-        raise DomainError("divisor and place on different curves")
-    if place != curve.base_place():
-        raise DomainError("Riemann-Roch expansions are taken at the base place, not at %r" % (place,))
-    if curve.kind == "p1":
+    if D.curve.kind == "p1":
         parts = _rr_parts_p1(D)
         if not parts:
             return []
         num_fixed, den, top = parts
-        ser = _base_quotient(place, num_fixed, den, hi + top)
-        coeffs = _window(ser.coeffs, ser.start, lo, hi + top)
-        return [coeffs[j : j + max(hi - lo, 0)] for j in range(top + 1)]
-    parts = _rr_parts_elliptic(D, ext_bound)
-    if not parts:
-        return []
-    bound, exponents, vectors, mult = parts
-    # without 1/mult the columns are cut at the window; with it, combinations
-    # (valuation >= -bound at O) are needed for -bound .. hi - shift - 1 and
-    # 1/mult (valuation shift = 2*deg(mult) there) for shift .. hi + bound - 1
-    shift = 2 * mult.degree
-    rows = cols = _monomial_columns(curve, place, exponents, -bound if shift else lo, hi - shift)
-    if vectors is not None:
-        rows = []
-        for vec in vectors:
-            acc = [0] * len(cols[0])
-            for c, col in compress(zip(vec, cols), vec):
-                acc = [a + c * x for a, x in zip(acc, col)]
-            rows.append([a % curve.spec.p for a in acc])
-    if not shift:
-        return rows
-    inv_ser = _base_quotient(place, Polynomial.one(curve.spec), mult, max(hi + bound, shift))
-    inv_coeffs = _window(inv_ser.coeffs, inv_ser.start, shift, hi + bound)
-    n = max(hi + bound - shift, 0)
-    return [_window(_mul(curve.spec, row, inv_coeffs, n), shift - bound, lo, hi) for row in rows]
-
-
-def _base_quotient(place, num, den, prec):
-    """The expansion of num/den at the base place, known below at least
-    prec, for coprime polynomials num and den with den monic.  A series the
-    curve's memo holds for the coefficient vectors of (num, den) serves if
-    it is long enough; else the expansion to ``_grown(prec)`` replaces it."""
-    curve = place.curve
-    memo, key = curve._memo.base, (tuple(num.vec), tuple(den.vec))
-    ser = memo.get(key)
-    if ser is None or ser.prec < prec:
-        f = FunctionFieldElement._raw(curve, num, Polynomial.zero(curve.spec), den)
-        prec = _grown(prec)
-        ser = expand_at(f, place, prec)
-        if ser.prec < prec:
-            raise DomainError("Riemann-Roch expansion short of its precision")
-        memo[key] = ser
-    return ser
-
-
-def _grown(prec):
-    """A base-place memo's precision on a miss: twice the request, never less (P^1 asks <= 0)."""
-    return max(2 * prec, prec)
+        lead = den.degree - num_fixed.degree
+        pivots = list(range(lead, lead - top - 1, -1))
+    else:
+        parts = _rr_parts_elliptic(D, ext_bound)
+        if not parts:
+            return []
+        _, exponents, vectors, mult = parts
+        if vectors is not None:
+            exponents = [exponents[max(c for c, a in enumerate(vec) if a)] for vec in vectors]
+        shift = 2 * mult.degree
+        pivots = [shift - 2 * i - 3 * j for i, j in exponents]
+    if len(set(pivots)) != len(pivots):
+        raise DomainError("two Riemann-Roch basis elements share their valuation at the base place")
+    return pivots
 
 
 def _window(coeffs, start, lo, hi, k=1):
@@ -1084,7 +1031,10 @@ def _rr_parts_elliptic(D, ext_bound):
     mult (a polynomial in x) clears the affine poles of D; what is left,
     D2 = D - div(mult), has bound = D2(O), and the ansatz is the basis
     x^i y^j (2i + 3j <= bound, j in {0, 1}) of L(bound * O) cut down by the
-    vanishing conditions of D2 at affine places.
+    vanishing conditions of D2 at affine places.  The exponents rise in pole
+    order 2i + 3j, and ``kernel_basis`` gives each vector its free column as
+    its last nonzero entry, so that column is the vector's monomial of
+    highest pole order, and no two vectors share it.
     """
     curve = D.curve
     spec = curve.spec
@@ -1098,14 +1048,14 @@ def _rr_parts_elliptic(D, ext_bound):
     bound = D2.multiplicity(Place.origin(curve))
     if bound < 0:
         return None
-    exponents = [(i, 0) for i in range(bound // 2 + 1)]
-    exponents += [(i, 1) for i in range((bound - 3) // 2 + 1)]
+    # by pole order n = 2i + 3j at O: every n in 0 .. bound but 1, once each
+    exponents = [(n // 2, 0) if n % 2 == 0 else ((n - 3) // 2, 1) for n in range(bound + 1) if n != 1]
     conditions = []  # rows over GF(p), one per vanishing constraint
     for place, m in D2.items():
         if place.kind == "ec-origin" or m >= 0:
             continue
         # one row per GF(p)-coordinate of each coefficient of t^0 .. t^(-m-1)
-        conditions += zip(*_monomial_columns(curve, place, exponents, 0, -m))
+        conditions += zip(*_monomial_columns(curve, place, exponents, -m))
     vectors = kernel_basis(conditions, spec.p) if conditions else None
     return bound, exponents, vectors, mult
 
@@ -1123,26 +1073,14 @@ def _rr_basis_elliptic(curve, parts):
     return basis
 
 
-def _monomial_columns(curve, place, exponents, lo, prec):
-    """The coefficients for the exponents lo .. prec - 1 (``_window``) of the
-    expansions at an elliptic place of x^i * y^j for (i, j) in exponents
-    (j in {0, 1}, every i from 0 up present): one product each from one pair
-    (x(t), y(t)).  At O the pair and the products are the curve's memo,
-    (work, x, y, powers, products), extended to the highest i asked for; a
-    miss on the working precision recomputes them all, for twice it."""
-    # at O, x and y have valuations -2 and -3, and x^i * y^j needs x and y
-    # to 2i + 3j places more; elsewhere both are integral
-    origin = place.kind == "ec-origin"
-    pole = max(2 * i + 3 * j for i, j in exponents) if origin else 0
-    work = max(prec + pole, 1)
-    kept = curve._memo.base.get("monomials") if origin else None
-    if kept and kept[0] >= work:
-        work, x, y, powers, products = kept
-        powers, products = list(powers), list(products)
-    else:
-        work = _grown(work) if origin else work
-        x, y = _ec_expansions(curve, place, work)
-        powers, products = [LaurentSeries.constant(place.residue_field().one(), work)], []
+def _monomial_columns(curve, place, exponents, prec):
+    """The coefficients for the exponents 0 .. prec - 1 (``_window``) of the
+    expansions at an affine place of the elliptic model, where x and y are
+    integral, of x^i * y^j for (i, j) in exponents (j in {0, 1}, every i
+    from 0 up present): one product each from one pair (x(t), y(t))."""
+    work = max(prec, 1)
+    x, y = _ec_expansions(curve, place, work)
+    powers, products = [LaurentSeries.constant(place.residue_field().one(), work)], []
     for i, j in exponents:
         while len(powers) <= i:
             powers.append(powers[-1] * x)
@@ -1151,6 +1089,4 @@ def _monomial_columns(curve, place, exponents, lo, prec):
     out = [products[i] if j else powers[i] for i, j in exponents]
     if any(ser.prec < prec for ser in out):
         raise DomainError("monomial expansion short of its precision")
-    if origin:
-        curve._memo.base["monomials"] = (work, x, y, powers, products)
-    return [_window(ser.coeffs, ser.start, lo, prec, x.spec.k) for ser in out]
+    return [_window(ser.coeffs, ser.start, 0, prec, x.spec.k) for ser in out]

@@ -1,5 +1,4 @@
 import copy
-import gc
 from random import Random
 
 import pytest
@@ -22,14 +21,17 @@ from adele_forge.curves import (
     FunctionFieldElement,
     Place,
     principal_divisor,
+    expand_at,
     rational_points,
-    riemann_roch_rows,
+    riemann_roch_dimension,
+    riemann_roch_space,
     valuation,
 )
 from adele_forge.cli import run_config
 from adele_forge.curves import _places_above_x_factor
 from adele_forge.errors import DomainError
-from adele_forge.fields import Polynomial, prime_field
+from adele_forge.fields import DEFAULT_EXT_BOUND, Polynomial, prime_field
+from adele_forge.linalg import rref
 from adele_forge.milnor import MilnorSymbol, gersten_boundary, tame_symbol
 from adele_forge.series import LaurentSeries
 from adele_forge.selfcheck import random_elliptic_function, random_p1_function
@@ -101,8 +103,6 @@ def test_cohomology_examples():
 
 
 def test_cohomology_riemann_roch_and_duality():
-    from adele_forge.curves import riemann_roch_space
-
     for curve in (P15, CurveModel.elliptic(F5, 1, 1)):
         if curve.kind == "p1":
             K = Divisor(curve, {Place.infinity(curve): -2})
@@ -327,7 +327,8 @@ def test_uniformizer_raises_domain_error_when_valuation_is_not_one(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the series at the base place, shared by every divisor through the curve memo
+# h1 from the pivots: the principal-parts map at the base place, its rank
+# against the rref of expand_at windows, and its image against L(K - D)*omega
 
 
 def _support(curve):
@@ -355,15 +356,6 @@ def _divisor(curve, spec):
     return Divisor(curve, mults)
 
 
-def _rows(curve, spec, m):
-    """riemann_roch_rows of E = D + m*v1 on the window -E(v1) .. -D(v1) - 1
-    that ``_h1_estimate`` reads, and one exponent on either side."""
-    D = _divisor(curve, spec)
-    v1 = curve.base_place()
-    n = D.multiplicity(v1)
-    return riemann_roch_rows(D + Divisor(curve, {v1: m}), v1, -n - m - 1, -n + 1)
-
-
 def _model(p, model, a, b):
     spec = prime_field(p)
     if model == "p1":
@@ -372,9 +364,93 @@ def _model(p, model, a, b):
     return CurveModel.elliptic(spec, a, b)
 
 
-# P^1 asks _base_quotient for precisions <= 0 here (-1 for the rows of the
-# second divisor); a memo that doubled such a request stored a series too
-# short for the rows a fresh curve reads
+def _h1(curve, D, m):
+    v1 = curve.base_place()
+    return adelic._h1_estimate(curve, D, v1, m, riemann_roch_dimension(D), DEFAULT_EXT_BOUND)
+
+
+def _principal_parts(curve, D, m):
+    """The matrix of L(E) -> O(E)/O(D) at v1, E = D + m*v1, from expand_at:
+    for each basis element of L(E), its coefficients at v1 for the exponents
+    -E(v1) .. -D(v1) - 1, as ints."""
+    v1 = curve.base_place()
+    lo, hi = -D.multiplicity(v1) - m, -D.multiplicity(v1)
+    rows = []
+    for f in riemann_roch_space(D + Divisor(curve, {v1: m})):
+        ser = expand_at(f, v1, hi)
+        rows.append([ser.coefficient(e).val[0] for e in range(lo, hi)])
+    return rows
+
+
+def _rank(rows, p):
+    return len(rref(rows, p)[1])
+
+
+def _omega(curve, prec):
+    """omega/dt at the base place, known below prec, with t its local
+    parameter: omega = dx on P^1 (K = -2*infinity), where x = 1/t, and
+    omega = dx/2y on the elliptic model (K = 0)."""
+    spec, p = curve.spec, curve.spec.p
+    if curve.kind == "p1":
+        return LaurentSeries(spec, -2, [p - 1], prec)
+    x, y = curves._ec_expansions(curve, curve.base_place(), prec + 8)
+    dx = LaurentSeries(spec, x.start - 1, [(x.start + i) * c % p for i, c in enumerate(x.coeffs)], x.prec - 1)
+    return (dx * (y + y).inverse()).truncate(prec)
+
+
+_DIVISORS = st.tuples(st.lists(st.tuples(st.integers(0, 30), st.integers(-2, 2)), max_size=2), st.integers(-6, 6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from([5, 7, 11, 13]),
+    model=st.sampled_from(["p1", "elliptic"]),
+    a=st.integers(0, 12),
+    b=st.integers(0, 12),
+    spec=st.tuples(st.lists(st.tuples(st.integers(0, 30), st.integers(-2, 2)), max_size=2), st.integers(-8, 1)),
+    extra=st.integers(1, 4),
+)
+def test_principal_parts_image_is_the_annihilator_of_l_k_minus_d(p, model, a, b, spec, extra):
+    # Serre duality at the base place v1: f*g*omega, f in L(D + m*v1) and g
+    # in L(K - D), has its only pole at v1, so its residue there, the
+    # pairing of the window of f with that of g*omega/dt, is 0; and the
+    # pairing is perfect, rank R + rank C = m.  A base multiplicity of at
+    # most 1 and m past -deg D leave R and C nonzero in most draws.
+    curve = _model(p, model, a, b)
+    D = _divisor(curve, spec)
+    m = max(-D.degree, 0) + extra
+    v1 = curve.base_place()
+    K = Divisor(curve, {v1: -2} if model == "p1" else {})
+    n = D.multiplicity(v1)
+    R = _principal_parts(curve, D, m)
+    omega = _omega(curve, m + 6)
+    C = []
+    for g in riemann_roch_space(K - D):
+        ser = expand_at(g, v1, n + m + 6) * omega
+        C.append([ser.coefficient(-1 - e).val[0] for e in range(-n - m, -n)])
+    for r in R:
+        for c in C:
+            assert sum(x * y for x, y in zip(r, c)) % p == 0, (D, m)
+    assert _rank(R, p) + _rank(C, p) == m, (D, m)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 11]),
+    model=st.sampled_from(["p1", "elliptic"]),
+    a=st.integers(0, 10),
+    b=st.integers(0, 10),
+    spec=_DIVISORS,
+)
+def test_h1_estimate_is_the_rref_rank_of_the_expand_at_windows(p, model, a, b, spec):
+    curve = _model(p, model, a, b)
+    D = _divisor(curve, spec)
+    for m in (2, 4, 8, 16):
+        assert _h1(curve, D, m) == m - _rank(_principal_parts(curve, D, m), p), (D, m)
+
+
+# two P^1 divisors whose doubling loops once asked a memo for series at
+# precisions <= 0
 _P1_PREC_AT_MOST_ZERO = dict(p=3, model="p1", a=0, b=0, items=[(([], 0), 0), (([(0, -2)], 2), 0)])
 
 
@@ -398,10 +474,9 @@ _P1_PREC_AT_MOST_ZERO = dict(p=3, model="p1", a=0, b=0, items=[(([], 0), 0), (([
 def test_shared_base_series_match_a_fresh_curve_in_any_order(p, model, a, b, items, order):
     # one curve object answers every divisor, in a shuffled order, as a
     # fresh curve object per divisor does; the doubling loop of a degree
-    # down to -28 runs several rounds, and a later call may need more
-    # precision or higher powers than every earlier one
+    # down to -28 runs several rounds
     shared = _model(p, model, a, b)
-    calls = [(kind, i) for kind in ("dims", "rows") for i in range(len(items))]
+    calls = [(kind, i) for kind in ("dims", "h1") for i in range(len(items))]
     order.shuffle(calls)
     got = {}
     for kind, i in calls:
@@ -409,51 +484,41 @@ def test_shared_base_series_match_a_fresh_curve_in_any_order(p, model, a, b, ite
         if kind == "dims":
             got[kind, i] = cohomology_dims(shared, _divisor(shared, spec))
         else:
-            got[kind, i] = _rows(shared, spec, m)
+            got[kind, i] = _h1(shared, _divisor(shared, spec), m)
     for i, (spec, m) in enumerate(items):
         fresh = _model(p, model, a, b)
         D = _divisor(fresh, spec)
         rep, want = got["dims", i], cohomology_dims(fresh, D)
         assert (rep.h0, rep.h1, rep.bound) == (want.h0, want.h1, want.bound)
         assert rep.h0 - rep.h1 == D.degree + 1 - fresh.genus
-        assert got["rows", i] == _rows(_model(p, model, a, b), spec, m)
-
-
-def test_rows_at_precision_at_most_zero_match_a_fresh_curve():
-    # the doubling loops store the quotients first; the rows read them at
-    # precision -1, where a fresh curve computes its own
-    shared = _model(3, "p1", 0, 0)
-    items = _P1_PREC_AT_MOST_ZERO["items"]
-    for spec, _ in items:
-        cohomology_dims(shared, _divisor(shared, spec))
-    for spec, m in items:
-        assert _rows(shared, spec, m) == _rows(_model(3, "p1", 0, 0), spec, m)
+        assert got["h1", i] == _h1(_model(p, model, a, b), _divisor(fresh, spec), m)
 
 
 def test_doubling_loop_reads_the_series_its_first_round_computed(monkeypatch):
-    # a miss computes the base-place series for twice the precision asked,
-    # so the second round of the doubling loop (m = 8 on E, 4 on P^1) makes
-    # no new expansion
+    # work, not time: at n*O and n*infinity the rank of every round of the
+    # doubling loop is a count of valuations, so no round computes an
+    # expansion or a miss of the (x(t), y(t)) cache, where the first round
+    # used to compute one series for the rounds after it
     real = curves.expand_at
     calls = []
     monkeypatch.setattr(curves, "expand_at", lambda f, place, prec: calls.append(prec) or real(f, place, prec))
-    for n in (-2, 0, 3, 9):
+    for n in (-2, 0, 3, 9, 400):
         E = CurveModel.elliptic(F5, 1, 1)
         curves._ec_expansions.cache_clear()
-        assert cohomology_dims(E, Divisor(E, {Place.origin(E): n})).bound == 8
-        assert curves._ec_expansions.cache_info().misses == 1, n
+        rep = cohomology_dims(E, Divisor(E, {Place.origin(E): n}))
+        assert rep.bound == 8 and rep.h0 - rep.h1 == n
+        assert curves._ec_expansions.cache_info().misses == 0, n
         P1 = CurveModel.projective_line(F5)
-        calls.clear()
-        assert cohomology_dims(P1, Divisor(P1, {Place.infinity(P1): n})).bound == 4
-        assert len(calls) == 1, (n, calls)
+        rep = cohomology_dims(P1, Divisor(P1, {Place.infinity(P1): n}))
+        assert rep.bound == 4 and rep.h0 - rep.h1 == n + 1
+        assert calls == [], (n, calls)
 
 
 def test_rr_table_window_costs_its_top_degree_and_a_few_products(monkeypatch):
     # work, not time: series products and misses of the (x(t), y(t)) cache
-    # for rr-table on E over GF(5).  Each degree of the window [6, 9] below
-    # its top adds at most x^i and x^i*y for one new i, which the top
-    # degree computes anyway; rebuilding the monomials per degree and per m
-    # cost 120 products here, and one round per m 48
+    # for rr-table on E over GF(5).  The rank is read off the valuations of
+    # the Riemann-Roch basis, so no degree of the window [6, 9] multiplies a
+    # series; reading it off rows cost 29 products and one miss
     mul = LaurentSeries.__mul__
     count = [0]
 
@@ -467,31 +532,10 @@ def test_rr_table_window_costs_its_top_degree_and_a_few_products(monkeypatch):
         curves._ec_expansions.cache_clear()
         count[0] = 0
         doc = {"task": "rr-table", "field": {"p": 5}, "curve": {"model": "elliptic", "a": 1, "b": 1}}
-        run_config(dict(doc, degrees=[lo, hi]))
-        return count[0], curves._ec_expansions.cache_info().misses
+        assert run_config(dict(doc, degrees=[lo, hi]))["oracle"]["riemann_roch_closed_form"] == "match"
+        info = curves._ec_expansions.cache_info()
+        return count[0], info.hits + info.misses
 
     top, window = cost(9, 9), cost(6, 9)
-    assert (top, window) == ((29, 1), (29, 1))
+    assert (top, window) == ((0, 0), (0, 0))
     assert window[0] <= top[0] and window[1] <= top[1]
-
-
-def test_base_series_memo_refers_to_no_curve_or_place():
-    # the memo holds ints and series only, so nothing in it keeps a curve
-    # or a place alive; the walk does not enter classes
-    E = CurveModel.elliptic(F7, 1, 1)
-    P = Place.rational_point(E, rational_points(E)[1])
-    v_t = Place.finite(P17, Polynomial.x(F7))
-    for D in (Divisor(E, {P: 2, Place.origin(E): -1}), Divisor(P17, {v_t: 2, Place.infinity(P17): -1})):
-        cohomology_dims(D.curve, D)
-        memo = D.curve._memo.base
-        seen, stack, kinds = set(), [memo], set()
-        while stack:
-            obj = stack.pop()
-            if id(obj) in seen or isinstance(obj, type):
-                continue
-            seen.add(id(obj))
-            assert not isinstance(obj, (CurveModel, Place)), obj
-            kinds.add(type(obj))
-            stack += gc.get_referents(obj)
-        assert LaurentSeries in kinds
-        assert len(memo) == (2 if D.curve.kind == "elliptic" else 1)

@@ -20,7 +20,7 @@ from adele_forge.curves import (
     principal_divisor,
     rational_points,
     riemann_roch_dimension,
-    riemann_roch_rows,
+    riemann_roch_pivots,
     riemann_roch_space,
     scalar_multiple,
     torsion_points,
@@ -413,37 +413,28 @@ def _elliptic_places():
     return E, [two_torsion, points[0], deg2[0]]
 
 
-def _check_expansions(D, base, m, which, offset=0):
-    # rows for the exponents lo .. hi - 1, lo = -E(base) + offset; below
-    # -E(base) every expansion is zero
+def _check_pivots(D, base, m):
+    # each pivot of the basis of E = D + m*base is the valuation of its
+    # element at base and the leading exponent of its expand_at expansion
     E = D + Divisor(D.curve, {base: m})
-    lo = -E.multiplicity(base) + offset
-    hi = {
-        "below": -E.multiplicity(base) - 2,
-        "E": -E.multiplicity(base),
-        "D": -D.multiplicity(base),
-        "pos": 3,
-    }[which]
-    rows = riemann_roch_rows(E, base, lo, hi)
     basis = riemann_roch_space(E)
-    assert len(rows) == len(basis)
-    for row, f in zip(rows, basis):
-        ser = expand_at(f, base, hi)
-        assert row == [ser.coefficient(e).val[0] for e in range(lo, hi)]
+    pivots = riemann_roch_pivots(E)
+    assert len(pivots) == len(basis) == riemann_roch_dimension(E)
+    for f, v in zip(basis, pivots):
+        assert valuation(f, base) == v
+        assert expand_at(f, base, v + 1).valuation() == v
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     mults=st.lists(st.integers(-2, 3), min_size=4, max_size=4),
     m=st.sampled_from([0, 2, 4, 8]),
-    which=st.sampled_from(["below", "E", "D", "pos"]),
-    offset=st.sampled_from([-2, 0, 3]),
 )
-def test_rr_expansions_match_expand_at_p1(mults, m, which, offset):
+def test_rr_expansions_match_expand_at_p1(mults, m):
     base = Place.infinity(P15)
     places = _p1_places() + [base]
     D = Divisor(P15, dict(zip(places, mults)))
-    _check_expansions(D, base, m, which, offset)
+    _check_pivots(D, base, m)
     for f in riemann_roch_space(D):
         _assert_reduced(f)
 
@@ -452,14 +443,12 @@ def test_rr_expansions_match_expand_at_p1(mults, m, which, offset):
 @given(
     mults=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
     m=st.sampled_from([0, 2, 4, 8]),
-    which=st.sampled_from(["below", "E", "D", "pos"]),
-    offset=st.sampled_from([-2, 0, 3]),
 )
-def test_rr_expansions_match_expand_at_elliptic(mults, m, which, offset):
+def test_rr_expansions_match_expand_at_elliptic(mults, m):
     E, affine = _elliptic_places()
     base = Place.origin(E)
     D = Divisor(E, dict(zip(affine + [base], mults)))
-    _check_expansions(D, base, m, which, offset)
+    _check_pivots(D, base, m)
     for f in riemann_roch_space(D):
         _assert_reduced(f)
 
@@ -492,19 +481,18 @@ def test_rr_expansions_fixtures():
     ]
     for D, base in cases:
         for m in (0, 2, 4, 8):
-            for which in ("below", "E", "D", "pos"):
-                for offset in (-2, 0, 3):
-                    _check_expansions(D, base, m, which, offset)
+            _check_pivots(D, base, m)
 
 
 def test_rr_rows_without_vanishing_conditions_are_the_monomials():
     # at n*O, and at Q + 2O with Q the one place of degree 2 above x - c,
     # which 1/(x - c) clears with no condition left, the parts carry no
-    # vectors; the basis, its dimension and its rows agree, as they do for
-    # 4O - Q, which has a condition
+    # vectors and the basis is the monomials x^i*y^j/mult themselves, in
+    # rising pole order; 4O - Q has a condition
     for p, a, b in ((3, 2, 2), (5, 1, 1), (7, 1, 1)):
         E = CurveModel.elliptic(prime_field(p), a, b)
         O = Place.origin(E)
+        x, y = FunctionFieldElement.x_function(E), FunctionFieldElement.y_function(E)
         Q = next(
             v
             for c in range(p)
@@ -515,47 +503,37 @@ def test_rr_rows_without_vanishing_conditions_are_the_monomials():
         divisors += [Divisor(E, {Q: 1, O: 2}), Divisor(E, {Q: -1, O: 4})]
         for D in divisors:
             assert riemann_roch_dimension(D) == len(riemann_roch_space(D))
-            _check_expansions(D, O, 0, "pos", -2)
-        assert all(curves._rr_parts_elliptic(D, 2)[2] is None for D in divisors[:-1])
+            _check_pivots(D, O, 0)
+        for D in divisors[:-1]:
+            bound, exponents, vectors, mult = curves._rr_parts_elliptic(D, 2)
+            assert vectors is None
+            assert [2 * i + 3 * j for i, j in exponents] == [n for n in range(bound + 1) if n != 1]
+            den = FunctionFieldElement(E, mult)
+            assert riemann_roch_space(D) == [x**i * y**j / den for i, j in exponents]
         assert curves._rr_parts_elliptic(divisors[-2], 2)[3].degree == 1
         assert curves._rr_parts_elliptic(divisors[-1], 2)[2] is not None
 
 
-def test_rr_expansions_raise_domain_error_when_short(monkeypatch):
-    # D = P + O has an affine pole, so the combinations are divided by the
-    # expansion of 1/(x - x0)
-    real = curves.expand_at
-    monkeypatch.setattr(curves, "expand_at", lambda f, place, prec: real(f, place, prec).truncate(prec - 1))
-    E = CurveModel.elliptic(F7, 0, 2)
-    P = Place.rational_point(E, rational_points(E)[1])
-    with pytest.raises(DomainError, match="Riemann-Roch expansion short"):
-        riemann_roch_rows(Divisor(E, {P: 1, Place.origin(E): 1}), Place.origin(E), -1, 4)
-    # the monomials at O were complete; the short quotient is not kept
-    assert list(E._memo.base) == ["monomials"]
+def test_rr_pivots_raise_domain_error_when_two_are_equal(monkeypatch):
+    # a kernel vector given twice leads both copies with one monomial: the
+    # pivots are checked, not trusted
+    real = curves.kernel_basis
+    monkeypatch.setattr(curves, "kernel_basis", lambda rows, p: real(rows, p) * 2)
+    E, (tt, pt, deg2) = _elliptic_places()
+    with pytest.raises(DomainError, match="share their valuation"):
+        riemann_roch_pivots(Divisor(E, {Place.origin(E): 4, pt: -1}))
 
 
 def test_monomial_series_raise_domain_error_when_short(monkeypatch):
+    # the vanishing conditions of -3P read the monomials at P below t^3
     real = curves._ec_expansions
     monkeypatch.setattr(
         curves, "_ec_expansions", lambda curve, place, prec: tuple(s.truncate(2) for s in real(curve, place, prec))
     )
     E = CurveModel.elliptic(F7, 0, 2)
+    P = Place.rational_point(E, rational_points(E)[1])
     with pytest.raises(DomainError, match="monomial expansion short"):
-        riemann_roch_rows(Divisor(E, {Place.origin(E): 3}), Place.origin(E), -3, 5)
-    assert not E._memo.base
-
-
-def test_rr_expansions_only_at_the_base_place():
-    D = Divisor(P15, {Place.infinity(P15): 2})
-    with pytest.raises(DomainError, match="base place"):
-        riemann_roch_rows(D, _p1_places()[0], -2, 0)
-    E, affine = _elliptic_places()
-    DE = Divisor(E, {Place.origin(E): 3})
-    for place in affine:
-        with pytest.raises(DomainError, match="base place"):
-            riemann_roch_rows(DE, place, -3, 0)
-    with pytest.raises(DomainError, match="different curves"):
-        riemann_roch_rows(DE, Place.infinity(P15), -3, 0)
+        riemann_roch_space(Divisor(E, {Place.origin(E): 6, P: -3}))
 
 
 @settings(max_examples=150, deadline=None)
